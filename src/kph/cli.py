@@ -17,35 +17,42 @@ import dataclasses
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from . import io as kio
 from .construction import ALGORITHMS, DEFAULT_MAX_PASSES, ConstructionConfig, build_hierarchy
 from .core import Hierarchy
-from .errors import DataError, FormatError, KphError
+from .errors import DataError, KphError
 from .evaluation import (DEFAULT_MIN_RECALL, DEFAULT_TAU_GRID, EvalReport, auc_at_min_recall,
                          evaluate_hierarchies, loo_threshold_tuning, pr_curve,
                          spearman_correlation)
 from .scoring import SCORERS, compute_score_matrix, combine_average, export_weak_labels
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a command ran on and what it produced, for exact replay."""
+class _Manifest:
+    """Digests of the files one command read and wrote, saved as its run manifest.
 
-    subcommand: str
-    tool_version: str
-    config: Mapping[str, object]
-    inputs: Mapping[str, str]
-    outputs: Mapping[str, str]
+    Inputs are keyed ``<summary dir>/<file>``, outputs by their path inside
+    the output directory. ``save`` comes last, once every output is written.
+    """
 
-    def save(self, path) -> None:
-        kio.write_manifest(path, self.subcommand, self.tool_version,
-                           self.config, self.inputs, self.outputs)
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
+
+    def read(self, path: Path) -> None:
+        self.inputs[f"{path.parent.name}/{path.name}"] = kio.file_digest(path)
+
+    def write(self, rel: str, writer: Callable, obj) -> None:
+        writer(self.out_dir / rel, obj)
+        self.outputs[rel] = kio.file_digest(self.out_dir / rel)
+
+    def save(self, subcommand: str, config: dict) -> None:
+        kio.write_manifest(self.out_dir / f"manifest_{subcommand}.json", subcommand,
+                           __version__, config, self.inputs, self.outputs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_KEYS = {
-    "in_dir", "out_dir", "seed", "jobs", "scorer", "theta_match", "a", "b",
+    "in_dir", "out_dir", "seed", "scorer", "theta_match", "a", "b",
     "name", "scores", "pred", "gold", "algorithm", "tau", "loo", "grid",
     "max_passes", "threshold", "ratio", "min_recall",
 }
@@ -72,8 +79,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="JSON file of default option values; flags override it")
     common.add_argument("--in-dir", help="summary-set directory to read")
     common.add_argument("--out-dir", help="directory to write outputs and the run manifest")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized steps")
-    common.add_argument("--jobs", type=int, default=None, help="summaries processed in parallel")
 
     p = sub.add_parser("score", parents=[common],
                        help="compute distributional scores from match matrices")
@@ -130,6 +135,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--ratio", type=float, default=None,
                    help="negatives kept per positive (default 5)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for sampling the negatives (default 0)")
     p.set_defaults(func=cmd_weaklabel)
 
     p = sub.add_parser("correlate", parents=[common],
@@ -177,22 +184,13 @@ def _in_out_dirs(args, parser: _Parser) -> tuple[Path, Path]:
 
 
 def _dirs_with(root: Path, filename: str) -> list[Path]:
+    """The summary directories under root that hold filename; at least one."""
     if not root.is_dir():
         raise DataError(f"input directory {root} does not exist")
-    return sorted(p.parent for p in root.glob(f"*/{filename}"))
-
-
-def _no_summaries(root: Path, filename: str) -> DataError:
-    return DataError(f"no summaries found: no */{filename} under {root}")
-
-
-def _pmap(jobs: int | None, fn: Callable, items: Sequence):
-    items = list(items)
-    jobs = jobs or 1
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    dirs = sorted(p.parent for p in root.glob(f"*/{filename}"))
+    if not dirs:
+        raise DataError(f"no summaries found: no */{filename} under {root}")
+    return dirs
 
 
 def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
@@ -222,7 +220,7 @@ def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
 
 
 def _load_summary_scores(d: Path, scores_name: str):
-    """Score matrix restricted to the summary's unfiltered key points.
+    """Score matrix restricted to the summary's unfiltered key points, and its domain.
 
     The key point file is optional for score-only pipelines; without it the
     score universe is used as-is and the domain defaults to "other".
@@ -230,7 +228,6 @@ def _load_summary_scores(d: Path, scores_name: str):
     s = kio.load_external_scores(d / scores_name)
     kp_path = d / kio.KEY_POINTS_FILE
     domain = "other"
-    kps = None
     if kp_path.exists():
         kps = kio.load_key_points(kp_path)
         if kps.summary_id != s.summary_id:
@@ -240,7 +237,7 @@ def _load_summary_scores(d: Path, scores_name: str):
         keep = [x for x in s.kp_ids if x in set(kps.unfiltered_ids)]
         s = s.restrict(keep)
         domain = kps.domain
-    return s, kps, domain
+    return s, domain
 
 
 def cmd_score(args, parser: _Parser) -> int:
@@ -250,24 +247,13 @@ def cmd_score(args, parser: _Parser) -> int:
     if not 0.0 <= theta <= 1.0:
         parser.error(f"--theta-match must lie in [0, 1], got {theta}")
     dirs = _dirs_with(in_dir, kio.MATCH_MATRIX_FILE)
-    if not dirs:
-        raise _no_summaries(in_dir, kio.MATCH_MATRIX_FILE)
-
-    def work(d: Path):
-        m = kio.load_match_matrix(d / kio.MATCH_MATRIX_FILE)
-        return compute_score_matrix(m, scorer, theta)
-
-    results = _pmap(args.jobs, work, dirs)
-    inputs, outputs = {}, {}
+    results = [compute_score_matrix(kio.load_match_matrix(d / kio.MATCH_MATRIX_FILE),
+                                    scorer, theta) for d in dirs]
+    run = _Manifest(out_dir)
     for d, sm in zip(dirs, results):
-        rel_in = f"{d.name}/{kio.MATCH_MATRIX_FILE}"
-        rel_out = f"{d.name}/scores_{scorer}.jsonl"
-        kio.write_scores(out_dir / rel_out, sm)
-        inputs[rel_in] = kio.file_digest(d / kio.MATCH_MATRIX_FILE)
-        outputs[rel_out] = kio.file_digest(out_dir / rel_out)
-    RunManifest("score", __version__,
-                {"scorer": scorer, "theta_match": theta},
-                inputs, outputs).save(out_dir / "manifest_score.json")
+        run.write(f"{d.name}/scores_{scorer}.jsonl", kio.write_scores, sm)
+        run.read(d / kio.MATCH_MATRIX_FILE)
+    run.save("score", {"scorer": scorer, "theta_match": theta})
     return 0
 
 
@@ -277,25 +263,14 @@ def cmd_combine(args, parser: _Parser) -> int:
     name_b = _require(args, parser, "b", args.b)
     out_name = args.name or "combined"
     dirs = _dirs_with(in_dir, name_a)
-    if not dirs:
-        raise _no_summaries(in_dir, name_a)
-
-    def work(d: Path):
-        a = kio.load_external_scores(d / name_a)
-        b = kio.load_external_scores(d / name_b)
-        return combine_average(a, b)
-
-    results = _pmap(args.jobs, work, dirs)
-    inputs, outputs = {}, {}
+    results = [combine_average(kio.load_external_scores(d / name_a),
+                               kio.load_external_scores(d / name_b)) for d in dirs]
+    run = _Manifest(out_dir)
     for d, sm in zip(dirs, results):
-        rel_out = f"{d.name}/scores_{out_name}.jsonl"
-        kio.write_scores(out_dir / rel_out, sm)
-        inputs[f"{d.name}/{name_a}"] = kio.file_digest(d / name_a)
-        inputs[f"{d.name}/{name_b}"] = kio.file_digest(d / name_b)
-        outputs[rel_out] = kio.file_digest(out_dir / rel_out)
-    RunManifest("combine", __version__,
-                {"a": name_a, "b": name_b, "name": out_name},
-                inputs, outputs).save(out_dir / "manifest_combine.json")
+        run.write(f"{d.name}/scores_{out_name}.jsonl", kio.write_scores, sm)
+        run.read(d / name_a)
+        run.read(d / name_b)
+    run.save("combine", {"a": name_a, "b": name_b, "name": out_name})
     return 0
 
 
@@ -314,20 +289,16 @@ def cmd_build(args, parser: _Parser) -> int:
         parser.error(f"--tau must lie in [0, 1], got {args.tau}")
     gold_name = args.gold or kio.GOLD_FILE
 
-    dirs = _dirs_with(in_dir, scores_name)
-    if not dirs:
-        raise _no_summaries(in_dir, scores_name)
-    subcommand = args.command
-    inputs, outputs = {}, {}
-    loaded = _pmap(args.jobs, lambda d: _load_summary_scores(d, scores_name), dirs)
+    run = _Manifest(out_dir)
     scores_by_sid, dir_by_sid, domain_by_sid = {}, {}, {}
-    for d, (s, _, domain) in zip(dirs, loaded):
+    for d in _dirs_with(in_dir, scores_name):
+        s, domain = _load_summary_scores(d, scores_name)
         if s.summary_id in scores_by_sid:
             raise DataError(f"summary {s.summary_id!r} appears in two directories")
         scores_by_sid[s.summary_id] = s
         dir_by_sid[s.summary_id] = d
         domain_by_sid[s.summary_id] = domain
-        inputs[f"{d.name}/{scores_name}"] = kio.file_digest(d / scores_name)
+        run.read(d / scores_name)
 
     def builder(s, tau: float) -> Hierarchy:
         return build_hierarchy(s, ConstructionConfig(
@@ -348,28 +319,21 @@ def cmd_build(args, parser: _Parser) -> int:
                 raise DataError(f"{d}: gold is for {g.summary_id!r}, scores for {sid!r}")
             golds[sid] = g
             domain_by_sid[sid] = g.domain
-            inputs[f"{d.name}/{gold_name}"] = kio.file_digest(gold_path)
-        chosen, report = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
-        taus = chosen
+            run.read(gold_path)
+        taus, report = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
         config["grid"] = [kio.quant6(v) for v in grid]
-        config["chosen_tau"] = {sid: kio.quant6(t) for sid, t in sorted(chosen.items())}
+        config["chosen_tau"] = {sid: kio.quant6(t) for sid, t in sorted(taus.items())}
     else:
         taus = {sid: args.tau for sid in scores_by_sid}
         config["tau"] = args.tau
 
-    built = _pmap(args.jobs,
-                  lambda sid: builder(scores_by_sid[sid], taus[sid]),
-                  sorted(scores_by_sid))
-    for sid, h in zip(sorted(scores_by_sid), built):
-        h = dataclasses.replace(h, domain=domain_by_sid[sid])
-        rel_out = f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl"
-        kio.write_hierarchy(out_dir / rel_out, h)
-        outputs[rel_out] = kio.file_digest(out_dir / rel_out)
+    built = {sid: builder(scores_by_sid[sid], taus[sid]) for sid in sorted(scores_by_sid)}
+    for sid, h in built.items():
+        run.write(f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl", kio.write_hierarchy,
+                  dataclasses.replace(h, domain=domain_by_sid[sid]))
     if report is not None:
-        kio.write_report(out_dir / "report_loo.json", report)
-        outputs["report_loo.json"] = kio.file_digest(out_dir / "report_loo.json")
-    RunManifest(subcommand, __version__, config, inputs, outputs).save(
-        out_dir / f"manifest_{subcommand}.json")
+        run.write("report_loo.json", kio.write_report, report)
+    run.save(args.command, config)
     return 0
 
 
@@ -377,26 +341,20 @@ def cmd_eval(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
     pred_name = _require(args, parser, "pred", args.pred)
     gold_name = args.gold or kio.GOLD_FILE
-    dirs = _dirs_with(in_dir, pred_name)
-    if not dirs:
-        raise _no_summaries(in_dir, pred_name)
+    run = _Manifest(out_dir)
     preds, golds = [], []
-    inputs = {}
-    for d in dirs:
+    for d in _dirs_with(in_dir, pred_name):
         gold_path = d / gold_name
         if not gold_path.exists():
             raise DataError(f"{d}: missing gold file {gold_name}")
         preds.append(kio.load_hierarchy(d / pred_name))
         golds.append(kio.load_hierarchy(gold_path))
-        inputs[f"{d.name}/{pred_name}"] = kio.file_digest(d / pred_name)
-        inputs[f"{d.name}/{gold_name}"] = kio.file_digest(gold_path)
+        run.read(d / pred_name)
+        run.read(gold_path)
     report = evaluate_hierarchies(preds, golds)
-    kio.write_report(out_dir / "report_eval.json", report)
-    kio.write_metrics_csv(out_dir / "metrics.csv", report)
-    outputs = {name: kio.file_digest(out_dir / name)
-               for name in ("report_eval.json", "metrics.csv")}
-    RunManifest("eval", __version__, {"pred": pred_name, "gold": gold_name},
-                inputs, outputs).save(out_dir / "manifest_eval.json")
+    run.write("report_eval.json", kio.write_report, report)
+    run.write("metrics.csv", kio.write_metrics_csv, report)
+    run.save("eval", {"pred": pred_name, "gold": gold_name})
     return 0
 
 
@@ -407,13 +365,10 @@ def cmd_prcurve(args, parser: _Parser) -> int:
     min_recall = args.min_recall if args.min_recall is not None else DEFAULT_MIN_RECALL
     if not 0.0 <= min_recall < 1.0:
         parser.error(f"--min-recall must lie in [0, 1), got {min_recall}")
-    dirs = _dirs_with(in_dir, scores_name)
-    if not dirs:
-        raise _no_summaries(in_dir, scores_name)
+    run = _Manifest(out_dir)
     by_domain: dict[str, tuple[list, list]] = {}
-    inputs = {}
-    for d in dirs:
-        s, _, _ = _load_summary_scores(d, scores_name)
+    for d in _dirs_with(in_dir, scores_name):
+        s, _ = _load_summary_scores(d, scores_name)
         gold_path = d / gold_name
         if not gold_path.exists():
             raise DataError(f"{d}: missing gold file {gold_name}")
@@ -423,19 +378,15 @@ def cmd_prcurve(args, parser: _Parser) -> int:
         by_domain.setdefault(g.domain, ([], []))
         by_domain[g.domain][0].append(s)
         by_domain[g.domain][1].append(g)
-        inputs[f"{d.name}/{scores_name}"] = kio.file_digest(d / scores_name)
-        inputs[f"{d.name}/{gold_name}"] = kio.file_digest(gold_path)
+        run.read(d / scores_name)
+        run.read(gold_path)
     curves = {dom: pr_curve(ss, gs) for dom, (ss, gs) in sorted(by_domain.items())}
     aucs = {dom: auc_at_min_recall(c, min_recall) for dom, c in curves.items()}
     report = EvalReport(per_domain={}, per_domain_auc=aucs, curves=curves,
                         provenance={"scores": scores_name, "min_recall": min_recall})
-    kio.write_report(out_dir / "report_prcurve.json", report)
-    kio.write_pr_curves(out_dir / "pr_curves.csv", curves)
-    outputs = {name: kio.file_digest(out_dir / name)
-               for name in ("report_prcurve.json", "pr_curves.csv")}
-    RunManifest("prcurve", __version__,
-                {"scores": scores_name, "gold": gold_name, "min_recall": min_recall},
-                inputs, outputs).save(out_dir / "manifest_prcurve.json")
+    run.write("report_prcurve.json", kio.write_report, report)
+    run.write("pr_curves.csv", kio.write_pr_curves, curves)
+    run.save("prcurve", {"scores": scores_name, "gold": gold_name, "min_recall": min_recall})
     return 0
 
 
@@ -450,29 +401,22 @@ def cmd_weaklabel(args, parser: _Parser) -> int:
     if ratio < 1:
         parser.error(f"--ratio must be >= 1, got {ratio}")
     dirs = _dirs_with(in_dir, scores_name)
-    if not dirs:
-        raise _no_summaries(in_dir, scores_name)
-
-    def work(d: Path):
+    results = []
+    for d in dirs:
         s = kio.load_external_scores(d / scores_name)
         kp_path = d / kio.KEY_POINTS_FILE
         if not kp_path.exists():
             raise DataError(f"{d}: weak labeling needs {kio.KEY_POINTS_FILE} for the texts")
         kps = kio.load_key_points(kp_path)
-        return export_weak_labels(s, kps, threshold=threshold, neg_ratio=ratio, seed=seed)
-
-    results = _pmap(args.jobs, work, dirs)
-    inputs, outputs = {}, {}
+        results.append(export_weak_labels(s, kps, threshold=threshold, neg_ratio=ratio,
+                                          seed=seed))
+    run = _Manifest(out_dir)
     for d, wls in zip(dirs, results):
-        rel_out = f"{d.name}/weak_labels.jsonl"
-        kio.write_weak_labels(out_dir / rel_out, wls)
-        inputs[f"{d.name}/{scores_name}"] = kio.file_digest(d / scores_name)
-        inputs[f"{d.name}/{kio.KEY_POINTS_FILE}"] = kio.file_digest(d / kio.KEY_POINTS_FILE)
-        outputs[rel_out] = kio.file_digest(out_dir / rel_out)
-    RunManifest("weaklabel", __version__,
-                {"scores": scores_name, "threshold": threshold, "ratio": ratio,
-                 "seed": seed},
-                inputs, outputs).save(out_dir / "manifest_weaklabel.json")
+        run.write(f"{d.name}/weak_labels.jsonl", kio.write_weak_labels, wls)
+        run.read(d / scores_name)
+        run.read(d / kio.KEY_POINTS_FILE)
+    run.save("weaklabel", {"scores": scores_name, "threshold": threshold, "ratio": ratio,
+                           "seed": seed})
     return 0
 
 
@@ -480,39 +424,29 @@ def cmd_correlate(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
     name_a = _require(args, parser, "a", args.a)
     name_b = _require(args, parser, "b", args.b)
-    dirs = _dirs_with(in_dir, name_a)
-    if not dirs:
-        raise _no_summaries(in_dir, name_a)
-
-    def work(d: Path):
+    run = _Manifest(out_dir)
+    rows = {}
+    for d in _dirs_with(in_dir, name_a):
         a = kio.load_external_scores(d / name_a)
         b = kio.load_external_scores(d / name_b)
         if a.summary_id != b.summary_id:
             raise DataError(f"{d}: score files are for different summaries")
-        return a.summary_id, spearman_correlation(a, b)
-
-    results = _pmap(args.jobs, work, dirs)
-    inputs = {}
-    for d in dirs:
-        inputs[f"{d.name}/{name_a}"] = kio.file_digest(d / name_a)
-        inputs[f"{d.name}/{name_b}"] = kio.file_digest(d / name_b)
-    rows = dict(results)
-    kio.write_correlations(out_dir / "correlations.csv", rows)
-    outputs = {"correlations.csv": kio.file_digest(out_dir / "correlations.csv")}
-    RunManifest("correlate", __version__, {"a": name_a, "b": name_b},
-                inputs, outputs).save(out_dir / "manifest_correlate.json")
+        rows[a.summary_id] = spearman_correlation(a, b)
+        run.read(d / name_a)
+        run.read(d / name_b)
+    run.write("correlations.csv", kio.write_correlations, rows)
+    run.save("correlate", {"a": name_a, "b": name_b})
     return 0
 
 
 def cmd_validate(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
+    dirs = _dirs_with(in_dir, kio.KEY_POINTS_FILE)
     kp_sets, golds = kio.load_dataset(in_dir)
-    if not kp_sets:
-        raise _no_summaries(in_dir, kio.KEY_POINTS_FILE)
-    inputs = {}
-    for d in kio.discover_summaries(in_dir):
+    run = _Manifest(out_dir)
+    for d in dirs:
         kps = kio.load_key_points(d / kio.KEY_POINTS_FILE)
-        inputs[f"{d.name}/{kio.KEY_POINTS_FILE}"] = kio.file_digest(d / kio.KEY_POINTS_FILE)
+        run.read(d / kio.KEY_POINTS_FILE)
         mm_path = d / kio.MATCH_MATRIX_FILE
         if mm_path.exists():
             m = kio.load_match_matrix(mm_path)
@@ -521,7 +455,7 @@ def cmd_validate(args, parser: _Parser) -> int:
                                 f"key points for {kps.summary_id!r}")
             if set(m.kp_ids) != set(kps.ids):
                 raise DataError(f"{mm_path}: columns do not match the summary's key points")
-            inputs[f"{d.name}/{kio.MATCH_MATRIX_FILE}"] = kio.file_digest(mm_path)
+            run.read(mm_path)
         for score_path in sorted(d.glob("scores_*.jsonl")):
             s = kio.load_external_scores(score_path)
             if s.summary_id != kps.summary_id:
@@ -530,17 +464,15 @@ def cmd_validate(args, parser: _Parser) -> int:
             unknown = set(s.kp_ids) - set(kps.ids)
             if unknown:
                 raise DataError(f"{score_path}: unknown key points {sorted(unknown)}")
-            inputs[f"{d.name}/{score_path.name}"] = kio.file_digest(score_path)
+            run.read(score_path)
         gold_path = d / kio.GOLD_FILE
         if gold_path.exists():
-            inputs[f"{d.name}/{kio.GOLD_FILE}"] = kio.file_digest(gold_path)
+            run.read(gold_path)
     stats = kio.dataset_stats(kp_sets, golds)
     doc = json.dumps(stats, indent=2, sort_keys=True)
     print(doc)
-    kio.write_text(out_dir / "validation_report.json", doc + "\n")
-    outputs = {"validation_report.json": kio.file_digest(out_dir / "validation_report.json")}
-    RunManifest("validate", __version__, {}, inputs, outputs).save(
-        out_dir / "manifest_validate.json")
+    run.write("validation_report.json", kio.write_text, doc + "\n")
+    run.save("validate", {})
     return 0
 
 
@@ -554,9 +486,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args, parser)
     except SystemExit as e:
         return int(e.code or 0)
-    except FormatError as e:
-        print(f"kph: invalid input: {e}", file=sys.stderr)
-        return 2
     except DataError as e:
         print(f"kph: invalid input: {e}", file=sys.stderr)
         return 2

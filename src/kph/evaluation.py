@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import Hierarchy, canonical_hierarchy, derive_relations
 from .construction import objective_value
@@ -272,7 +271,19 @@ def spearman_correlation(a: ScoreMatrix, b: ScoreMatrix) -> float:
     ys = [b.scores[p] for p in pairs]
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         raise DataError("rank correlation is undefined for constant scores")
-    return float(stats.spearmanr(xs, ys).statistic)
+    ranked = np.column_stack((_average_ranks(np.array(xs)), _average_ranks(np.array(ys))))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, with tied values sharing the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    counts = np.diff(np.r_[starts, len(x)])
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
 
 
 def loo_threshold_tuning(

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io as _io
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -84,9 +85,20 @@ def file_digest(path: str | Path) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
+    """Replace path's contents with text, or leave the file as it was on failure.
+
+    The text goes to a sibling temporary file that is then renamed over
+    path, so no reader or crash ever sees a partly written file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _write_text = write_text
@@ -196,6 +208,10 @@ def load_key_points(path: str | Path) -> KeyPointSet:
 # -- match matrices -----------------------------------------------------
 
 def write_match_matrix(path: str | Path, m: MatchMatrix) -> None:
+    for name, value in (("summary_id", m.summary_id), ("domain", m.domain)):
+        if any(ch.isspace() for ch in value):
+            raise DataError(f"match matrix {name} {value!r} holds whitespace, which "
+                            f"the '# summary_id=... domain=...' meta line cannot carry")
     buf = _io.StringIO()
     buf.write(f"# summary_id={m.summary_id} domain={m.domain}\n")
     w = csv.writer(buf, lineterminator="\n")
@@ -360,11 +376,15 @@ def load_hierarchies(path: str | Path) -> list[Hierarchy]:
                                   path=path, line=lineno, field="edges")
             parent[child] = par
         try:
-            out.append(Hierarchy(summary_id=summary_id,
-                                 clusters=tuple(frozenset(c) for c in clusters),
-                                 parent=parent, domain=domain))
+            h = Hierarchy(summary_id=summary_id,
+                          clusters=tuple(frozenset(c) for c in clusters),
+                          parent=parent, domain=domain)
         except Exception as e:
             raise FormatError(str(e), path=path, line=lineno) from e
+        violations = validate_hierarchy(h)
+        if violations:
+            raise FormatError(f"invalid hierarchy: {violations[0]}", path=path, line=lineno)
+        out.append(h)
     return out
 
 

@@ -98,6 +98,26 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["cycle", "duplicate-membership"])
+    @pytest.mark.parametrize("bad_file", ["pred.jsonl", kio.GOLD_FILE])
+    def test_invalid_hierarchy_file_is_data_error(self, dataset, tmp_path, capsys,
+                                                  kind, bad_file):
+        ids = [f"k{i:02d}" for i in range(4)]
+        if kind == "cycle":
+            bad = Hierarchy(summary_id="h1", domain="hotels",
+                            clusters=tuple(frozenset({k}) for k in ids), parent={0: 1, 1: 0})
+        else:  # k01 sits in both clusters
+            bad = Hierarchy(summary_id="h1", domain="hotels",
+                            clusters=(frozenset(ids[:2]), frozenset(ids[1:])))
+        for d in dataset.iterdir():
+            (d / "pred.jsonl").write_bytes((d / kio.GOLD_FILE).read_bytes())
+        kio.write_hierarchy(dataset / "h1" / bad_file, bad)
+        assert run("eval", "--in-dir", dataset, "--out-dir", tmp_path / "e",
+                   "--pred", "pred.jsonl") == 2
+        err = capsys.readouterr().err
+        assert f"h1/{bad_file}, record 1: invalid hierarchy: {kind}: " in err
+        assert not (tmp_path / "e").exists()
+
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0
         assert "kph" in capsys.readouterr().out
@@ -121,14 +141,6 @@ class TestScore:
         for out in (a, b):
             assert run("score", "--in-dir", dataset, "--out-dir", out,
                        "--scorer", "apinc") == 0
-        assert tree_bytes(a) == tree_bytes(b)
-
-    def test_jobs_flag_gives_identical_output(self, dataset, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run("score", "--in-dir", dataset, "--out-dir", a,
-                   "--scorer", "clarkede") == 0
-        assert run("score", "--in-dir", dataset, "--out-dir", b,
-                   "--scorer", "clarkede", "--jobs", "4") == 0
         assert tree_bytes(a) == tree_bytes(b)
 
 

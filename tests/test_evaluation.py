@@ -296,6 +296,28 @@ class TestSpearman:
         want = 17 / math.sqrt(17.5 * 17)
         assert spearman_correlation(a, b) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("levels", [None, 3, 6])
+    def test_equals_scipy_spearmanr(self, levels):
+        # levels=None draws continuous scores; a small count of levels forces ties
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(2306 + (levels or 0))
+
+        def draw():
+            return rng.random() if levels is None else rng.randrange(levels + 1) / levels
+
+        checked = 0
+        while checked < 400:
+            ids = [f"k{i}" for i in range(rng.randrange(2, 8))]
+            pairs = [(x, y) for x in ids for y in ids if x != y]
+            sa = {p: draw() for p in pairs}
+            sb = {p: draw() for p in pairs}
+            if len(set(sa.values())) == 1 or len(set(sb.values())) == 1:
+                continue  # constant scores are rejected, covered below
+            want = stats.spearmanr([sa[p] for p in sorted(pairs)],
+                                   [sb[p] for p in sorted(pairs)]).statistic
+            assert spearman_correlation(sm(ids, sa), sm(ids, sb)) == want
+            checked += 1
+
     def test_rejects_mismatched_pairs(self):
         a = sm(["a", "b"], {("a", "b"): 0.2, ("b", "a"): 0.7})
         b = sm(["a", "cc"], {("a", "cc"): 0.2, ("cc", "a"): 0.7})

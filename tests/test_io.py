@@ -106,11 +106,11 @@ class TestKeyPointsRoundTrip:
 
 
 class TestMatchMatrixRoundTrip:
-    def _m(self):
+    def _m(self, summary_id="s", domain="hotels"):
         rng = random.Random(61)
         values = np.array([[round(rng.random(), 6) for _ in range(3)]
                            for _ in range(4)])
-        return MatchMatrix(summary_id="s", domain="hotels",
+        return MatchMatrix(summary_id=summary_id, domain=domain,
                            sentence_ids=tuple(f"sent{i}" for i in range(4)),
                            kp_ids=("k00", "k01", "k02"), values=values)
 
@@ -130,6 +130,20 @@ class TestMatchMatrixRoundTrip:
         kio.write_match_matrix(p, m)
         data_row = p.read_text().splitlines()[2].split(",")
         assert all(len(cell.split(".")[1]) == 6 for cell in data_row[1:])
+
+    def test_meta_values_round_trip(self, tmp_path):
+        p = tmp_path / "mm.csv"
+        kio.write_match_matrix(p, self._m(summary_id="a=b#1", domain="hôtels"))
+        got = kio.load_match_matrix(p)
+        assert (got.summary_id, got.domain) == ("a=b#1", "hôtels")
+
+    @pytest.mark.parametrize("meta", [{"summary_id": "my summary"},
+                                      {"domain": "tab\there"}])
+    def test_whitespace_in_meta_value_rejected(self, tmp_path, meta):
+        p = tmp_path / "mm.csv"
+        with pytest.raises(DataError, match="whitespace"):
+            kio.write_match_matrix(p, self._m(**meta))
+        assert not p.exists()
 
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "mm.csv"
@@ -264,6 +278,21 @@ class TestHierarchyRoundTrip:
         with pytest.raises(FormatError):
             kio.load_hierarchies(p)
 
+    @pytest.mark.parametrize("clusters, edges, kind", [
+        ([["a"], ["b"], ["cc"]], [[0, 1], [1, 2], [2, 0]], "cycle"),
+        ([["a", "b"], ["b"]], [[1, 0]], "duplicate-membership"),
+    ])
+    def test_invalid_structure_rejected(self, tmp_path, clusters, edges, kind):
+        p = tmp_path / "h.jsonl"
+        good = {"kind": "hierarchy", "summary_id": "s0", "domain": "d",
+                "clusters": [["a"]], "edges": []}
+        bad = {"kind": "hierarchy", "summary_id": "s1", "domain": "d",
+               "clusters": clusters, "edges": edges}
+        p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(FormatError) as exc:
+            kio.load_hierarchies(p)
+        assert str(exc.value).startswith(f"{p}, record 2: invalid hierarchy: {kind}: ")
+
     def test_load_hierarchy_wants_exactly_one(self, tmp_path):
         rng = random.Random(65)
         p = tmp_path / "h.jsonl"
@@ -306,6 +335,21 @@ class TestDigest:
         assert kio.file_digest(a) == kio.file_digest(b)
         kio.write_text(b, "other\n")
         assert kio.file_digest(a) != kio.file_digest(b)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        p = tmp_path / kio.KEY_POINTS_FILE
+        kio.write_key_points(p, kp_set())
+        before = p.read_bytes()
+        # a lone surrogate passes the writer's checks but cannot be encoded,
+        # so writing fails after the output file was opened
+        bad = KeyPointSet(summary_id="s", domain="hotels",
+                          key_points=(KeyPoint(id="k00", text="broken \ud800 text"),))
+        with pytest.raises(UnicodeEncodeError):
+            kio.write_key_points(p, bad)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]
 
 
 class TestDataset:
