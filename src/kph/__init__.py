@@ -18,15 +18,7 @@ from .core import (
     derive_relations,
     validate_hierarchy,
 )
-from .errors import DataError, FormatError, GraphError, HierarchyError, KphError
-from .graphs import (
-    DirectedGraph,
-    is_dag,
-    reachable_sets,
-    scc_condensation,
-    strongly_connected_components,
-    transitive_reduction,
-)
+from .errors import DataError, FormatError, HierarchyError, KphError
 from .scoring import (
     SCORERS,
     FeatureVector,
@@ -75,9 +67,7 @@ __all__ = [
     "__version__",
     "Hierarchy", "KeyPoint", "KeyPointSet", "RelationSet", "Violation",
     "ancestors", "canonical_hierarchy", "derive_relations", "validate_hierarchy",
-    "DataError", "FormatError", "GraphError", "HierarchyError", "KphError",
-    "DirectedGraph", "is_dag", "reachable_sets", "scc_condensation",
-    "strongly_connected_components", "transitive_reduction",
+    "DataError", "FormatError", "HierarchyError", "KphError",
     "SCORERS", "FeatureVector", "MatchMatrix", "ScoreMatrix",
     "WeakLabelRecord", "WeakLabelSet", "build_feature_vectors",
     "combine_average", "compute_score_matrix", "export_weak_labels",

@@ -3,9 +3,9 @@
 Four builders share a decision threshold tau and the same global objective,
 the sum of s(x, y) - tau over every relation the hierarchy induces:
 
-- reduced_forest: threshold the scores into a graph, contract strongly
-  connected components, take the transitive reduction, then heuristically
-  keep one parent per cluster.
+- reduced_forest: threshold the scores into a boolean reachability matrix,
+  contract its strongly connected (mutually entailing) components, take
+  the transitive reduction, then heuristically keep one parent per cluster.
 - tncf: local search that starts from the reduced forest and re-attaches
   one node or one whole cluster at a time while the objective improves.
 - greedy: agglomerative clustering, then edges added in descending
@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .core import Hierarchy, canonical_hierarchy
-from .errors import DataError, HierarchyError
-from .graphs import DirectedGraph, scc_condensation, transitive_reduction
+import numpy as np
+
+from .core import Hierarchy, canonical_hierarchy, validate_hierarchy
+from .errors import HierarchyError
 from .scoring import ScoreMatrix
 
 ALGORITHMS = ("reduced_forest", "tncf", "greedy", "greedy_gs")
@@ -38,7 +39,6 @@ class ConstructionConfig:
     tau: float
     algorithm: str = "tncf"
     max_passes: int = DEFAULT_MAX_PASSES
-    tie_break: str = "lexicographic"
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
@@ -47,56 +47,70 @@ class ConstructionConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        if self.tie_break != "lexicographic":
-            raise ValueError(f"unknown tie_break policy {self.tie_break!r}")
 
 
 def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
-    """Sum of s(x, y) - tau over all relations induced by the hierarchy."""
-    from .core import derive_relations
+    """Sum of s(x, y) - tau over all relations induced by the hierarchy.
 
-    return sum(s.score(x, y) - tau for x, y in sorted(derive_relations(h)))
+    Raises HierarchyError for a structurally invalid hierarchy and DataError
+    when an induced pair has no score.
+    """
+    violations = validate_hierarchy(h)
+    if violations:
+        raise HierarchyError(f"summary {h.summary_id!r}: {violations[0]}")
+    w = {pair: v - tau for pair, v in s.scores.items()}
+    try:
+        return _state_objective(h.clusters, h.parent, w)
+    except KeyError as exc:
+        s.score(*exc.args[0])  # raises DataError naming the missing pair
+        raise
+
+
+def _condense(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Strongly connected components and the reduced condensation of a digraph.
+
+    ``adj`` is an n x n bool adjacency matrix whose diagonal is ignored.
+    Returns the components as sorted node-index lists ordered by smallest
+    member, and the k x k bool adjacency of the transitive reduction of the
+    condensation. Components are the distinct rows of R & R.T for the
+    reflexive closure R (Warshall); on a DAG's closure C the reduction is
+    C minus C @ C (Aho, Garey & Ullman, SIAM J. Comput. 1972).
+    """
+    n = len(adj)
+    r = adj | np.eye(n, dtype=bool)
+    for k in range(n):
+        r |= r[:, k:k + 1] & r[k:k + 1, :]
+    mutual = r & r.T
+    reps = [i for i in range(n) if not mutual[i, :i].any()]
+    comps = [np.flatnonzero(mutual[i]).tolist() for i in reps]
+    closure = r[np.ix_(reps, reps)]
+    np.fill_diagonal(closure, False)
+    return comps, closure & ~(closure @ closure)
 
 
 def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Threshold graph -> condensation -> transitive reduction -> one parent.
 
-    When the reduction leaves a cluster with several parents, the larger
-    parent cluster wins; ties fall to the higher mean child-to-parent score,
-    then to the lowest cluster index.
+    The threshold graph is a boolean reachability matrix over ``s.kp_ids``
+    (see :func:`_condense`). When the reduction leaves a cluster with
+    several parents, the larger parent cluster wins; ties fall to the
+    higher mean child-to-parent score, then to the parent that comes first
+    in canonical cluster order.
     """
     s.validate_complete()
-    g = DirectedGraph()
-    for x in s.kp_ids:
-        g.add_node(x)
-    for (a, b) in sorted(s.scores):
-        if s.scores[(a, b)] > tau:
-            g.add_edge(a, b, s.scores[(a, b)])
-
-    cond, comp_of = scc_condensation(g)
-    members: dict[int, list[str]] = {}
-    for node, c in comp_of.items():
-        members.setdefault(c, []).append(node)
-    order = sorted(members, key=lambda c: tuple(sorted(members[c])))
-    remap = {old: new for new, old in enumerate(order)}
-    clusters = [frozenset(members[old]) for old in order]
-
-    dag = DirectedGraph()
-    for i in range(len(clusters)):
-        dag.add_node(i)
-    for u, v, _ in cond.edges():
-        dag.add_edge(remap[u], remap[v])
-    reduced = transitive_reduction(dag)
+    ids = s.kp_ids
+    adj = np.array([[a != b and s.scores[(a, b)] > tau for b in ids] for a in ids],
+                   dtype=bool).reshape(len(ids), len(ids))
+    comps, reduced = _condense(adj)
+    clusters = [frozenset(ids[i] for i in comp) for comp in comps]
 
     parent: dict[int, int] = {}
-    for c in range(len(clusters)):
-        cands = sorted(reduced.successors(c))
-        if not cands:
-            continue
-        cands.sort(key=lambda p: (-len(clusters[p]),
-                                  -cluster_link_score(clusters[c], clusters[p], s),
-                                  p))
-        parent[c] = cands[0]
+    for c, members in enumerate(clusters):
+        cands = np.flatnonzero(reduced[c]).tolist()
+        if cands:
+            parent[c] = min(cands, key=lambda p: (-len(clusters[p]),
+                                                 -cluster_link_score(members, clusters[p], s),
+                                                 sorted(clusters[p])))
     return canonical_hierarchy(s.summary_id, clusters, parent)
 
 

@@ -208,20 +208,6 @@ def ancestors(h: Hierarchy, c: int) -> list[int]:
     return path
 
 
-def _check_structure(h: Hierarchy) -> None:
-    seen: dict[str, int] = {}
-    for i, c in enumerate(h.clusters):
-        if not c:
-            raise HierarchyError(f"summary {h.summary_id!r}: cluster {i} is empty")
-        for x in c:
-            if x in seen:
-                raise HierarchyError(
-                    f"summary {h.summary_id!r}: key point {x!r} appears in clusters {seen[x]} and {i}")
-            seen[x] = i
-    for c in h.parent:
-        ancestors(h, c)  # raises on cycles
-
-
 def derive_relations(h: Hierarchy) -> RelationSet:
     """All directional key point relations induced by a hierarchy.
 
@@ -229,17 +215,17 @@ def derive_relations(h: Hierarchy) -> RelationSet:
     (both directions) or when x's cluster has a directed path to y's
     cluster. Reflexive pairs are never included.
     """
-    _check_structure(h)
+    violations = validate_hierarchy(h)
+    if violations:
+        raise HierarchyError(f"summary {h.summary_id!r}: {violations[0]}")
     relations: set[tuple[str, str]] = set()
-    anc_cache: dict[int, list[int]] = {}
     for i, c in enumerate(h.clusters):
         members = sorted(c)
         for x in members:
             for y in members:
                 if x != y:
                     relations.add((x, y))
-        anc_cache[i] = ancestors(h, i)
-        for a in anc_cache[i]:
+        for a in ancestors(h, i):
             for x in members:
                 for y in h.clusters[a]:
                     relations.add((x, y))

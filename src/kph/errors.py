@@ -32,7 +32,3 @@ class FormatError(DataError):
 
 class HierarchyError(KphError):
     """A hierarchy violates its structural invariants (cycle, overlap, ...)."""
-
-
-class GraphError(KphError):
-    """A graph operation received structurally invalid input."""

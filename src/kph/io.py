@@ -107,7 +107,7 @@ _write_text = write_text
 def _read_lines(path: str | Path) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read file: {e}", path=path) from e
     return [ln for ln in text.split("\n") if ln.strip()]
 

@@ -4,19 +4,31 @@ from __future__ import annotations
 
 import random
 
-from kph import DirectedGraph, Hierarchy, ScoreMatrix, canonical_hierarchy
+import numpy as np
+
+from kph import Hierarchy, ScoreMatrix, canonical_hierarchy
 
 
-def random_digraph(rng: random.Random, n: int = 8, p: float = 0.25) -> DirectedGraph:
-    g = DirectedGraph()
-    nodes = list(range(n))
-    for u in nodes:
-        g.add_node(u)
-    for u in nodes:
-        for v in nodes:
+def random_digraph(rng: random.Random, n: int = 8, p: float = 0.25) -> np.ndarray:
+    """n x n bool adjacency matrix without self-loops."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        for v in range(n):
             if u != v and rng.random() < p:
-                g.add_edge(u, v, weight=rng.random())
-    return g
+                adj[u, v] = True
+                rng.random()  # an unused edge weight; the seeded instances rely on this draw
+    return adj
+
+
+def edge_set(adj: np.ndarray) -> set[tuple[int, int]]:
+    return {(int(u), int(v)) for u, v in zip(*np.nonzero(adj))}
+
+
+def adjacency(n: int, edges) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return adj
 
 
 def random_dag_edges(rng: random.Random, n: int = 8, p: float = 0.35) -> set[tuple[int, int]]:

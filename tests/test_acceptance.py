@@ -39,19 +39,18 @@ from kph import (
     relation_f1,
     loo_threshold_tuning,
     spearman_correlation,
-    scc_condensation,
-    strongly_connected_components,
-    transitive_reduction,
     validate_hierarchy,
 )
 from kph import io as kio
 from kph.cli import main
+from kph.construction import _condense
 from conftest import record_acceptance
-from helpers import random_digraph, random_hierarchy, random_score_matrix
+from helpers import edge_set, random_digraph, random_hierarchy, random_score_matrix
 from oracles import (
     apinc_ref,
     bininc_ref,
     clarkede_ref,
+    condensation_edges,
     is_transitive_reduction_of,
     relations_by_closure,
     scc_partition,
@@ -87,17 +86,14 @@ def test_criterion_02_graph_utility_oracles():
         rng = random.Random(1002)
         start = time.monotonic()
         for _ in range(500):
-            g = random_digraph(rng, n=8, p=rng.uniform(0.05, 0.5))
-            nodes = sorted(g.nodes)
-            edges = {(u, v) for u, v, _ in g.edges()}
-            got = {frozenset(comp) for comp in strongly_connected_components(g)}
-            assert got == scc_partition(nodes, edges)
-            condensed, _ = scc_condensation(g)
-            cn = sorted(condensed.nodes)
-            ce = {(u, v) for u, v, _ in condensed.edges()}
-            reduced = transitive_reduction(condensed)
-            re_ = {(u, v) for u, v, _ in reduced.edges()}
-            assert is_transitive_reduction_of(cn, ce, re_)
+            adj = random_digraph(rng, n=8, p=rng.uniform(0.05, 0.5))
+            nodes = list(range(8))
+            edges = edge_set(adj)
+            comps, reduced = _condense(adj)
+            members = [frozenset(comp) for comp in comps]
+            assert set(members) == scc_partition(nodes, edges)
+            re_ = {(members[u], members[v]) for u, v in edge_set(reduced)}
+            assert is_transitive_reduction_of(members, condensation_edges(nodes, edges), re_)
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
         return f"500 graphs, {elapsed:.2f}s"

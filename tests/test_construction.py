@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from kph import (
     ALGORITHMS,
     ConstructionConfig,
+    DataError,
     Hierarchy,
+    HierarchyError,
     ScoreMatrix,
     agglomerative_cluster,
     build_greedy,
@@ -20,8 +23,23 @@ from kph import (
     objective_value,
     validate_hierarchy,
 )
-from helpers import forest_matrix, random_hierarchy, random_score_matrix
-from oracles import fw_closure, relations_by_closure, scc_partition
+from kph.construction import _condense
+from helpers import (
+    adjacency,
+    edge_set,
+    forest_matrix,
+    random_dag_edges,
+    random_digraph,
+    random_hierarchy,
+    random_score_matrix,
+)
+from oracles import (
+    condensation_edges,
+    fw_closure,
+    is_transitive_reduction_of,
+    relations_by_closure,
+    scc_partition,
+)
 
 
 def sm(ids, pairs, default=0.05, summary_id="s"):
@@ -40,6 +58,17 @@ def c(*ids):
 
 
 class TestObjectiveValue:
+    def test_missing_induced_pair_is_data_error(self):
+        h = Hierarchy(summary_id="s", clusters=(c("a"), c("b")), parent={1: 0})
+        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), scores={("a", "b"): 0.9})
+        with pytest.raises(DataError, match=r"missing score for pair \('b', 'a'\)"):
+            objective_value(h, m, 0.5)
+
+    def test_pairs_not_induced_need_no_score(self):
+        h = Hierarchy(summary_id="s", clusters=(c("a"), c("b")), parent={1: 0})
+        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), scores={("b", "a"): 0.9})
+        assert objective_value(h, m, 0.5) == pytest.approx(0.4, abs=1e-12)
+
     def test_co_cluster_pair(self):
         # (0.8 - 0.4) + (0.6 - 0.4)
         h = Hierarchy(summary_id="s", clusters=(c("a", "b"),), parent={})
@@ -66,6 +95,25 @@ class TestObjectiveValue:
             want = sum(m.score(a, b) - tau
                        for a, b in sorted(relations_by_closure(h.clusters, h.parent)))
             assert objective_value(h, m, tau) == pytest.approx(want, abs=1e-9)
+
+
+# One structurally broken hierarchy per violation kind validate_hierarchy reports.
+BROKEN = {
+    "duplicate-membership": Hierarchy(summary_id="s", clusters=(c("a", "b"), c("b")), parent={}),
+    "empty-cluster": Hierarchy(summary_id="s", clusters=(c("a"), c()), parent={}),
+    "cycle": Hierarchy(summary_id="s", clusters=(c("a"), c("b")), parent={0: 1, 1: 0}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN))
+@pytest.mark.parametrize("fn", ["derive_relations", "objective_value"])
+def test_structure_violations_raise(kind, fn):
+    h = BROKEN[kind]
+    with pytest.raises(HierarchyError, match=f"summary 's': {kind}"):
+        if fn == "derive_relations":
+            derive_relations(h)
+        else:
+            objective_value(h, sm(["a", "b"], {}), 0.5)
 
 
 class TestReducedForest:
@@ -144,6 +192,90 @@ class TestReducedForest:
             closure = fw_closure(ids, edges)
             for a, b in derive_relations(h):
                 assert b in closure[a]
+
+
+class TestCondense:
+    """_condense checked against the Floyd-Warshall oracles."""
+
+    def test_two_cycle(self):
+        comps, reduced = _condense(adjacency(3, {(0, 1), (1, 0), (1, 2)}))
+        assert comps == [[0, 1], [2]]
+        assert edge_set(reduced) == {(0, 1)}
+
+    def test_diagonal_ignored(self):
+        comps, reduced = _condense(adjacency(2, {(0, 0), (1, 1), (0, 1)}))
+        assert comps == [[0], [1]]
+        assert edge_set(reduced) == {(0, 1)}
+
+    def test_matches_mutual_reachability_oracle(self):
+        rng = random.Random(101)
+        for _ in range(200):
+            adj = random_digraph(rng, n=rng.randrange(1, 9), p=rng.uniform(0.05, 0.6))
+            comps, _ = _condense(adj)
+            assert {frozenset(comp) for comp in comps} == scc_partition(
+                list(range(len(adj))), edge_set(adj))
+            assert comps == sorted(comps)
+            assert all(comp == sorted(comp) for comp in comps)
+
+    def test_deterministic(self):
+        rng = random.Random(7)
+        adj = random_digraph(rng, n=8, p=0.4)
+        comps, reduced = _condense(adj)
+        again, reduced_again = _condense(adj)
+        assert again == comps
+        assert np.array_equal(reduced_again, reduced)
+
+    def test_isolated_nodes(self):
+        comps, reduced = _condense(np.zeros((4, 4), dtype=bool))
+        assert comps == [[0], [1], [2], [3]]
+        assert not reduced.any()
+
+    def test_condensed_graph_is_dag(self):
+        rng = random.Random(202)
+        for _ in range(100):
+            adj = random_digraph(rng, n=rng.randrange(2, 9), p=rng.uniform(0.1, 0.7))
+            comps, reduced = _condense(adj)
+            closure = fw_closure(list(range(len(comps))), edge_set(reduced))
+            for u in range(len(comps)):
+                assert u not in closure[u], "condensation left a cycle"
+
+    def test_edges_match_oracle(self):
+        # the reduced condensation is the transitive reduction of the
+        # oracle's condensation edges
+        rng = random.Random(303)
+        for _ in range(100):
+            adj = random_digraph(rng, n=rng.randrange(2, 9), p=rng.uniform(0.1, 0.7))
+            comps, reduced = _condense(adj)
+            members = [frozenset(comp) for comp in comps]
+            got = {(members[u], members[v]) for u, v in edge_set(reduced)}
+            want = condensation_edges(list(range(len(adj))), edge_set(adj))
+            assert is_transitive_reduction_of(members, want, got)
+
+    def test_chain_with_shortcut(self):
+        _, reduced = _condense(adjacency(3, {(0, 1), (1, 2), (0, 2)}))
+        assert edge_set(reduced) == {(0, 1), (1, 2)}
+
+    def test_unique_minimal_equivalent_graph(self):
+        # For a DAG the reduction is characterized by: same closure as the
+        # input, and removing any one edge changes the closure.
+        rng = random.Random(404)
+        for _ in range(200):
+            n = rng.randrange(1, 9)
+            edges = random_dag_edges(rng, n=n, p=rng.uniform(0.1, 0.7))
+            comps, reduced = _condense(adjacency(n, edges))
+            assert comps == [[u] for u in range(n)]
+            assert is_transitive_reduction_of(list(range(n)), edges, edge_set(reduced))
+
+    def test_preserves_nodes(self):
+        comps, reduced = _condense(adjacency(5, {(0, 4)}))
+        assert comps == [[u] for u in range(5)]
+        assert reduced.shape == (5, 5)
+        assert edge_set(reduced) == {(0, 4)}
+
+    def test_empty_graph(self):
+        comps, reduced = _condense(np.zeros((0, 0), dtype=bool))
+        assert comps == []
+        assert reduced.shape == (0, 0)
 
 
 class TestClusterLinkScore:

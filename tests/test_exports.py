@@ -1,0 +1,18 @@
+"""Public surface: every exported name exists, removed modules stay gone."""
+
+import importlib
+
+import pytest
+
+import kph
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in kph.__all__ if not hasattr(kph, name)]
+    assert missing == []
+    assert len(set(kph.__all__)) == len(kph.__all__)
+
+
+def test_graph_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("kph.graphs")
