@@ -300,9 +300,15 @@ def cmd_build(args, parser: _Parser) -> int:
         domain_by_sid[s.summary_id] = domain
         run.read(d / scores_name)
 
+    unconverged: dict[str, set[float]] = {}  # summary -> taus whose tncf hit max_passes
+
     def builder(s, tau: float) -> Hierarchy:
-        return build_hierarchy(s, ConstructionConfig(
-            tau=tau, algorithm=algorithm, max_passes=max_passes))
+        stats: dict = {}
+        h = build_hierarchy(s, ConstructionConfig(
+            tau=tau, algorithm=algorithm, max_passes=max_passes), stats=stats)
+        if stats.get("converged") is False:
+            unconverged.setdefault(s.summary_id, set()).add(tau)
+        return h
 
     config: dict[str, object] = {"scores": scores_name, "algorithm": algorithm,
                                  "max_passes": max_passes}
@@ -328,6 +334,10 @@ def cmd_build(args, parser: _Parser) -> int:
         config["tau"] = args.tau
 
     built = {sid: builder(scores_by_sid[sid], taus[sid]) for sid in sorted(scores_by_sid)}
+    for sid, stopped in sorted(unconverged.items()):
+        print(f"kph: warning: summary {sid!r}: tncf stopped at max_passes={max_passes} "
+              f"before converging (tau {', '.join(f'{t:g}' for t in sorted(stopped))})",
+              file=sys.stderr)
     for sid, h in built.items():
         run.write(f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl", kio.write_hierarchy,
                   dataclasses.replace(h, domain=domain_by_sid[sid]))

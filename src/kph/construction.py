@@ -8,6 +8,9 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
   the transitive reduction, then heuristically keep one parent per cluster.
 - tncf: local search that starts from the reduced forest and re-attaches
   one node or one whole cluster at a time while the objective improves.
+  Each move is scored by its gain, read off per-cluster sums of s - tau;
+  only moves whose estimate comes within float rounding of the best so far
+  are materialised, and the exact objective decides between them.
 - greedy: agglomerative clustering, then edges added in descending
   cluster-link-score order under forest constraints.
 - greedy_gs: same clusters, but each edge is chosen to maximize the sum of
@@ -17,7 +20,7 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -264,132 +267,240 @@ def _state_objective(clusters: Sequence[frozenset[str]], parent: Mapping[int, in
     return total
 
 
-def _drop_singleton(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                    ci: int) -> State:
-    """Remove singleton cluster ci; its children move up to its parent."""
-    p = parent.get(ci)
-    remap = {}
-    out_clusters = []
-    for k, c in enumerate(clusters):
-        if k == ci:
-            continue
-        remap[k] = len(out_clusters)
-        out_clusters.append(c)
+# Move kinds, in the order one pass scans them: first every key point's
+# node moves (key points in sorted order), then every cluster's moves.
+_INSERT, _LEAF, _ROOT, _REATTACH, _DETACH, _MERGE = range(6)
+
+
+def _remove_cluster(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                    ci: int, heir: int | None) -> State:
+    """Drop cluster ci; its children move to cluster heir (become roots if None)."""
+    def shift(k: int) -> int:
+        return k - (k > ci)
+
     out_parent = {}
-    for c, pp in parent.items():
+    for c, p in parent.items():
         if c == ci:
             continue
-        if pp == ci:
-            if p is not None:
-                out_parent[remap[c]] = remap[p]
-        else:
-            out_parent[remap[c]] = remap[pp]
-    return out_clusters, out_parent
+        if p == ci:
+            p = heir
+        if p is not None:
+            out_parent[shift(c)] = shift(p)
+    return [cl for k, cl in enumerate(clusters) if k != ci], out_parent
 
 
-def _descendant_indices(parent: Mapping[int, int], m: int, c: int) -> set[int]:
-    out = set()
-    for k in range(m):
-        if k != c and _walks_through(parent, k, c):
-            out.add(k)
-    return out
+def _apply_move(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                kind: int, a, d: int) -> State:
+    """The state one move leads to; a is a key point id or a cluster index.
 
-
-def _node_move_states(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                      x: str, ci: int) -> Iterator[State]:
+    Node moves first take key point a out of its cluster (a singleton
+    cluster is dropped and its children go to its parent), then put it into
+    cluster d (_INSERT), into a new singleton under d (_LEAF) or a new root
+    (_ROOT); d indexes ``clusters``. Cluster moves re-attach cluster a under
+    d, detach it, or merge it into d, whose position the union keeps.
+    """
+    if kind == _REATTACH:
+        return list(clusters), {**parent, a: d}
+    if kind == _DETACH:
+        return list(clusters), {k: v for k, v in parent.items() if k != a}
+    if kind == _MERGE:
+        merged = [cl | clusters[a] if k == d else cl for k, cl in enumerate(clusters)]
+        return _remove_cluster(merged, parent, a, d)
+    ci = next(k for k, c in enumerate(clusters) if a in c)
     if len(clusters[ci]) > 1:
-        base = [c - {x} if k == ci else c for k, c in enumerate(clusters)]
+        base = [c - {a} if k == ci else c for k, c in enumerate(clusters)]
         base_parent = dict(parent)
     else:
-        base, base_parent = _drop_singleton(clusters, parent, ci)
-        ci = -1  # gone; every remaining cluster is a legal target
-    m = len(base)
-    for d in range(m):
-        if d == ci:
-            continue
-        yield [c | {x} if k == d else c for k, c in enumerate(base)], dict(base_parent)
-    for d in range(m):
-        yield list(base) + [frozenset([x])], {**base_parent, m: d}
-    yield list(base) + [frozenset([x])], dict(base_parent)
+        base, base_parent = _remove_cluster(clusters, parent, ci, parent.get(ci))
+        d -= d > ci
+    if kind == _INSERT:
+        return [c | {a} if k == d else c for k, c in enumerate(base)], base_parent
+    if kind == _LEAF:
+        return base + [frozenset([a])], {**base_parent, len(base): d}
+    return base + [frozenset([a])], base_parent
 
 
-def _cluster_move_states(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                         c: int) -> Iterator[State]:
-    m = len(clusters)
-    blocked = {c} | _descendant_indices(parent, m, c)
-    for d in range(m):
-        if d in blocked or parent.get(c) == d:
-            continue
-        yield list(clusters), {**parent, c: d}
-    if c in parent:
-        yield list(clusters), {k: v for k, v in parent.items() if k != c}
-    for d in range(m):
-        if d in blocked:
-            continue
-        remap = {}
-        out_clusters = []
-        for k, cl in enumerate(clusters):
-            if k == c:
-                continue
-            remap[k] = len(out_clusters)
-            out_clusters.append(cl | clusters[c] if k == d else cl)
-        out_parent = {}
-        for cc, pp in parent.items():
-            if cc == c:
-                continue
-            out_parent[remap[cc]] = remap[d if pp == c else pp]
-        yield out_clusters, out_parent
+def _move_gains(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                wm: np.ndarray, ids: Sequence[str]) -> tuple[np.ndarray, Callable]:
+    """The objective gain of every legal move, in scan order, and the moves.
+
+    ``wm`` is the dense s - tau matrix over ``ids`` with a zero diagonal,
+    so a sum over a cluster that still holds x adds nothing for x. Returns
+    the gains and a function mapping a position in them to the
+    (kind, a, d) that :func:`_apply_move` takes. Nothing is materialised:
+    every gain is read off per-cluster sums.
+
+    - A key point x takes its pairs with co-members, with members of its
+      ancestors (out) and with members of its descendants (in). Taking x
+      out loses exactly these (a dropped singleton's children go to its
+      parent, so no other pair changes); putting it into d gains its out
+      sum over d and d's ancestors and its in sum over d and d's
+      descendants; a new leaf under d gains only the out sum.
+    - Re-attaching cluster c swaps its subtree's pairs with c's old
+      ancestors for pairs with d and d's ancestors; detaching drops them.
+    - Merging c into d re-attaches c's subtree under d, with d's members
+      standing in as co-members, and adds the pairs from d and from d's
+      descendants outside c's subtree into c.
+    """
+    n, m = len(wm), len(clusters)
+    pos = {x: i for i, x in enumerate(ids)}
+    member = np.zeros((n, m))
+    home = np.zeros(n, dtype=int)
+    for k, c in enumerate(clusters):
+        idx = [pos[x] for x in c]
+        member[idx, k] = 1.0
+        home[idx] = k
+    up = np.zeros((m, m), dtype=bool)  # up[c, a]: a is c or an ancestor of c
+    for c in range(m):
+        a = c
+        up[c, a] = True
+        while a in parent:
+            a = parent[a]
+            up[c, a] = True
+    upf = up.astype(float)
+
+    out = (wm @ member) @ upf.T  # out[x, d]: x -> members of d and of d's ancestors
+    inn = (wm.T @ member) @ upf  # inn[x, d]: members of d and of d's descendants -> x
+    rows = np.arange(n)
+    own = out[rows, home] + inn[rows, home]
+    cols = np.arange(m)
+    lone = member.sum(axis=0)[home] == 1
+    node_gain = np.hstack([out + inn - own[:, None], out - own[:, None], -own[:, None]])
+    node_ok = np.hstack([cols != home[:, None], ~(lone[:, None] & (cols == home[:, None])),
+                         np.ones((n, 1), dtype=bool)])
+    order = np.array(sorted(range(n), key=ids.__getitem__), dtype=int)
+    node_cells = np.flatnonzero(node_ok[order])
+
+    pair = member.T @ wm @ member  # pair[k, l]: members of k -> members of l
+    sub = upf.T @ pair  # sub[c, l]: members of c's subtree -> members of l
+    sub_up = sub @ upf.T  # sub_up[c, d]: c's subtree -> d and d's ancestors
+    par = np.array([parent.get(c, c) for c in range(m)], dtype=int)
+    rooted = par != cols
+    old = np.where(rooted, sub_up[cols, par], 0.0)
+    reattach = sub_up - old[:, None]
+    strict_up = up & ~np.eye(m, dtype=bool)
+    merge = reattach + sub.T - strict_up * np.diag(sub)[:, None]
+    free = ~up.T  # free[c, d]: d is outside c's subtree
+    cluster_gain = np.hstack([reattach, -old[:, None], merge])
+    cluster_ok = np.hstack([free & (cols != par[:, None]), rooted[:, None], free])
+    cluster_cells = np.flatnonzero(cluster_ok)
+
+    gains = np.concatenate([node_gain[order].ravel()[node_cells],
+                            cluster_gain.ravel()[cluster_cells]])
+
+    def move(i: int) -> tuple:
+        if i < len(node_cells):
+            row, col = divmod(int(node_cells[i]), 2 * m + 1)
+            kind, d = divmod(col, m) if col < 2 * m else (_ROOT, 0)  # _INSERT, _LEAF
+            return kind, ids[order[row]], d
+        c, col = divmod(int(cluster_cells[i - len(node_cells)]), 2 * m + 1)
+        if col < m:
+            return _REATTACH, c, col
+        return (_DETACH, c, 0) if col == m else (_MERGE, c, col - m - 1)
+
+    return gains, move
 
 
-def _candidate_states(clusters: Sequence[frozenset[str]],
-                      parent: Mapping[int, int]) -> Iterator[State]:
-    home = {x: k for k, c in enumerate(clusters) for x in c}
-    for x in sorted(home):
-        yield from _node_move_states(clusters, parent, x, home[x])
-    for c in range(len(clusters)):
-        yield from _cluster_move_states(clusters, parent, c)
+def _rounding_margin(wm: np.ndarray) -> float:
+    """An upper bound on |(cur + gain) - exact objective of the candidate|.
+
+    Every objective, exact or estimated, sums distinct pairs of ``wm``, so
+    the absolute values of its terms total at most S = sum |wm|. Adding k
+    terms in any order errs by at most (k - 1) u S to first order, with
+    u = 2**-53 (Higham, "Accuracy and Stability of Numerical Algorithms",
+    4.2). ``cur`` and the candidate's exact objective each add at most
+    N = n(n - 1) terms one by one: N u S each. A gain combines at most four
+    matrix-product sums of at most S each, every term passing at most
+    2n + 2m <= 4n additions deep, plus three additions of at most 4S:
+    (16n + 12) u S. Forming cur + gain (at most 5S) and best + _EPS - margin
+    adds 7 u S. All together this is under (2N + 16n + 19) u S, which
+    4 (N + 8n) u S exceeds for every n >= 2 with room for the second-order
+    terms; at n <= 1 there are no pairs and S = 0.
+    """
+    n = len(wm)
+    return 4.0 * (n * (n - 1) + 8 * n) * 2.0 ** -53 * float(np.abs(wm).sum())
 
 
-def build_tncf(s: ScoreMatrix, tau: float,
-               config: ConstructionConfig | None = None) -> Hierarchy:
+def build_tncf(s: ScoreMatrix, tau: float, config: ConstructionConfig | None = None,
+               stats: dict | None = None) -> Hierarchy:
     """Local search over node and cluster re-attachments.
 
-    Starts from the reduced forest. Each pass evaluates every legal move
+    Starts from the reduced forest. Each pass considers every legal move
     (insert a node into a cluster, re-attach a node or a whole cluster
     under any cluster or as a root, merge a cluster into another; removing
     a singleton hands its children to their grandparent) and applies the
-    single best one if it strictly improves the objective. Stops at a pass
-    with no improvement or after max_passes.
+    single best one if it improves the objective by more than _EPS. Stops
+    at a pass with no improvement or after max_passes.
+
+    Each move's gain comes from per-cluster sums (:func:`_move_gains`).
+    A move whose estimate, current objective plus gain, stays below the
+    best so far plus _EPS by at least the rounding bound of
+    :func:`_rounding_margin` cannot win and is skipped; every other move is
+    materialised and its exact objective decides. The scan therefore picks
+    the same move, with the same float tie-breaking, as recomputing the
+    objective of every candidate in the same order.
+
+    ``config`` must carry this ``tau`` and the "tncf" algorithm. If
+    ``stats`` is given, it receives ``passes``, ``candidates`` (moves
+    scored), ``exact_checks`` (moves materialised and summed exactly),
+    ``accepted`` (moves applied) and ``converged`` (False when the search
+    stopped at max_passes with a move still improving).
     """
     if config is None:
         config = ConstructionConfig(tau=tau, algorithm="tncf")
+    if config.tau != tau or config.algorithm != "tncf":
+        raise ValueError(f"build_tncf(tau={tau}) got a config for algorithm "
+                         f"{config.algorithm!r} at tau={config.tau}")
     s.validate_complete()
     init = build_reduced_forest(s, tau)
     clusters: list[frozenset[str]] = list(init.clusters)
     parent: dict[int, int] = dict(init.parent)
     w = {pair: v - tau for pair, v in s.scores.items()}
+    ids = s.kp_ids
+    wm = np.array([[w[(a, b)] if a != b else 0.0 for b in ids] for a in ids],
+                  dtype=float).reshape(len(ids), len(ids))
+    margin = _rounding_margin(wm)
     cur = _state_objective(clusters, parent, w)
+    counts = {"passes": 0, "candidates": 0, "exact_checks": 0, "accepted": 0,
+              "converged": False}
     for _ in range(config.max_passes):
+        counts["passes"] += 1
+        gains, move = _move_gains(clusters, parent, wm, ids)
+        counts["candidates"] += len(gains)
+        estimate = cur + gains
         best_obj = cur
         best_state = None
-        for cand_clusters, cand_parent in _candidate_states(clusters, parent):
-            obj = _state_objective(cand_clusters, cand_parent, w)
+        i = 0
+        while True:
+            contenders = np.flatnonzero(estimate[i:] > best_obj + _EPS - margin)
+            if not contenders.size:
+                break
+            i += int(contenders[0])
+            state = _apply_move(clusters, parent, *move(i))
+            counts["exact_checks"] += 1
+            obj = _state_objective(*state, w)
             if obj > best_obj + _EPS:
                 best_obj = obj
-                best_state = (cand_clusters, cand_parent)
+                best_state = state
+            i += 1
         if best_state is None:
+            counts["converged"] = True
             break
         clusters, parent = best_state
         cur = best_obj
+        counts["accepted"] += 1
+    if stats is not None:
+        stats.update(counts)
     return canonical_hierarchy(s.summary_id, clusters, parent)
 
 
-def build_hierarchy(s: ScoreMatrix, config: ConstructionConfig) -> Hierarchy:
-    """Dispatch to the configured builder."""
+def build_hierarchy(s: ScoreMatrix, config: ConstructionConfig,
+                    stats: dict | None = None) -> Hierarchy:
+    """Dispatch to the configured builder; ``stats`` is filled by tncf only."""
     if config.algorithm == "reduced_forest":
         return build_reduced_forest(s, config.tau)
     if config.algorithm == "tncf":
-        return build_tncf(s, config.tau, config)
+        return build_tncf(s, config.tau, config, stats)
     if config.algorithm == "greedy":
         return build_greedy(s, config.tau)
     if config.algorithm == "greedy_gs":

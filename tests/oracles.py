@@ -9,8 +9,11 @@ is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+
+from kph import Hierarchy, HierarchyError, ScoreMatrix, build_reduced_forest, canonical_hierarchy
 
 
 # -- reachability (Floyd-Warshall) ---------------------------------------
@@ -170,3 +173,158 @@ def pr_points_ref(scored_labels: list[tuple[float, bool]]) -> list[tuple[float, 
         recall = tp[k] / num_pos if num_pos else 0.0
         out.append((t, float(recall), float(tp[k] / seen[k])))
     return out
+
+
+# -- TNCF by full recompute ------------------------------------------------
+# The local search with every candidate state materialised and its
+# objective summed from scratch. The package must reproduce its order of
+# candidates and the float value of every objective it compares, so the
+# incremental scan picks the same moves.
+
+State = tuple[list[frozenset[str]], dict[int, int]]
+
+_EPS = 1e-12
+
+
+def _walks_through(parent: Mapping[int, int], start: int, target: int) -> bool:
+    """True if target lies on start's ancestor chain (start included)."""
+    cur = start
+    for _ in range(len(parent) + 1):
+        if cur == target:
+            return True
+        if cur not in parent:
+            return False
+        cur = parent[cur]
+    raise HierarchyError("parent map has a cycle")
+
+
+def _state_objective(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                     w: Mapping[tuple[str, str], float]) -> float:
+    total = 0.0
+    m = len(clusters)
+    for i, c in enumerate(clusters):
+        mem = sorted(c)
+        for x in mem:
+            for y in mem:
+                if x != y:
+                    total += w[(x, y)]
+        cur = i
+        for _ in range(m):
+            if cur not in parent:
+                break
+            cur = parent[cur]
+            for x in mem:
+                for y in sorted(clusters[cur]):
+                    total += w[(x, y)]
+        else:
+            raise HierarchyError("parent map has a cycle")
+    return total
+
+
+def _drop_singleton(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                    ci: int) -> State:
+    """Remove singleton cluster ci; its children move up to its parent."""
+    p = parent.get(ci)
+    remap = {}
+    out_clusters = []
+    for k, c in enumerate(clusters):
+        if k == ci:
+            continue
+        remap[k] = len(out_clusters)
+        out_clusters.append(c)
+    out_parent = {}
+    for c, pp in parent.items():
+        if c == ci:
+            continue
+        if pp == ci:
+            if p is not None:
+                out_parent[remap[c]] = remap[p]
+        else:
+            out_parent[remap[c]] = remap[pp]
+    return out_clusters, out_parent
+
+
+def _descendant_indices(parent: Mapping[int, int], m: int, c: int) -> set[int]:
+    out = set()
+    for k in range(m):
+        if k != c and _walks_through(parent, k, c):
+            out.add(k)
+    return out
+
+
+def _node_move_states(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                      x: str, ci: int) -> Iterator[State]:
+    if len(clusters[ci]) > 1:
+        base = [c - {x} if k == ci else c for k, c in enumerate(clusters)]
+        base_parent = dict(parent)
+    else:
+        base, base_parent = _drop_singleton(clusters, parent, ci)
+        ci = -1  # gone; every remaining cluster is a legal target
+    m = len(base)
+    for d in range(m):
+        if d == ci:
+            continue
+        yield [c | {x} if k == d else c for k, c in enumerate(base)], dict(base_parent)
+    for d in range(m):
+        yield list(base) + [frozenset([x])], {**base_parent, m: d}
+    yield list(base) + [frozenset([x])], dict(base_parent)
+
+
+def _cluster_move_states(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+                         c: int) -> Iterator[State]:
+    m = len(clusters)
+    blocked = {c} | _descendant_indices(parent, m, c)
+    for d in range(m):
+        if d in blocked or parent.get(c) == d:
+            continue
+        yield list(clusters), {**parent, c: d}
+    if c in parent:
+        yield list(clusters), {k: v for k, v in parent.items() if k != c}
+    for d in range(m):
+        if d in blocked:
+            continue
+        remap = {}
+        out_clusters = []
+        for k, cl in enumerate(clusters):
+            if k == c:
+                continue
+            remap[k] = len(out_clusters)
+            out_clusters.append(cl | clusters[c] if k == d else cl)
+        out_parent = {}
+        for cc, pp in parent.items():
+            if cc == c:
+                continue
+            out_parent[remap[cc]] = remap[d if pp == c else pp]
+        yield out_clusters, out_parent
+
+
+def _candidate_states(clusters: Sequence[frozenset[str]],
+                      parent: Mapping[int, int]) -> Iterator[State]:
+    home = {x: k for k, c in enumerate(clusters) for x in c}
+    for x in sorted(home):
+        yield from _node_move_states(clusters, parent, x, home[x])
+    for c in range(len(clusters)):
+        yield from _cluster_move_states(clusters, parent, c)
+
+
+def tncf_reference(s: ScoreMatrix, tau: float, max_passes: int = 100) -> Hierarchy:
+    """TNCF that scores every candidate by a full objective recompute."""
+    s.validate_complete()
+    init = build_reduced_forest(s, tau)
+    clusters: list[frozenset[str]] = list(init.clusters)
+    parent: dict[int, int] = dict(init.parent)
+    w = {pair: v - tau for pair, v in s.scores.items()}
+    cur = _state_objective(clusters, parent, w)
+    for _ in range(max_passes):
+        best_obj = cur
+        best_state = None
+        for cand_clusters, cand_parent in _candidate_states(clusters, parent):
+            obj = _state_objective(cand_clusters, cand_parent, w)
+            if obj > best_obj + _EPS:
+                best_obj = obj
+                best_state = (cand_clusters, cand_parent)
+        if best_state is None:
+            break
+        clusters, parent = best_state
+        cur = best_obj
+    return canonical_hierarchy(s.summary_id, clusters, parent)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kph import Hierarchy, KeyPoint, KeyPointSet, MatchMatrix
+from kph import Hierarchy, KeyPoint, KeyPointSet, MatchMatrix, ScoreMatrix
 from kph import io as kio
 from kph.cli import main
 
@@ -254,6 +254,50 @@ class TestTune:
                    "--algorithm", "reduced_forest")
         assert code == 2
         assert "single summary" in capsys.readouterr().err
+
+
+class TestTncfConvergenceWarning:
+    # The scores of test_construction's test_escapes_bad_parent_choice at
+    # tau 0.5 and 0.6: the first pass moves d from under b to under cc, and
+    # only a second pass shows that nothing improves further.
+    IDS = ("a", "b", "cc", "d", "e")
+    PAIRS = {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78, ("d", "a"): 0.1}
+
+    @pytest.fixture
+    def scored(self, tmp_path):
+        root = tmp_path / "data"
+        for sid in ("s1", "s2"):
+            (root / sid).mkdir(parents=True)
+            scores = {(a, b): self.PAIRS.get((a, b), 0.05)
+                      for a in self.IDS for b in self.IDS if a != b}
+            kio.write_scores(root / sid / "scores_x.jsonl",
+                             ScoreMatrix(summary_id=sid, kp_ids=self.IDS, scores=scores))
+            kio.write_hierarchy(root / sid / kio.GOLD_FILE, Hierarchy(
+                summary_id=sid, domain="hotels",
+                clusters=tuple(frozenset({k}) for k in self.IDS), parent={3: 2, 1: 0}))
+        return root
+
+    @staticmethod
+    def warnings(capsys) -> list[str]:
+        return [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("build", ("--tau", "0.5")),
+        ("tune", ("--grid", "0.5,0.6")),
+    ])
+    def test_one_line_per_unconverged_summary(self, scored, tmp_path, capsys, command, flags):
+        base = (command, "--in-dir", scored, "--scores", "scores_x.jsonl",
+                "--algorithm", "tncf", *flags)
+        assert run(*base, "--out-dir", tmp_path / "one", "--max-passes", "1") == 0
+        lines = self.warnings(capsys)
+        assert len(lines) == 2
+        for sid, line in zip(("s1", "s2"), lines):
+            assert f"'{sid}'" in line and "max_passes=1" in line
+        assert (tmp_path / "one" / "s1" / "hierarchy_tncf.jsonl").exists()
+        assert run(*base, "--out-dir", tmp_path / "two", "--max-passes", "2") == 0
+        assert self.warnings(capsys) == []
+        assert run(*base, "--out-dir", tmp_path / "all") == 0
+        assert self.warnings(capsys) == []
 
 
 class TestPrCurveCommand:

@@ -23,7 +23,7 @@ from kph import (
     objective_value,
     validate_hierarchy,
 )
-from kph.construction import _condense
+from kph.construction import _apply_move, _condense, _move_gains, _rounding_margin
 from helpers import (
     adjacency,
     edge_set,
@@ -39,7 +39,10 @@ from oracles import (
     is_transitive_reduction_of,
     relations_by_closure,
     scc_partition,
+    tncf_reference,
 )
+from oracles import _candidate_states as tncf_candidate_states
+from oracles import _state_objective as tncf_state_objective
 
 
 def sm(ids, pairs, default=0.05, summary_id="s"):
@@ -474,6 +477,124 @@ class TestTncf:
         assert validate_hierarchy(h1) == []
         full = build_tncf(m, 0.3)
         assert objective_value(full, m, 0.3) >= objective_value(h1, m, 0.3) - 1e-12
+
+    def test_rejects_config_with_other_tau(self):
+        m = sm(["a", "b"], {("b", "a"): 0.9})
+        with pytest.raises(ValueError, match="tau"):
+            build_tncf(m, 0.5, ConstructionConfig(tau=0.3))
+
+    def test_rejects_config_for_other_algorithm(self):
+        m = sm(["a", "b"], {("b", "a"): 0.9})
+        with pytest.raises(ValueError, match="greedy"):
+            build_tncf(m, 0.5, ConstructionConfig(tau=0.5, algorithm="greedy"))
+
+    def test_stats_report_convergence(self):
+        # The fixture of test_escapes_bad_parent_choice: one improving
+        # move, so the second pass is the one that proves convergence.
+        m = sm(["a", "b", "cc", "d", "e"],
+               {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78, ("d", "a"): 0.1})
+        stats = {}
+        build_tncf(m, 0.5, ConstructionConfig(tau=0.5, max_passes=1), stats=stats)
+        assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 1, False)
+        stats = {}
+        build_hierarchy(m, ConstructionConfig(tau=0.5, algorithm="tncf"), stats=stats)
+        assert (stats["passes"], stats["accepted"], stats["converged"]) == (2, 1, True)
+        assert stats["candidates"] > stats["exact_checks"] >= stats["accepted"]
+
+    def test_exact_recompute_is_rare(self):
+        # The planted forest is already optimal, so one pass accepts
+        # nothing. Apart from the running best, the only moves left for the
+        # exact objective are those that rebuild the current forest: a
+        # childless singleton put back where it was has gain 0, and only
+        # its exact objective, the same terms summed in another order, can
+        # show whether rounding lifts it past _EPS. At 40 key points the
+        # rounding bound exceeds _EPS, so each such move is checked.
+        rng = random.Random(43)
+        planted = random_hierarchy(rng, 40)
+        m = forest_matrix(rng, planted)
+        stats = {}
+        assert build_tncf(m, 0.5, stats=stats).same_structure(planted)
+        rebuilds = sum(1 for k, members in enumerate(planted.clusters)
+                       if len(members) == 1 and k not in planted.parent.values())
+        assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 0, True)
+        assert stats["exact_checks"] <= stats["passes"] + stats["accepted"] + rebuilds
+        assert stats["candidates"] > 100 * stats["exact_checks"]
+
+
+def quantised_matrix(rng: random.Random, n: int, step: float) -> ScoreMatrix:
+    """Scores on a grid of the given step, so that many moves tie exactly."""
+    ids = tuple(f"k{i:02d}" for i in range(n))
+    return ScoreMatrix(summary_id="s", kp_ids=ids,
+                       scores={(a, b): round(round(rng.random() / step) * step, 2)
+                               for a in ids for b in ids if a != b})
+
+
+class TestTncfMatchesReference:
+    """build_tncf against the full-recompute search it replaced."""
+
+    @staticmethod
+    def check(m: ScoreMatrix, tau: float, max_passes: int = 100):
+        got = build_tncf(m, tau, ConstructionConfig(tau=tau, max_passes=max_passes))
+        want = tncf_reference(m, tau, max_passes)
+        assert (got.clusters, got.parent) == (want.clusters, want.parent)
+
+    def test_every_move_matches_reference_candidate(self):
+        # Random forests (multi-member clusters, deep chains) over key
+        # points listed in shuffled order: move i must build the reference's
+        # candidate i, and current objective plus gain i must stay within
+        # the rounding margin of that candidate's exact objective.
+        rng = random.Random(1007)
+        for k in range(60):
+            n = rng.randrange(1, 11)
+            h = random_hierarchy(rng, n)
+            base = random_score_matrix(rng, n)
+            ids = tuple(rng.sample(base.kp_ids, n))
+            tau = (0.3, 0.5, 0.7)[k % 3]
+            w = {pair: v - tau for pair, v in base.scores.items()}
+            wm = np.array([[w[(a, b)] if a != b else 0.0 for b in ids] for a in ids]
+                          ).reshape(n, n)
+            clusters, parent = list(h.clusters), dict(h.parent)
+            gains, move = _move_gains(clusters, parent, wm, ids)
+            want = list(tncf_candidate_states(clusters, parent))
+            assert len(gains) == len(want)
+            cur = tncf_state_objective(clusters, parent, w)
+            margin = _rounding_margin(wm)
+            for i, state in enumerate(want):
+                assert _apply_move(clusters, parent, *move(i)) == state
+                exact = tncf_state_objective(*state, w)
+                assert abs(cur + gains[i] - exact) <= margin
+
+    def test_acceptance_4_instances(self):
+        rng = random.Random(1004)
+        taus = [0.3, 0.5, 0.7]
+        for k in range(200):
+            n = rng.randrange(2, 7)
+            self.check(random_score_matrix(rng, n), taus[k % 3])
+
+    def test_quantised_scores_tie(self):
+        rng = random.Random(1005)
+        for k in range(100):
+            m = quantised_matrix(rng, rng.randrange(8, 21), (0.1, 0.05)[k % 2])
+            self.check(m, (0.3, 0.5, 0.7)[k % 3])
+
+    def test_max_passes(self):
+        rng = random.Random(1006)
+        for k in range(60):
+            m = random_score_matrix(rng, rng.randrange(6, 13))
+            self.check(m, (0.3, 0.5)[k % 2], max_passes=1 + k % 3)
+
+    def test_gains_within_rounding_of_eps(self):
+        # One move gains 1e-12 +- 60e-15 (s(d, a) = 0.48 - gain); a
+        # 10-point clique lifts the objective to about 36, where one ulp is
+        # 7e-15, so the estimate and the exact objective can round to
+        # opposite sides of best + _EPS, and only the exact one may decide.
+        clique = [f"f{i}" for i in range(10)]
+        ids = ["a", "b", "cc", "d", "e"] + clique
+        for k in range(-60, 61):
+            pairs = {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78,
+                     ("d", "a"): 0.48 - (1e-12 + k * 1e-15)}
+            pairs.update({(x, y): 0.9 for x in clique for y in clique if x != y})
+            self.check(sm(ids, pairs), 0.5)
 
 
 class TestBuildHierarchy:
