@@ -53,7 +53,7 @@ def hand_scores():
         for b in ids:
             if a != b:
                 scores[(a, b)] = strong.get((a, b), 0.05)
-    return ScoreMatrix(summary_id="hotel_demo_pos", kp_ids=ids, scores=scores)
+    return ScoreMatrix.from_pairs(summary_id="hotel_demo_pos", kp_ids=ids, scores=scores)
 
 
 def print_tree(h):
@@ -90,7 +90,7 @@ def main():
     ids = ["a", "b", "d", "z"]
     tricky = {("b", "a"): 0.9, ("d", "z"): 0.8, ("d", "b"): 0.7, ("d", "a"): 0.6}
     scores = {(x, y): tricky.get((x, y), 0.05) for x in ids for y in ids if x != y}
-    s2 = ScoreMatrix(summary_id="tricky", kp_ids=ids, scores=scores)
+    s2 = ScoreMatrix.from_pairs(summary_id="tricky", kp_ids=ids, scores=scores)
 
     print("a score matrix where the two greedy variants disagree:")
     for algo in ("greedy", "greedy_gs"):

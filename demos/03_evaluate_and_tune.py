@@ -47,7 +47,7 @@ def make_summary(sid, domain, jitter):
                 scores[(a, b)] = strong.get((a, b), 0.05 + jitter)
     if sid == "h1":
         scores[(k(4), k(0))] = 0.45
-    s = ScoreMatrix(summary_id=sid, kp_ids=ids, scores=scores)
+    s = ScoreMatrix.from_pairs(summary_id=sid, kp_ids=ids, scores=scores)
     gold = Hierarchy(
         summary_id=sid,
         clusters=(frozenset({k(0)}), frozenset({k(1)}),
@@ -103,8 +103,8 @@ def main():
     print()
 
     # Leave-one-out tau tuning over a grid, per domain.
-    chosen, report = loo_threshold_tuning(scores, gold, build,
-                                          tau_grid=(0.3, 0.5, 0.7, 0.9))
+    chosen, report, _ = loo_threshold_tuning(scores, gold, build,
+                                             tau_grid=(0.3, 0.5, 0.7, 0.9))
     print("leave-one-out tuning on grid (0.3, 0.5, 0.7, 0.9):")
     for sid in sorted(chosen):
         print(f"  {sid}: tau = {chosen[sid]}")

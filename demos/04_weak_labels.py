@@ -34,7 +34,7 @@ def main():
     )
     # 30 ordered pairs; two of them look like real entailments.
     strong = {("kp1", "kp0"): 0.9, ("kp3", "kp0"): 0.62}
-    scores = ScoreMatrix(
+    scores = ScoreMatrix.from_pairs(
         summary_id="hotel_demo_pos",
         kp_ids=ids,
         scores={(a, b): strong.get((a, b), 0.08 + 0.01 * ids.index(b))

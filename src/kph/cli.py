@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -61,13 +62,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-_CONFIG_KEYS = {
-    "in_dir", "out_dir", "seed", "scorer", "theta_match", "a", "b",
-    "name", "scores", "pred", "gold", "algorithm", "tau", "loo", "grid",
-    "max_passes", "threshold", "ratio", "min_recall",
-}
 
 
 def _build_parser() -> _Parser:
@@ -148,6 +142,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("validate", parents=[common],
                        help="check formats and gold hierarchies, report dataset totals")
     p.set_defaults(func=cmd_validate)
+    parser.commands = sub.choices
     return parser
 
 
@@ -160,14 +155,23 @@ def _apply_config(args: argparse.Namespace, parser: _Parser) -> None:
         parser.error(f"cannot read config file {args.config}: {e}")
     if not isinstance(cfg, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    options = {name: {a.dest: a for a in sub._actions if a.option_strings}
+               for name, sub in parser.commands.items()}
+    known = {dest for opts in options.values() for dest in opts} - {"help", "config"}
+    unknown = sorted(set(cfg) - known)
     if unknown:
         parser.error(f"unknown config keys: {', '.join(unknown)}")
     for key, value in cfg.items():
-        if not hasattr(args, key):
+        action = options[args.command].get(key)
+        if action is None:
             continue  # option not used by this subcommand
-        current = getattr(args, key)
-        if current is None or (key == "loo" and current is False):
+        # A switch (nargs 0, such as --loo) takes a JSON boolean; no other option does.
+        kind = (bool if action.nargs == 0
+                else {None: str, int: int, float: (int, float)}[action.type])
+        ok = isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
+        if not ok or (action.choices is not None and value not in action.choices):
+            parser.error(f"config key {key!r}: invalid value {value!r}")
+        if getattr(args, key) == action.default:  # the flag was not given
             setattr(args, key, value)
 
 
@@ -326,19 +330,18 @@ def cmd_build(args, parser: _Parser) -> int:
             golds[sid] = g
             domain_by_sid[sid] = g.domain
             run.read(gold_path)
-        taus, report = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
+        taus, report, built = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
         config["grid"] = [kio.quant6(v) for v in grid]
         config["chosen_tau"] = {sid: kio.quant6(t) for sid, t in sorted(taus.items())}
     else:
-        taus = {sid: args.tau for sid in scores_by_sid}
+        built = {sid: builder(scores_by_sid[sid], args.tau) for sid in sorted(scores_by_sid)}
         config["tau"] = args.tau
 
-    built = {sid: builder(scores_by_sid[sid], taus[sid]) for sid in sorted(scores_by_sid)}
     for sid, stopped in sorted(unconverged.items()):
         print(f"kph: warning: summary {sid!r}: tncf stopped at max_passes={max_passes} "
               f"before converging (tau {', '.join(f'{t:g}' for t in sorted(stopped))})",
               file=sys.stderr)
-    for sid, h in built.items():
+    for sid, h in sorted(built.items()):
         run.write(f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl", kio.write_hierarchy,
                   dataclasses.replace(h, domain=domain_by_sid[sid]))
     if report is not None:
@@ -408,8 +411,8 @@ def cmd_weaklabel(args, parser: _Parser) -> int:
     seed = args.seed if args.seed is not None else 0
     if not 0.0 < threshold < 1.0:
         parser.error(f"--threshold must lie in (0, 1), got {threshold}")
-    if ratio < 1:
-        parser.error(f"--ratio must be >= 1, got {ratio}")
+    if not (math.isfinite(ratio) and ratio >= 1):
+        parser.error(f"--ratio must be a finite number >= 1, got {ratio}")
     dirs = _dirs_with(in_dir, scores_name)
     results = []
     for d in dirs:

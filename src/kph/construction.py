@@ -56,17 +56,14 @@ def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
     """Sum of s(x, y) - tau over all relations induced by the hierarchy.
 
     Raises HierarchyError for a structurally invalid hierarchy and DataError
-    when an induced pair has no score.
+    when the hierarchy holds a key point the scores lack.
     """
     violations = validate_hierarchy(h)
     if violations:
         raise HierarchyError(f"summary {h.summary_id!r}: {violations[0]}")
-    w = {pair: v - tau for pair, v in s.scores.items()}
-    try:
-        return _state_objective(h.clusters, h.parent, w)
-    except KeyError as exc:
-        s.score(*exc.args[0])  # raises DataError naming the missing pair
-        raise
+    ids = sorted(h.kp_ids)
+    w = (s.restrict(ids).values - tau).tolist()
+    return _state_objective(h.clusters, h.parent, w, {x: i for i, x in enumerate(ids)})
 
 
 def _condense(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
@@ -100,11 +97,8 @@ def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     higher mean child-to-parent score, then to the parent that comes first
     in canonical cluster order.
     """
-    s.validate_complete()
     ids = s.kp_ids
-    adj = np.array([[a != b and s.scores[(a, b)] > tau for b in ids] for a in ids],
-                   dtype=bool).reshape(len(ids), len(ids))
-    comps, reduced = _condense(adj)
+    comps, reduced = _condense(s.values > tau)
     clusters = [frozenset(ids[i] for i in comp) for comp in comps]
 
     parent: dict[int, int] = {}
@@ -138,17 +132,9 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
     distance is at most 1 - tau. Ties go to the lexicographically first
     cluster-index pair.
     """
-    s.validate_complete()
-    ids = list(s.kp_ids)
-    if not ids:
-        return []
-    dist = {}
-    for a in ids:
-        for b in ids:
-            if a < b:
-                d = 1.0 - min(s.score(a, b), s.score(b, a))
-                dist[(a, b)] = dist[(b, a)] = d
-    clusters: list[list[str]] = [[x] for x in ids]
+    ids = s.kp_ids
+    dist = (1.0 - np.minimum(s.values, s.values.T)).tolist()
+    clusters: list[list[int]] = [[x] for x in range(len(ids))]
     while len(clusters) > 1:
         best_d = None
         best_ij = None
@@ -157,7 +143,7 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
                 total = 0.0
                 for x in clusters[i]:
                     for y in clusters[j]:
-                        total += dist[(x, y)]
+                        total += dist[x][y]
                 avg = total / (len(clusters[i]) * len(clusters[j]))
                 if best_d is None or avg < best_d:
                     best_d = avg
@@ -167,7 +153,8 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
         i, j = best_ij
         clusters[i].extend(clusters[j])
         del clusters[j]
-    return sorted((frozenset(c) for c in clusters), key=lambda c: tuple(sorted(c)))
+    return sorted((frozenset(ids[x] for x in c) for c in clusters),
+                  key=lambda c: tuple(sorted(c)))
 
 
 def _walks_through(parent: Mapping[int, int], start: int, target: int) -> bool:
@@ -184,7 +171,6 @@ def _walks_through(parent: Mapping[int, int], start: int, target: int) -> bool:
 
 def build_greedy(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Add the highest-scoring cluster edges first, keeping a forest."""
-    s.validate_complete()
     clusters = agglomerative_cluster(s, tau)
     m = len(clusters)
     link = {(a, b): cluster_link_score(clusters[a], clusters[b], s)
@@ -206,7 +192,6 @@ def build_greedy_gs(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Like build_greedy, but each added edge maximizes the global sum of
     cluster-to-ancestor link scores, so an edge that sits under a strong
     chain can beat one with a higher direct score."""
-    s.validate_complete()
     clusters = agglomerative_cluster(s, tau)
     m = len(clusters)
     link = {(a, b): cluster_link_score(clusters[a], clusters[b], s)
@@ -245,23 +230,24 @@ State = tuple[list[frozenset[str]], dict[int, int]]
 
 
 def _state_objective(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                     w: Mapping[tuple[str, str], float]) -> float:
+                     w: list[list[float]], pos: Mapping[str, int]) -> float:
+    """Sum of w[pos[x]][pos[y]] over the induced pairs, members in sorted id order."""
     total = 0.0
     m = len(clusters)
-    for i, c in enumerate(clusters):
-        mem = sorted(c)
+    rows = [[pos[x] for x in sorted(c)] for c in clusters]
+    for i, mem in enumerate(rows):
         for x in mem:
             for y in mem:
                 if x != y:
-                    total += w[(x, y)]
+                    total += w[x][y]
         cur = i
         for _ in range(m):
             if cur not in parent:
                 break
             cur = parent[cur]
             for x in mem:
-                for y in sorted(clusters[cur]):
-                    total += w[(x, y)]
+                for y in rows[cur]:
+                    total += w[x][y]
         else:
             raise HierarchyError("parent map has a cycle")
     return total
@@ -451,16 +437,16 @@ def build_tncf(s: ScoreMatrix, tau: float, config: ConstructionConfig | None = N
     if config.tau != tau or config.algorithm != "tncf":
         raise ValueError(f"build_tncf(tau={tau}) got a config for algorithm "
                          f"{config.algorithm!r} at tau={config.tau}")
-    s.validate_complete()
     init = build_reduced_forest(s, tau)
     clusters: list[frozenset[str]] = list(init.clusters)
     parent: dict[int, int] = dict(init.parent)
-    w = {pair: v - tau for pair, v in s.scores.items()}
     ids = s.kp_ids
-    wm = np.array([[w[(a, b)] if a != b else 0.0 for b in ids] for a in ids],
-                  dtype=float).reshape(len(ids), len(ids))
+    pos = {x: i for i, x in enumerate(ids)}
+    wm = s.values - tau
+    np.fill_diagonal(wm, 0.0)
+    w = wm.tolist()
     margin = _rounding_margin(wm)
-    cur = _state_objective(clusters, parent, w)
+    cur = _state_objective(clusters, parent, w, pos)
     counts = {"passes": 0, "candidates": 0, "exact_checks": 0, "accepted": 0,
               "converged": False}
     for _ in range(config.max_passes):
@@ -478,7 +464,7 @@ def build_tncf(s: ScoreMatrix, tau: float, config: ConstructionConfig | None = N
             i += int(contenders[0])
             state = _apply_move(clusters, parent, *move(i))
             counts["exact_checks"] += 1
-            obj = _state_objective(*state, w)
+            obj = _state_objective(*state, w, pos)
             if obj > best_obj + _EPS:
                 best_obj = obj
                 best_state = state

@@ -206,11 +206,11 @@ def pr_curve(scores: ScoreMatrix | Iterable[ScoreMatrix],
         positives = derive_relations(gh)
         num_pos += len(positives)
         ids = sorted(gh.kp_ids)
-        sm = score_map[sid]
-        for a in ids:
-            for b in ids:
+        rows = score_map[sid].restrict(ids).values.tolist()
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
                 if a != b:
-                    ranked.append((sm.score(a, b), sid, a, b, (a, b) in positives))
+                    ranked.append((rows[i][j], sid, a, b, (a, b) in positives))
     ranked.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
 
     points = []
@@ -254,24 +254,24 @@ def auc_at_min_recall(curve: PRCurve, min_recall: float = DEFAULT_MIN_RECALL) ->
 
 def local_relations_baseline(s: ScoreMatrix, tau: float) -> frozenset[tuple[str, str]]:
     """Treat every pair scoring above tau as a relation, with no structure."""
-    s.validate_complete()
-    return frozenset(pair for pair, v in s.scores.items() if v > tau)
+    return frozenset((a, b) for a, b, v in s.pairs() if v > tau)
 
 
 def spearman_correlation(a: ScoreMatrix, b: ScoreMatrix) -> float:
-    """Spearman rank correlation of two scorers over their common pairs."""
-    if set(a.scores) != set(b.scores):
+    """Spearman rank correlation of two scorers, pairing scores by key point id."""
+    if set(a.kp_ids) != set(b.kp_ids):
         raise DataError(
             f"scores {a.summary_id!r}: pair universes differ; "
             f"rank correlation is undefined")
-    pairs = sorted(a.scores)
-    if len(pairs) < 2:
+    ids = sorted(a.kp_ids)
+    if len(ids) < 2:
         raise DataError("rank correlation requires at least 2 pairs")
-    xs = [a.scores[p] for p in pairs]
-    ys = [b.scores[p] for p in pairs]
-    if len(set(xs)) == 1 or len(set(ys)) == 1:
+    off = ~np.eye(len(ids), dtype=bool)
+    xs = a.restrict(ids).values[off]
+    ys = b.restrict(ids).values[off]
+    if xs.min() == xs.max() or ys.min() == ys.max():
         raise DataError("rank correlation is undefined for constant scores")
-    ranked = np.column_stack((_average_ranks(np.array(xs)), _average_ranks(np.array(ys))))
+    ranked = np.column_stack((_average_ranks(xs), _average_ranks(ys)))
     return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
@@ -291,13 +291,14 @@ def loo_threshold_tuning(
     gold: Mapping[str, Hierarchy],
     builder: Callable[[ScoreMatrix, float], Hierarchy],
     tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
-) -> tuple[dict[str, float], EvalReport]:
+) -> tuple[dict[str, float], EvalReport, dict[str, Hierarchy]]:
     """Pick each summary's tau on the other summaries of its domain.
 
     For summary S, every tau in the grid builds hierarchies for S's domain
     peers; the tau with the best pooled F1 on those peers (ties to the
     smallest tau) is then used to build S itself. The report pools each
-    domain's held-out predictions.
+    domain's held-out predictions. Returns the chosen taus, the report and
+    the hierarchies built at them; each (summary, tau) is built once.
     """
     tau_grid = tuple(tau_grid)
     if not tau_grid:
@@ -335,10 +336,11 @@ def loo_threshold_tuning(
                     best_tau = tau
             chosen[sid] = best_tau
 
+    final = {sid: build(sid, chosen[sid]) for dom in sorted(domains) for sid in domains[dom]}
     per_domain = {}
     for dom in sorted(domains):
         sids = domains[dom]
-        per_domain[dom] = relation_f1([build(sid, chosen[sid]) for sid in sids],
+        per_domain[dom] = relation_f1([final[sid] for sid in sids],
                                       [gold[sid] for sid in sids])
     report = EvalReport(
         per_domain=per_domain,
@@ -346,7 +348,7 @@ def loo_threshold_tuning(
         provenance={"tau_grid": list(tau_grid),
                     "builder": getattr(builder, "__name__", "custom")},
     )
-    return chosen, report
+    return chosen, report, final
 
 
 # Forest shapes over m clusters, keyed by m: (parent items, ancestor pairs).
@@ -401,11 +403,11 @@ def brute_force_optimal_kph(s: ScoreMatrix, tau: float) -> tuple[Hierarchy, floa
     if n > BRUTE_FORCE_MAX_KPS:
         raise ValueError(
             f"brute force is limited to {BRUTE_FORCE_MAX_KPS} key points, got {n}")
-    s.validate_complete()
     ids = sorted(s.kp_ids)
     if not ids:
         return Hierarchy(summary_id=s.summary_id, clusters=(), parent={}), 0.0
-    w = {pair: v - tau for pair, v in s.scores.items()}
+    pos = {x: i for i, x in enumerate(ids)}
+    w = (s.restrict(ids).values - tau).tolist()
 
     best_obj = None
     best_struct = None  # (blocks, parent dict)
@@ -415,17 +417,17 @@ def brute_force_optimal_kph(s: ScoreMatrix, tau: float) -> tuple[Hierarchy, floa
         return canonical_hierarchy(s.summary_id, blocks, parent).canonical_form()
 
     for blocks in _set_partitions(ids):
-        blocks = [tuple(b) for b in blocks]
+        rows = [[pos[x] for x in b] for b in blocks]
         m = len(blocks)
         W = [[0.0] * m for _ in range(m)]
         intra = 0.0
         for bi in range(m):
             for bj in range(m):
                 if bi == bj:
-                    W[bi][bi] = sum(w[(x, y)] for x in blocks[bi] for y in blocks[bi] if x != y)
+                    W[bi][bi] = sum(w[x][y] for x in rows[bi] for y in rows[bi] if x != y)
                     intra += W[bi][bi]
                 else:
-                    W[bi][bj] = sum(w[(x, y)] for x in blocks[bi] for y in blocks[bj])
+                    W[bi][bj] = sum(w[x][y] for x in rows[bi] for y in rows[bj])
         for parent_items, anc_pairs in _forest_structures(m):
             obj = intra
             for c, a in anc_pairs:

@@ -296,7 +296,7 @@ def _jsonable(obj):
 
 
 def load_external_scores(path: str | Path) -> ScoreMatrix:
-    """Load a score file and require it to be complete over its universe."""
+    """Load a score file; it must score every ordered pair of its key points once."""
     lines = _read_lines(path)
     if not lines:
         raise FormatError("empty score file", path=path)
@@ -322,12 +322,9 @@ def load_external_scores(path: str | Path) -> ScoreMatrix:
                               path=path, line=lineno)
         scores[(src, dst)] = v
     try:
-        out = ScoreMatrix(summary_id=summary_id, kp_ids=tuple(kp_ids),
-                          scores=scores, scorer=scorer, params=params)
-        out.validate_complete()
+        return ScoreMatrix.from_pairs(summary_id, kp_ids, scores, scorer, params)
     except DataError as e:
         raise FormatError(str(e), path=path) from e
-    return out
 
 
 # -- hierarchies --------------------------------------------------------

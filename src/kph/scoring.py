@@ -6,12 +6,16 @@ sentence-match matrix, its support is the set of sentences matched above a
 threshold, and the four scorers measure how well i's support is included
 in j's. Externally computed scores (e.g. from an entailment model) enter
 through the same ScoreMatrix type and can be averaged with local ones.
+A ScoreMatrix is complete: an n x n array over its key points.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -171,19 +175,19 @@ SCORERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """Directional scores s(i, j) over ordered pairs of distinct key points.
+    """Directional scores s(i, j) over every ordered pair of distinct key points.
 
-    ``kp_ids`` declares the pair universe; ``scores`` need not be complete
-    at construction time (loaders build incrementally), but evaluation and
-    construction require every ordered pair and ``score`` raises on a
-    missing one.
+    ``values[i, j]`` is s(kp_ids[i], kp_ids[j]): a read-only n x n float
+    array whose diagonal is 0 and whose other entries lie in [0, 1]. A
+    score matrix is therefore complete by construction; pair data enters
+    through :meth:`from_pairs`, which requires every ordered pair.
     """
 
     summary_id: str
     kp_ids: tuple[str, ...]
-    scores: Mapping[tuple[str, str], float]
+    values: np.ndarray
     scorer: str = ""
     params: Mapping[str, object] = field(default_factory=dict)
 
@@ -191,66 +195,81 @@ class ScoreMatrix:
         object.__setattr__(self, "kp_ids", tuple(self.kp_ids))
         if len(set(self.kp_ids)) != len(self.kp_ids):
             raise DataError(f"scores {self.summary_id!r}: duplicate key point ids")
-        known = set(self.kp_ids)
-        scores = {}
-        for (src, dst), v in dict(self.scores).items():
-            if src == dst:
-                raise DataError(f"scores {self.summary_id!r}: reflexive pair ({src!r}, {dst!r})")
-            if src not in known or dst not in known:
-                raise DataError(
-                    f"scores {self.summary_id!r}: pair ({src!r}, {dst!r}) uses a "
-                    f"key point outside the declared universe")
-            v = float(v)
-            if not np.isfinite(v) or not 0.0 <= v <= 1.0:
-                raise DataError(
-                    f"scores {self.summary_id!r}: score {v!r} for pair ({src!r}, {dst!r}) "
-                    f"is outside [0, 1]")
-            scores[(src, dst)] = v
-        object.__setattr__(self, "scores", scores)
+        n = len(self.kp_ids)
+        values = np.array(self.values, dtype=float)
+        if values.shape != (n, n):
+            raise DataError(f"scores {self.summary_id!r}: values have shape {values.shape}, "
+                            f"expected ({n}, {n})")
+        if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both
+            raise DataError(f"scores {self.summary_id!r}: values must lie in [0, 1]")
+        if np.diagonal(values).any():
+            raise DataError(f"scores {self.summary_id!r}: the diagonal must be 0")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "params", dict(self.params))
 
-    def score(self, src: str, dst: str) -> float:
-        try:
-            return self.scores[(src, dst)]
-        except KeyError:
-            raise DataError(
-                f"scores {self.summary_id!r}: missing score for pair ({src!r}, {dst!r})") from None
-
-    def pairs(self) -> Iterator[tuple[str, str, float]]:
-        for (src, dst) in sorted(self.scores):
-            yield src, dst, self.scores[(src, dst)]
-
-    def missing_pairs(self, kp_ids: Sequence[str] | None = None) -> list[tuple[str, str]]:
-        ids = tuple(kp_ids) if kp_ids is not None else self.kp_ids
-        return [(a, b) for a in ids for b in ids
-                if a != b and (a, b) not in self.scores]
-
-    def validate_complete(self, kp_ids: Sequence[str] | None = None) -> None:
-        missing = self.missing_pairs(kp_ids)
+    @classmethod
+    def from_pairs(cls, summary_id: str, kp_ids: Sequence[str],
+                   scores: Mapping[tuple[str, str], float], scorer: str = "",
+                   params: Mapping[str, object] | None = None) -> "ScoreMatrix":
+        """The matrix holding one score per ordered pair of distinct ``kp_ids``."""
+        kp_ids = tuple(kp_ids)  # duplicates fail in __post_init__ if nothing fails first
+        pos = {x: i for i, x in enumerate(kp_ids)}
+        values = np.zeros((len(kp_ids), len(kp_ids)))
+        scores = dict(scores)
+        for (src, dst), v in scores.items():
+            if src == dst:
+                raise DataError(f"scores {summary_id!r}: reflexive pair ({src!r}, {dst!r})")
+            if src not in pos or dst not in pos:
+                raise DataError(
+                    f"scores {summary_id!r}: pair ({src!r}, {dst!r}) uses a "
+                    f"key point outside the declared universe")
+            v = float(v)
+            if not 0.0 <= v <= 1.0:  # NaN fails too
+                raise DataError(
+                    f"scores {summary_id!r}: score {v!r} for pair ({src!r}, {dst!r}) "
+                    f"is outside [0, 1]")
+            values[pos[src], pos[dst]] = v
+        missing = [(a, b) for a in kp_ids for b in kp_ids if a != b and (a, b) not in scores]
         if missing:
             shown = ", ".join(f"({a!r}, {b!r})" for a, b in missing[:5])
             more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-            raise DataError(f"scores {self.summary_id!r}: missing pairs {shown}{more}")
+            raise DataError(f"scores {summary_id!r}: missing pairs {shown}{more}")
+        return cls(summary_id, kp_ids, values, scorer, params or {})
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.kp_ids)}
+
+    @cached_property
+    def scores(self) -> Mapping[tuple[str, str], float]:
+        """Read-only view {(src, dst): score} of every off-diagonal entry."""
+        return MappingProxyType({(a, b): v for a, b, v in self.pairs()})
+
+    def score(self, src: str, dst: str) -> float:
+        if src == dst or src not in self._index or dst not in self._index:
+            raise DataError(f"scores {self.summary_id!r}: no score for pair ({src!r}, {dst!r})")
+        return float(self.values[self._index[src], self._index[dst]])
+
+    def pairs(self) -> Iterator[tuple[str, str, float]]:
+        """(src, dst, score) for every ordered pair, sorted by (src, dst)."""
+        order = sorted(range(len(self.kp_ids)), key=self.kp_ids.__getitem__)
+        rows = self.values.tolist()
+        for i in order:
+            row = rows[i]
+            for j in order:
+                if i != j:
+                    yield self.kp_ids[i], self.kp_ids[j], row[j]
 
     def restrict(self, kp_ids: Sequence[str]) -> "ScoreMatrix":
         """Submatrix over the given key points (order preserved, deduped)."""
-        keep = []
-        seen = set()
-        for x in kp_ids:
-            if x not in seen:
-                keep.append(x)
-                seen.add(x)
-        unknown = [x for x in keep if x not in set(self.kp_ids)]
+        keep = list(dict.fromkeys(kp_ids))
+        unknown = [x for x in keep if x not in self._index]
         if unknown:
             raise DataError(f"scores {self.summary_id!r}: unknown key points {unknown}")
-        return ScoreMatrix(
-            summary_id=self.summary_id,
-            kp_ids=tuple(keep),
-            scores={(a, b): v for (a, b), v in self.scores.items()
-                    if a in seen and b in seen},
-            scorer=self.scorer,
-            params=self.params,
-        )
+        idx = [self._index[x] for x in keep]
+        return ScoreMatrix(self.summary_id, keep, self.values[np.ix_(idx, idx)],
+                           self.scorer, self.params)
 
 
 def compute_score_matrix(m: MatchMatrix, scorer: str,
@@ -260,39 +279,28 @@ def compute_score_matrix(m: MatchMatrix, scorer: str,
         raise ValueError(f"unknown scorer {scorer!r}; expected one of {sorted(SCORERS)}")
     vectors = build_feature_vectors(m, theta_match)
     fn = SCORERS[scorer]
-    scores = {}
-    for fi in vectors:
-        for fj in vectors:
-            if fi.kp_id != fj.kp_id:
-                scores[(fi.kp_id, fj.kp_id)] = fn(fi, fj)
-    return ScoreMatrix(
-        summary_id=m.summary_id,
-        kp_ids=m.kp_ids,
-        scores=scores,
-        scorer=scorer,
-        params={"theta_match": theta_match},
-    )
+    values = np.zeros((len(vectors), len(vectors)))
+    for i, fi in enumerate(vectors):
+        for j, fj in enumerate(vectors):
+            if i != j:
+                values[i, j] = fn(fi, fj)
+    return ScoreMatrix(m.summary_id, m.kp_ids, values, scorer, {"theta_match": theta_match})
 
 
 def combine_average(a: ScoreMatrix, b: ScoreMatrix) -> ScoreMatrix:
-    """Elementwise mean of two score matrices over the same pair universe."""
+    """Elementwise mean of two score matrices, pairing scores by key point id."""
     if a.summary_id != b.summary_id:
         raise DataError(
             f"cannot combine scores for different summaries "
             f"({a.summary_id!r} vs {b.summary_id!r})")
-    if set(a.kp_ids) != set(b.kp_ids) or set(a.scores) != set(b.scores):
+    if set(a.kp_ids) != set(b.kp_ids):
         raise DataError(
             f"scores {a.summary_id!r}: pair universes differ between "
             f"{a.scorer or 'first'} and {b.scorer or 'second'} inputs")
     name_a = a.scorer or "a"
     name_b = b.scorer or "b"
-    return ScoreMatrix(
-        summary_id=a.summary_id,
-        kp_ids=a.kp_ids,
-        scores={pair: (v + b.scores[pair]) / 2.0 for pair, v in a.scores.items()},
-        scorer=f"average({name_a},{name_b})",
-        params={"sources": [name_a, name_b]},
-    )
+    return ScoreMatrix(a.summary_id, a.kp_ids, (a.values + b.restrict(a.kp_ids).values) / 2.0,
+                       f"average({name_a},{name_b})", {"sources": [name_a, name_b]})
 
 
 @dataclass(frozen=True)
@@ -337,8 +345,8 @@ def export_weak_labels(scores: ScoreMatrix, kps: KeyPointSet, threshold: float =
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if neg_ratio < 1:
-        raise ValueError(f"neg_ratio must be >= 1, got {neg_ratio}")
+    if not (math.isfinite(neg_ratio) and neg_ratio >= 1):
+        raise ValueError(f"neg_ratio must be a finite number >= 1, got {neg_ratio}")
     if kps.summary_id != scores.summary_id:
         raise DataError(
             f"weak labels: scores are for {scores.summary_id!r} but key points "
@@ -356,13 +364,13 @@ def export_weak_labels(scores: ScoreMatrix, kps: KeyPointSet, threshold: float =
                             threshold=threshold, neg_ratio=neg_ratio, seed=seed,
                             no_positives=True)
 
-    target = int(round(neg_ratio * len(positives)))
+    target = neg_ratio * len(positives)  # inf when it overflows: keep every negative
     if len(negatives) > target:
         # random.Random keeps its stream stable across interpreter versions,
         # which keeps exported files reproducible.
         rng = random.Random(seed)
         rng.shuffle(negatives)
-        negatives = sorted(negatives[:target])
+        negatives = sorted(negatives[:int(round(target))])
 
     records = []
     for src, dst, v in positives:

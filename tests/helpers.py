@@ -73,7 +73,7 @@ def random_score_matrix(rng: random.Random, n: int, summary_id: str = "s",
             if a != b:
                 v = rng.random()
                 scores[(a, b)] = round(v, 6) if quantize else v
-    return ScoreMatrix(summary_id=summary_id, kp_ids=ids, scores=scores)
+    return ScoreMatrix.from_pairs(summary_id=summary_id, kp_ids=ids, scores=scores)
 
 
 def forest_matrix(rng: random.Random, h: Hierarchy, high: tuple[float, float] = (0.7, 0.95),
@@ -89,4 +89,4 @@ def forest_matrix(rng: random.Random, h: Hierarchy, high: tuple[float, float] = 
             if a != b:
                 lo, hi = high if (a, b) in rel else low
                 scores[(a, b)] = rng.uniform(lo, hi)
-    return ScoreMatrix(summary_id=h.summary_id, kp_ids=ids, scores=scores)
+    return ScoreMatrix.from_pairs(summary_id=h.summary_id, kp_ids=ids, scores=scores)

@@ -309,7 +309,6 @@ def _candidate_states(clusters: Sequence[frozenset[str]],
 
 def tncf_reference(s: ScoreMatrix, tau: float, max_passes: int = 100) -> Hierarchy:
     """TNCF that scores every candidate by a full objective recompute."""
-    s.validate_complete()
     init = build_reduced_forest(s, tau)
     clusters: list[frozenset[str]] = list(init.clusters)
     parent: dict[int, int] = dict(init.parent)

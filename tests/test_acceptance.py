@@ -186,7 +186,7 @@ def test_criterion_05_greedy_gs_discriminating_fixture():
         ids = ["a", "b", "d", "z"]
         pairs = {("b", "a"): 0.9, ("d", "z"): 0.8, ("d", "b"): 0.7, ("d", "a"): 0.6}
         scores = {(x, y): pairs.get((x, y), 0.05) for x in ids for y in ids if x != y}
-        m = ScoreMatrix(summary_id="s", kp_ids=tuple(ids), scores=scores)
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids), scores=scores)
 
         def ancestor_score_sum(h):
             total = 0.0
@@ -231,7 +231,7 @@ def test_criterion_06_metric_goldens():
         ids = ["a", "b", "z"]
         sc = {("a", "b"): 0.9, ("b", "a"): 0.8, ("z", "a"): 0.7,
               ("a", "z"): 0.6, ("z", "b"): 0.5, ("b", "z"): 0.4}
-        m = ScoreMatrix(summary_id="s", kp_ids=tuple(ids), scores=sc)
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids), scores=sc)
         want = [(0.9, 0.25, 1.0), (0.8, 0.5, 1.0), (0.7, 0.75, 1.0),
                 (0.6, 0.75, 0.75), (0.5, 1.0, 0.8), (0.4, 1.0, 4 / 6)]
         got = [(pt.threshold, pt.recall, pt.precision)
@@ -267,7 +267,7 @@ def test_criterion_06_metric_goldens():
             for b in ids5:
                 if a != b:
                     sc3[(a, b)] = next(pos) if (a, b) in rel else next(neg)
-        m3 = ScoreMatrix(summary_id="s", kp_ids=tuple(ids5), scores=sc3)
+        m3 = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids5), scores=sc3)
         auc = auc_at_min_recall(pr_curve(m3, gold3), 0.1)
         assert abs(auc - 0.9) <= 1e-9, auc
 
@@ -275,10 +275,10 @@ def test_criterion_06_metric_goldens():
         xs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         ys = [0.15, 0.15, 0.3, 0.4, 0.5, 0.6]
         prs = sorted((a, b) for a in ids for b in ids if a != b)
-        sa = ScoreMatrix(summary_id="s", kp_ids=tuple(ids),
-                         scores={pr: xs[i] for i, pr in enumerate(prs)})
-        sb = ScoreMatrix(summary_id="s", kp_ids=tuple(ids),
-                         scores={pr: ys[i] for i, pr in enumerate(prs)})
+        sa = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids),
+                                    scores={pr: xs[i] for i, pr in enumerate(prs)})
+        sb = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids),
+                                    scores={pr: ys[i] for i, pr in enumerate(prs)})
         rho = spearman_correlation(sa, sb)
         assert abs(rho - 17 / math.sqrt(17.5 * 17)) <= 1e-9
         return "relation F1, PR, AUC, perfect-scorer 0.9, rank correlation"
@@ -298,14 +298,14 @@ def test_criterion_07_loo_leakage():
             ids = ["a", "b", "z"]
             sc = {(x, y): 0.1 for x in ids for y in ids if x != y}
             sc[("a", "b")] = sc[("b", "a")] = 0.9
-            scores[sid] = ScoreMatrix(summary_id=sid, kp_ids=tuple(ids), scores=sc)
-        chosen, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
+            scores[sid] = ScoreMatrix.from_pairs(summary_id=sid, kp_ids=tuple(ids), scores=sc)
+        chosen, _, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
 
         corrupted = dict(golds)
         corrupted["s0"] = Hierarchy(summary_id="s0", domain="hotels",
                                     clusters=(c({"a"}), c({"b"}), c({"z"})),
                                     parent={0: 2, 1: 2})
-        chosen2, _ = loo_threshold_tuning(scores, corrupted, build_reduced_forest)
+        chosen2, _, _ = loo_threshold_tuning(scores, corrupted, build_reduced_forest)
         assert chosen2["s0"] == chosen["s0"], "held-out gold leaked into tuning"
         # peers are unchanged for s0, so every other summary may shift, but
         # the held-out one must not
@@ -440,11 +440,11 @@ def test_criterion_10_weak_label_export():
         all_pairs = [(a, b) for a in ids for b in ids if a != b]
         chosen_pairs = sorted(rng.sample(all_pairs, 300))
         positives = set(rng.sample(chosen_pairs, 10))
-        scores = {}
+        scores = dict.fromkeys(all_pairs, 0.0)  # pairs left out of the sample score 0
         for pair in chosen_pairs:
             scores[pair] = (rng.uniform(0.55, 0.95) if pair in positives
                             else rng.uniform(0.05, 0.45))
-        m = ScoreMatrix(summary_id="s", kp_ids=ids, scores=scores)
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids, scores=scores)
         kps = KeyPointSet(
             summary_id="s", domain="hotels",
             key_points=tuple(KeyPoint(id=k, text=f"point {k}", polarity="positive",

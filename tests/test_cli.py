@@ -7,6 +7,7 @@ import pytest
 
 from kph import Hierarchy, KeyPoint, KeyPointSet, MatchMatrix, ScoreMatrix
 from kph import io as kio
+import kph.cli
 from kph.cli import main
 
 # match weights planted so that bininc at theta 0.5 yields the tree
@@ -56,6 +57,16 @@ def dataset(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def scored_copy(dataset, tmp_path):
+    """bininc scores of the dataset, next to copies of its key point and gold files."""
+    out = tmp_path / "scored"
+    run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc")
+    for sid in ["h1", "h2", "r1", "r2"]:
+        for name in (kio.KEY_POINTS_FILE, kio.GOLD_FILE):
+            (out / sid / name).write_bytes((dataset / sid / name).read_bytes())
+    return out
 
 
 def tree_bytes(root):
@@ -156,6 +167,25 @@ class TestCombine:
         got = kio.load_external_scores(cmb / "h1" / "scores_mean.jsonl")
         assert got.scores == orig.scores
 
+    def test_inputs_listing_key_points_in_other_orders_pair_by_id(self, dataset, tmp_path):
+        out = tmp_path / "o"
+        run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "weedsprec")
+        for d in out.iterdir():
+            if d.is_dir():
+                s = kio.load_external_scores(d / "scores_weedsprec.jsonl")
+                kio.write_scores(d / "scores_rev.jsonl", s.restrict(s.kp_ids[::-1]))
+        cmb, cr = tmp_path / "c", tmp_path / "corr"
+        assert run("combine", "--in-dir", out, "--out-dir", cmb,
+                   "--a", "scores_weedsprec.jsonl", "--b", "scores_rev.jsonl",
+                   "--name", "mean") == 0
+        orig = kio.load_external_scores(out / "h1" / "scores_weedsprec.jsonl")
+        got = kio.load_external_scores(cmb / "h1" / "scores_mean.jsonl")
+        assert got.scores == orig.scores
+        assert run("correlate", "--in-dir", out, "--out-dir", cr,
+                   "--a", "scores_weedsprec.jsonl", "--b", "scores_rev.jsonl") == 0
+        lines = (cr / "correlations.csv").read_text().splitlines()
+        assert lines[1:] == [f"{sid},1.000000" for sid in ("h1", "h2", "r1", "r2", "MEAN")]
+
 
 class TestBuildAndEval:
     def _score_and_build(self, dataset, tmp_path, algorithm="reduced_forest"):
@@ -242,6 +272,26 @@ class TestTune:
         assert report["macro"]["f1"] == 1.0
         assert (tuned / "h1" / "hierarchy_reduced_forest.jsonl").exists()
 
+    def test_builds_each_summary_once_per_tau(self, dataset, tmp_path, monkeypatch):
+        out = tmp_path / "scored"
+        run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc")
+        for sid in ["h1", "h2", "r1", "r2"]:
+            (out / sid / kio.GOLD_FILE).write_bytes(
+                (dataset / sid / kio.GOLD_FILE).read_bytes())
+        calls = []
+        real = kph.cli.build_hierarchy
+
+        def counting(s, config, stats=None):
+            calls.append((s.summary_id, config.tau))
+            return real(s, config, stats=stats)
+
+        monkeypatch.setattr(kph.cli, "build_hierarchy", counting)
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "tuned",
+                   "--scores", "scores_bininc.jsonl", "--algorithm", "reduced_forest",
+                   "--grid", "0.2,0.5") == 0
+        assert sorted(calls) == [(sid, tau) for sid in ("h1", "h2", "r1", "r2")
+                                 for tau in (0.2, 0.5)]
+
     def test_singleton_domain_is_data_error(self, tmp_path, capsys):
         root = tmp_path / "data"
         make_summary(root, "only", "hotels")
@@ -271,7 +321,7 @@ class TestTncfConvergenceWarning:
             scores = {(a, b): self.PAIRS.get((a, b), 0.05)
                       for a in self.IDS for b in self.IDS if a != b}
             kio.write_scores(root / sid / "scores_x.jsonl",
-                             ScoreMatrix(summary_id=sid, kp_ids=self.IDS, scores=scores))
+                             ScoreMatrix.from_pairs(summary_id=sid, kp_ids=self.IDS, scores=scores))
             kio.write_hierarchy(root / sid / kio.GOLD_FILE, Hierarchy(
                 summary_id=sid, domain="hotels",
                 clusters=tuple(frozenset({k}) for k in self.IDS), parent={3: 2, 1: 0}))
@@ -322,16 +372,8 @@ class TestPrCurveCommand:
 
 
 class TestWeakLabel:
-    def _scored(self, dataset, tmp_path):
-        out = tmp_path / "scored"
-        run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc")
-        for sid in ["h1", "h2", "r1", "r2"]:
-            (out / sid / kio.KEY_POINTS_FILE).write_bytes(
-                (dataset / sid / kio.KEY_POINTS_FILE).read_bytes())
-        return out
-
     def test_same_seed_is_byte_identical(self, dataset, tmp_path):
-        out = self._scored(dataset, tmp_path)
+        out = scored_copy(dataset, tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
         for dst in (a, b):
             assert run("weaklabel", "--in-dir", out, "--out-dir", dst,
@@ -340,7 +382,7 @@ class TestWeakLabel:
         assert tree_bytes(a) == tree_bytes(b)
 
     def test_labels_respect_threshold(self, dataset, tmp_path):
-        out = self._scored(dataset, tmp_path)
+        out = scored_copy(dataset, tmp_path)
         wl = tmp_path / "wl"
         assert run("weaklabel", "--in-dir", out, "--out-dir", wl,
                    "--scores", "scores_bininc.jsonl",
@@ -351,10 +393,27 @@ class TestWeakLabel:
         assert got.num_negative == 4
 
     def test_threshold_validation(self, dataset, tmp_path):
-        out = self._scored(dataset, tmp_path)
+        out = scored_copy(dataset, tmp_path)
         assert run("weaklabel", "--in-dir", out, "--out-dir", tmp_path / "w",
                    "--scores", "scores_bininc.jsonl",
                    "--threshold", "1.0", "--ratio", "2") == 1
+
+    @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])
+    def test_non_finite_ratio_is_usage_error(self, dataset, tmp_path, capsys, ratio):
+        out = scored_copy(dataset, tmp_path)
+        assert run("weaklabel", "--in-dir", out, "--out-dir", tmp_path / "w",
+                   "--scores", "scores_bininc.jsonl", f"--ratio={ratio}") == 1
+        assert "--ratio must be a finite number >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+    def test_huge_ratio_keeps_every_negative(self, dataset, tmp_path):
+        out = scored_copy(dataset, tmp_path)
+        wl = tmp_path / "wl"
+        assert run("weaklabel", "--in-dir", out, "--out-dir", wl,
+                   "--scores", "scores_bininc.jsonl",
+                   "--threshold", "0.6", "--ratio", "1e308") == 0
+        got = kio.load_weak_labels(wl / "h1" / "weak_labels.jsonl")
+        assert (got.num_positive, got.num_negative) == (2, 10)
 
 
 class TestCorrelate:
@@ -413,6 +472,43 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"scorrer": "bininc"}))
         assert run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
                    "--config", cfg) == 1
+
+
+    BUILD = ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf")
+
+    @pytest.mark.parametrize("command,cfg,flags", [
+        ("score", {"scorer": "nope"}, ()),
+        ("build", {"algorithm": "nope", "tau": 0.5}, ("--scores", "scores_bininc.jsonl")),
+        ("build", {"tau": "0.5"}, BUILD),
+        ("build", {"max_passes": "2"}, BUILD + ("--tau", "0.5")),
+        ("build", {"max_passes": 2.5}, BUILD + ("--tau", "0.5")),
+        ("tune", {"grid": 5}, BUILD),
+        ("score", {"in_dir": 3}, ("--scorer", "bininc")),
+        ("score", {"theta_match": "x"}, ("--scorer", "bininc")),
+        ("weaklabel", {"seed": "7"}, ("--scores", "scores_bininc.jsonl")),
+        ("build", {"loo": "no"}, BUILD),
+    ])
+    def test_ill_typed_value_is_usage_error(self, dataset, tmp_path, capsys,
+                                            command, cfg, flags):
+        out = scored_copy(dataset, tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        in_dir = () if "in_dir" in cfg else ("--in-dir", dataset if command == "score" else out)
+        capsys.readouterr()
+        assert run(command, *in_dir, "--out-dir", tmp_path / "o", "--config", path,
+                   *flags) == 1
+        assert f"config key {next(iter(cfg))!r}: invalid value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_typed_values_apply(self, dataset, tmp_path):
+        out = scored_copy(dataset, tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scores": "scores_bininc.jsonl", "algorithm": "tncf",
+                                    "tau": 1, "max_passes": 2, "loo": False}))
+        assert run("build", "--in-dir", out, "--out-dir", tmp_path / "b",
+                   "--config", path) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest_build.json").read_text())
+        assert manifest["config"]["max_passes"] == 2
 
 
 class TestManifests:

@@ -49,7 +49,7 @@ def sm(ids, pairs, default=0.05, summary_id="s"):
     """Score matrix with given (src, dst) -> score overrides, rest at default."""
     scores = {(a, b): default for a in ids for b in ids if a != b}
     scores.update(pairs)
-    return ScoreMatrix(summary_id=summary_id, kp_ids=tuple(ids), scores=scores)
+    return ScoreMatrix.from_pairs(summary_id=summary_id, kp_ids=tuple(ids), scores=scores)
 
 
 def edge_pairs(h: Hierarchy) -> set[tuple[frozenset, frozenset]]:
@@ -62,14 +62,16 @@ def c(*ids):
 
 class TestObjectiveValue:
     def test_missing_induced_pair_is_data_error(self):
+        # The hierarchy holds b, which the scores lack, so pair (b, a) has no score.
         h = Hierarchy(summary_id="s", clusters=(c("a"), c("b")), parent={1: 0})
-        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), scores={("a", "b"): 0.9})
-        with pytest.raises(DataError, match=r"missing score for pair \('b', 'a'\)"):
+        m = sm(["a", "x"], {})
+        with pytest.raises(DataError, match=r"scores 's': unknown key points \['b'\]"):
             objective_value(h, m, 0.5)
 
     def test_pairs_not_induced_need_no_score(self):
+        # Only (b, a) is induced; the other pairs and key point x leave no trace.
         h = Hierarchy(summary_id="s", clusters=(c("a"), c("b")), parent={1: 0})
-        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), scores={("b", "a"): 0.9})
+        m = sm(["a", "b", "x"], {("b", "a"): 0.9}, default=1.0)
         assert objective_value(h, m, 0.5) == pytest.approx(0.4, abs=1e-12)
 
     def test_co_cluster_pair(self):
@@ -362,7 +364,7 @@ class TestAgglomerativeCluster:
                 for j in range(n):
                     if i != j:
                         scores[(ids[i], ids[j])] = 1.0 - dmat[i, j]
-            m = ScoreMatrix(summary_id="s", kp_ids=tuple(ids), scores=scores)
+            m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids), scores=scores)
             tau = rng.choice([0.2, 0.5, 0.8])
             labels = fcluster(linkage(squareform(dmat), method="average"),
                               t=1.0 - tau, criterion="distance")
@@ -524,9 +526,9 @@ class TestTncf:
 def quantised_matrix(rng: random.Random, n: int, step: float) -> ScoreMatrix:
     """Scores on a grid of the given step, so that many moves tie exactly."""
     ids = tuple(f"k{i:02d}" for i in range(n))
-    return ScoreMatrix(summary_id="s", kp_ids=ids,
-                       scores={(a, b): round(round(rng.random() / step) * step, 2)
-                               for a in ids for b in ids if a != b})
+    return ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids,
+                                  scores={(a, b): round(round(rng.random() / step) * step, 2)
+                                          for a in ids for b in ids if a != b})
 
 
 class TestTncfMatchesReference:

@@ -52,7 +52,7 @@ def flat(summary_id, clusters, domain="other"):
 def sm(ids, pairs, default=0.05, summary_id="s"):
     scores = {(a, b): default for a in ids for b in ids if a != b}
     scores.update(pairs)
-    return ScoreMatrix(summary_id=summary_id, kp_ids=tuple(ids), scores=scores)
+    return ScoreMatrix.from_pairs(summary_id=summary_id, kp_ids=tuple(ids), scores=scores)
 
 
 class TestRelationF1:
@@ -191,6 +191,11 @@ class TestPrCurve:
         with pytest.raises(DataError):
             pr_curve([], gold)
 
+    def test_rejects_gold_key_point_without_scores(self):
+        scores, gold = self._fixture()
+        with pytest.raises(DataError, match=r"scores 's': unknown key points \['cc'\]"):
+            pr_curve(scores.restrict(["a", "b"]), gold)
+
     def test_rejects_duplicate_score_matrices(self):
         scores, gold = self._fixture()
         with pytest.raises(DataError):
@@ -240,7 +245,7 @@ class TestAucAtMinRecall:
             for b in ids:
                 if a != b:
                     scores[(a, b)] = next(pos_iter) if (a, b) in set(rel) else next(neg_iter)
-        m = ScoreMatrix(summary_id="s", kp_ids=tuple(ids), scores=scores)
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids), scores=scores)
         curve = pr_curve(m, gold)
         assert auc_at_min_recall(curve, 0.1) == pytest.approx(0.9, abs=1e-9)
 
@@ -291,8 +296,8 @@ class TestSpearman:
         pairs = sorted((s, d) for s in ids for d in ids if s != d)
         sa = {p: xs[k] for k, p in enumerate(pairs)}
         sb = {p: ys[k] for k, p in enumerate(pairs)}
-        a = ScoreMatrix(summary_id="s", kp_ids=tuple(ids), scores=sa)
-        b = ScoreMatrix(summary_id="s", kp_ids=tuple(ids), scores=sb)
+        a = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids), scores=sa)
+        b = ScoreMatrix.from_pairs(summary_id="s", kp_ids=tuple(ids), scores=sb)
         want = 17 / math.sqrt(17.5 * 17)
         assert spearman_correlation(a, b) == pytest.approx(want, abs=1e-12)
 
@@ -317,6 +322,15 @@ class TestSpearman:
                                    [sb[p] for p in sorted(pairs)]).statistic
             assert spearman_correlation(sm(ids, sa), sm(ids, sb)) == want
             checked += 1
+
+    def test_pairs_scores_by_key_point_id(self):
+        rng = random.Random(7)
+        a = random_score_matrix(rng, 5)
+        b = random_score_matrix(rng, 5)
+        shuffled = b.restrict(["k03", "k00", "k04", "k02", "k01"])
+        assert spearman_correlation(a, b.restrict(sorted(b.kp_ids))) == \
+            spearman_correlation(a, shuffled)
+        assert spearman_correlation(a, a.restrict(shuffled.kp_ids)) == pytest.approx(1.0)
 
     def test_rejects_mismatched_pairs(self):
         a = sm(["a", "b"], {("a", "b"): 0.2, ("b", "a"): 0.7})
@@ -349,28 +363,42 @@ def _plateau_domain(num=4, domain="hotels"):
 class TestLooThresholdTuning:
     def test_plateau_resolves_to_smallest_tau(self):
         scores, golds = _plateau_domain()
-        chosen, report = loo_threshold_tuning(scores, golds, build_reduced_forest)
+        chosen, report, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
         assert chosen == {sid: 0.1 for sid in golds}
         assert report.per_domain["hotels"].f1 == pytest.approx(1.0, abs=1e-12)
         assert report.chosen_tau == chosen
 
     def test_two_summary_domain_uses_the_peer(self):
         scores, golds = _plateau_domain(num=2)
-        chosen, report = loo_threshold_tuning(scores, golds, build_reduced_forest)
+        chosen, report, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
         assert set(chosen) == {"s0", "s1"}
         assert report.per_domain["hotels"].f1 == pytest.approx(1.0, abs=1e-12)
 
     def test_held_out_gold_cannot_leak(self):
         scores, golds = _plateau_domain()
-        chosen, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
+        chosen, _, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
         # corrupt the held-out summary's gold: its tau must not move,
         # because only the peers' gold may inform the choice
         corrupted = dict(golds)
         corrupted["s0"] = Hierarchy(summary_id="s0", domain="hotels",
                                     clusters=(c("a"), c("b"), c("cc")),
                                     parent={0: 2, 1: 2})
-        chosen2, _ = loo_threshold_tuning(scores, corrupted, build_reduced_forest)
+        chosen2, _, _ = loo_threshold_tuning(scores, corrupted, build_reduced_forest)
         assert chosen2["s0"] == chosen["s0"]
+
+    def test_returns_each_hierarchy_at_its_chosen_tau_built_once(self):
+        scores, golds = _plateau_domain()
+        calls = []
+
+        def builder(s, tau):
+            calls.append((s.summary_id, tau))
+            return build_reduced_forest(s, tau)
+
+        chosen, _, built = loo_threshold_tuning(scores, golds, builder, tau_grid=[0.1, 0.5, 0.95])
+        assert len(calls) == len(set(calls)) == 12
+        assert sorted(built) == sorted(golds)
+        for sid, h in built.items():
+            assert h == build_reduced_forest(scores[sid], chosen[sid])
 
     def test_singleton_domain_rejected(self):
         scores, golds = _plateau_domain(num=1)
@@ -379,8 +407,8 @@ class TestLooThresholdTuning:
 
     def test_custom_grid(self):
         scores, golds = _plateau_domain()
-        chosen, _ = loo_threshold_tuning(scores, golds, build_reduced_forest,
-                                         tau_grid=[0.25, 0.75])
+        chosen, _, _ = loo_threshold_tuning(scores, golds, build_reduced_forest,
+                                            tau_grid=[0.25, 0.75])
         assert chosen == {sid: 0.25 for sid in golds}
 
     def test_domains_tuned_independently(self):
@@ -389,13 +417,13 @@ class TestLooThresholdTuning:
         scores = dict(scores_a)
         golds = dict(golds_a)
         for sid in list(scores_b):
-            scores[sid + "r"] = ScoreMatrix(summary_id=sid + "r",
-                                            kp_ids=scores_b[sid].kp_ids,
-                                            scores=scores_b[sid].scores)
+            scores[sid + "r"] = ScoreMatrix.from_pairs(summary_id=sid + "r",
+                                                       kp_ids=scores_b[sid].kp_ids,
+                                                       scores=scores_b[sid].scores)
             g = golds_b[sid]
             golds[sid + "r"] = Hierarchy(summary_id=sid + "r", domain=g.domain,
                                          clusters=g.clusters, parent=dict(g.parent))
-        chosen, report = loo_threshold_tuning(scores, golds, build_reduced_forest)
+        chosen, report, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
         assert set(report.per_domain) == {"hotels", "restaurants"}
         assert len(chosen) == 4
 

@@ -189,8 +189,8 @@ class TestScoresRoundTrip:
         assert got.scores == s.scores
 
     def test_scores_serialized_at_six_decimals(self, tmp_path):
-        s = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.5, ("b", "a"): 1 / 3})
+        s = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.5, ("b", "a"): 1 / 3})
         p = tmp_path / "scores.jsonl"
         kio.write_scores(p, s)
         text = p.read_text()
@@ -199,8 +199,8 @@ class TestScoresRoundTrip:
 
     def test_incomplete_scores_rejected(self, tmp_path):
         p = tmp_path / "scores.jsonl"
-        s = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.5, ("b", "a"): 0.5})
+        s = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.5, ("b", "a"): 0.5})
         kio.write_scores(p, s)
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:-1]) + "\n")
@@ -209,8 +209,8 @@ class TestScoresRoundTrip:
 
     def test_duplicate_pair_rejected(self, tmp_path):
         p = tmp_path / "scores.jsonl"
-        s = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.5, ("b", "a"): 0.5})
+        s = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.5, ("b", "a"): 0.5})
         kio.write_scores(p, s)
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines + [lines[-1]]) + "\n")
@@ -220,8 +220,8 @@ class TestScoresRoundTrip:
 
     def test_out_of_range_score_rejected(self, tmp_path):
         p = tmp_path / "scores.jsonl"
-        s = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.5, ("b", "a"): 0.5})
+        s = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.5, ("b", "a"): 0.5})
         kio.write_scores(p, s)
         text = p.read_text().replace("0.500000", "1.500000", 1)
         p.write_text(text)

@@ -198,41 +198,84 @@ class TestScorersAgainstReference:
 
 class TestScoreMatrix:
     def _m(self):
-        return ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                           scores={("a", "b"): 0.3, ("b", "a"): 0.7})
+        return ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                      scores={("a", "b"): 0.3, ("b", "a"): 0.7})
 
     def test_score_lookup(self):
         assert self._m().score("a", "b") == 0.3
 
     def test_missing_pair_raises(self):
-        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.3})
-        with pytest.raises(DataError):
-            m.score("b", "a")
+        with pytest.raises(DataError, match=r"scores 's': missing pairs \('b', 'a'\)$"):
+            ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"), scores={("a", "b"): 0.3})
 
     def test_rejects_reflexive_pairs(self):
         with pytest.raises(DataError):
-            ScoreMatrix(summary_id="s", kp_ids=("a",), scores={("a", "a"): 1.0})
+            ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a",), scores={("a", "a"): 1.0})
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DataError):
-            ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 1.2, ("b", "a"): 0.0})
+            ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 1.2, ("b", "a"): 0.0})
 
     def test_pairs_sorted(self):
-        m = ScoreMatrix(summary_id="s", kp_ids=("b", "a"),
-                        scores={("b", "a"): 0.1, ("a", "b"): 0.2})
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("b", "a"),
+                                   scores={("b", "a"): 0.1, ("a", "b"): 0.2})
         assert [(s, d) for s, d, _ in m.pairs()] == [("a", "b"), ("b", "a")]
 
-    def test_validate_complete(self):
-        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), scores={("a", "b"): 0.1})
-        assert m.missing_pairs() == [("b", "a")]
-        with pytest.raises(DataError):
-            m.validate_complete()
+    def test_incomplete_pairs_error_lists_five_then_a_count(self):
+        want = (r"scores 's': missing pairs \('a', 'c'\), \('a', 'd'\), \('b', 'a'\), "
+                r"\('b', 'c'\), \('b', 'd'\) and 6 more$")
+        with pytest.raises(DataError, match=want):
+            ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b", "c", "d"),
+                                   scores={("a", "b"): 0.1})
+
+    @pytest.mark.parametrize("values,match", [
+        (np.zeros((2, 3)), r"values have shape \(2, 3\), expected \(2, 2\)"),
+        (np.zeros(4), r"values have shape \(4,\), expected \(2, 2\)"),
+        ([[0.0, float("nan")], [0.5, 0.0]], r"values must lie in \[0, 1\]"),
+        ([[0.0, 1.5], [0.5, 0.0]], r"values must lie in \[0, 1\]"),
+        ([[0.0, -0.1], [0.5, 0.0]], r"values must lie in \[0, 1\]"),
+        ([[0.2, 0.5], [0.5, 0.0]], r"the diagonal must be 0"),
+    ])
+    def test_rejects_bad_values(self, values, match):
+        with pytest.raises(DataError, match=match):
+            ScoreMatrix(summary_id="s", kp_ids=("a", "b"), values=values)
+
+    def test_values_are_a_read_only_copy(self):
+        raw = np.array([[0.0, 0.3], [0.7, 0.0]])
+        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), values=raw)
+        raw[0, 1] = 0.9
+        assert m.score("a", "b") == 0.3
+        with pytest.raises(ValueError):
+            m.values[0, 1] = 0.9
+
+    @pytest.mark.parametrize("src,dst", [("a", "a"), ("a", "x"), ("x", "b")])
+    def test_score_rejects_unknown_or_equal_ids(self, src, dst):
+        with pytest.raises(DataError, match=r"scores 's': no score for pair"):
+            self._m().score(src, dst)
+
+    def test_from_pairs_rejects_unknown_key_point(self):
+        with pytest.raises(DataError, match="outside the declared universe"):
+            ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.3, ("b", "a"): 0.7, ("a", "x"): 0.1})
+
+    def test_restrict_keeps_the_requested_order(self):
+        ids = ("a", "b", "c", "d")
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids,
+                                   scores={(x, y): (ids.index(x) * 4 + ids.index(y)) / 16
+                                           for x in ids for y in ids if x != y})
+        r = m.restrict(["d", "b", "d", "a"])
+        assert r.kp_ids == ("d", "b", "a")
+        for x in r.kp_ids:
+            for y in r.kp_ids:
+                if x != y:
+                    assert r.score(x, y) == m.score(x, y)
+        with pytest.raises(DataError, match=r"unknown key points \['x'\]"):
+            m.restrict(["a", "x"])
 
     def test_restrict(self):
-        m = ScoreMatrix(summary_id="s", kp_ids=("a", "b", "c"),
-                        scores={(x, y): 0.5 for x in "abc" for y in "abc" if x != y})
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b", "c"),
+                                   scores={(x, y): 0.5 for x in "abc" for y in "abc" if x != y})
         r = m.restrict(["a", "c"])
         assert r.kp_ids == ("a", "c")
         assert set(r.scores) == {("a", "c"), ("c", "a")}
@@ -243,7 +286,9 @@ class TestComputeScoreMatrix:
         m = MatchMatrix(summary_id="s", sentence_ids=("s0", "s1"), kp_ids=("a", "b"),
                         values=np.array([[0.9, 0.6], [0.2, 0.8]]))
         sm = compute_score_matrix(m, "bininc")
-        assert sm.missing_pairs() == []
+        assert sm.kp_ids == ("a", "b")
+        assert sm.values.tolist() == [[0.0, 1.0], [0.5, 0.0]]
+        assert not sm.values.flags.writeable
         assert sm.scorer == "bininc"
         assert sm.params.get("theta_match") == 0.5
         # support(a) = {0}, support(b) = {0, 1}: a's one feature is shared.
@@ -259,10 +304,10 @@ class TestComputeScoreMatrix:
 
 class TestCombineAverage:
     def _pair(self):
-        a = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.2, ("b", "a"): 0.6}, scorer="bininc")
-        b = ScoreMatrix(summary_id="s", kp_ids=("a", "b"),
-                        scores={("a", "b"): 0.4, ("b", "a"): 1.0}, scorer="apinc")
+        a = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.2, ("b", "a"): 0.6}, scorer="bininc")
+        b = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "b"),
+                                   scores={("a", "b"): 0.4, ("b", "a"): 1.0}, scorer="apinc")
         return a, b
 
     def test_elementwise_mean(self):
@@ -277,17 +322,26 @@ class TestCombineAverage:
         assert all(c.score(s, d) == pytest.approx(v, abs=1e-12)
                    for s, d, v in a.pairs())
 
+    def test_pairs_scores_by_key_point_id(self):
+        ids = ("a", "b", "c")
+        a = ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids,
+                                   scores={(x, y): (ids.index(x) * 3 + ids.index(y)) / 9
+                                           for x in ids for y in ids if x != y})
+        shuffled = a.restrict(["c", "a", "b"])
+        for c in (combine_average(a, shuffled), combine_average(shuffled, a)):
+            assert dict(c.scores) == dict(a.scores)
+
     def test_mismatched_universe_rejected(self):
         a, _ = self._pair()
-        other = ScoreMatrix(summary_id="s", kp_ids=("a", "c"),
-                            scores={("a", "c"): 0.5, ("c", "a"): 0.5})
+        other = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("a", "c"),
+                                       scores={("a", "c"): 0.5, ("c", "a"): 0.5})
         with pytest.raises(DataError):
             combine_average(a, other)
 
     def test_mismatched_summary_rejected(self):
         a, _ = self._pair()
-        other = ScoreMatrix(summary_id="t", kp_ids=("a", "b"),
-                            scores={("a", "b"): 0.5, ("b", "a"): 0.5})
+        other = ScoreMatrix.from_pairs(summary_id="t", kp_ids=("a", "b"),
+                                       scores={("a", "b"): 0.5, ("b", "a"): 0.5})
         with pytest.raises(DataError):
             combine_average(a, other)
 
@@ -303,7 +357,7 @@ def _weak_fixture(n=6, filtered=(), scores=None):
     if scores is None:
         rng = random.Random(99)
         scores = {(a, b): rng.random() for a in ids for b in ids if a != b}
-    return ScoreMatrix(summary_id="s", kp_ids=ids, scores=scores), kps
+    return ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids, scores=scores), kps
 
 
 class TestExportWeakLabels:
@@ -368,3 +422,15 @@ class TestExportWeakLabels:
             export_weak_labels(sm, kps, threshold=1.0)
         with pytest.raises(ValueError):
             export_weak_labels(sm, kps, threshold=0.5, neg_ratio=0.5)
+        for ratio in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="neg_ratio must be a finite number"):
+                export_weak_labels(sm, kps, threshold=0.5, neg_ratio=ratio)
+
+    def test_huge_ratio_keeps_every_negative(self):
+        sm, kps = _weak_fixture(6)
+        # The target 1e308 * positives overflows to inf; every negative stays.
+        out = export_weak_labels(sm, kps, threshold=0.5, neg_ratio=1e308, seed=0)
+        every = export_weak_labels(sm, kps, threshold=0.5, neg_ratio=1000, seed=0)
+        assert out.num_positive > 1
+        assert out.records == every.records
+        assert out.num_negative == 30 - out.num_positive
