@@ -1,8 +1,8 @@
 """From a match matrix to directional key point scores.
 
 A summary's match matrix holds, for every (sentence, key point) pair, the
-likelihood that the sentence expresses the key point. A key point's feature
-vector is the set of sentences matching it with weight >= 0.5; directional
+likelihood that the sentence expresses the key point. A key point's support
+is the set of sentences matching it with weight >= 0.5; directional
 scorers then measure how much of one key point's support is covered by
 another's. High s(i -> j) with low s(j -> i) suggests i is the more
 specific statement.
@@ -14,7 +14,6 @@ import numpy as np
 
 from kph import (
     MatchMatrix,
-    build_feature_vectors,
     compute_score_matrix,
     combine_average,
     spearman_correlation,
@@ -54,9 +53,10 @@ def main():
     )
 
     print("feature vectors (support = sentences with match weight >= 0.5):")
-    for fv in build_feature_vectors(m):
-        sup = ", ".join(m.sentence_ids[i] for i in fv.support)
-        print(f"  {fv.kp_id}  {KP_TEXTS[fv.kp_id]!r:28s} support = {{{sup}}}")
+    support = m.values >= 0.5
+    for j, kp_id in enumerate(m.kp_ids):
+        sup = ", ".join(m.sentence_ids[i] for i in np.flatnonzero(support[:, j]))
+        print(f"  {kp_id}  {KP_TEXTS[kp_id]!r:28s} support = {{{sup}}}")
     print()
 
     # The same pair under all four scorers. BinInc only counts sentences,

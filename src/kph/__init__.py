@@ -21,19 +21,13 @@ from .core import (
 from .errors import DataError, FormatError, HierarchyError, KphError
 from .scoring import (
     SCORERS,
-    FeatureVector,
     MatchMatrix,
     ScoreMatrix,
     WeakLabelRecord,
     WeakLabelSet,
-    build_feature_vectors,
     combine_average,
     compute_score_matrix,
     export_weak_labels,
-    score_apinc,
-    score_binary_inclusion,
-    score_clarkede,
-    score_weedsprec,
 )
 from .construction import (
     ALGORITHMS,
@@ -68,10 +62,8 @@ __all__ = [
     "Hierarchy", "KeyPoint", "KeyPointSet", "RelationSet", "Violation",
     "ancestors", "canonical_hierarchy", "derive_relations", "validate_hierarchy",
     "DataError", "FormatError", "HierarchyError", "KphError",
-    "SCORERS", "FeatureVector", "MatchMatrix", "ScoreMatrix",
-    "WeakLabelRecord", "WeakLabelSet", "build_feature_vectors",
+    "SCORERS", "MatchMatrix", "ScoreMatrix", "WeakLabelRecord", "WeakLabelSet",
     "combine_average", "compute_score_matrix", "export_weak_labels",
-    "score_apinc", "score_binary_inclusion", "score_clarkede", "score_weedsprec",
     "ALGORITHMS", "ConstructionConfig", "agglomerative_cluster", "build_greedy",
     "build_greedy_gs", "build_hierarchy", "build_reduced_forest", "build_tncf",
     "cluster_link_score", "objective_value",

@@ -455,10 +455,9 @@ def cmd_correlate(args, parser: _Parser) -> int:
 def cmd_validate(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
     dirs = _dirs_with(in_dir, kio.KEY_POINTS_FILE)
-    kp_sets, golds = kio.load_dataset(in_dir)
+    kp_sets, golds = kio.load_dataset(in_dir)  # one key point set per dir, in dirs' order
     run = _Manifest(out_dir)
-    for d in dirs:
-        kps = kio.load_key_points(d / kio.KEY_POINTS_FILE)
+    for d, kps in zip(dirs, kp_sets.values()):
         run.read(d / kio.KEY_POINTS_FILE)
         mm_path = d / kio.MATCH_MATRIX_FILE
         if mm_path.exists():

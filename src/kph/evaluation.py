@@ -83,8 +83,14 @@ class EvalReport:
         object.__setattr__(self, "provenance", dict(self.provenance))
 
     def _macro(self, values: Iterable[float]) -> float:
+        # Added left to right: builtin sum() compensates float sums from
+        # Python 3.12 on, so its result, and the bytes written from it,
+        # would depend on the interpreter.
         values = list(values)
-        return sum(values) / len(values) if values else 0.0
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values) if values else 0.0
 
     @property
     def macro_precision(self) -> float:

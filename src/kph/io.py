@@ -490,8 +490,10 @@ def write_correlations(path: str | Path, rows: Mapping[str, float]) -> None:
     for sid in sorted(rows):
         w.writerow([sid, fmt6(rows[sid])])
     if rows:
-        mean = sum(rows.values()) / len(rows)
-        w.writerow(["MEAN", fmt6(mean)])
+        total = 0.0
+        for v in rows.values():  # left to right, unlike sum() on Python >= 3.12
+            total += v
+        w.writerow(["MEAN", fmt6(total / len(rows))])
     _write_text(path, buf.getvalue())
 
 

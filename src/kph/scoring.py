@@ -1,7 +1,7 @@
 """Directional local scores between key points.
 
 The evidence for "key point i is more specific than key point j" is
-distributional: each key point's feature vector is the column of a
+distributional: each key point's weights are its column of a
 sentence-match matrix, its support is the set of sentences matched above a
 threshold, and the four scorers measure how well i's support is included
 in j's. Externally computed scores (e.g. from an entailment model) enter
@@ -67,111 +67,87 @@ class MatchMatrix:
         return self.values[:, j]
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """One key point's match weights over the summary's sentences.
-
-    ``support`` holds the indices of sentences whose weight reached the
-    match threshold the vector was built with.
-    """
-
-    kp_id: str
-    weights: np.ndarray
-    support: frozenset[int]
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        weights = weights.copy()
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "support", frozenset(self.support))
+def _sums_down(a: np.ndarray) -> np.ndarray:
+    # Each column's sum, added sentence by sentence from the first: the
+    # order of a left-to-right loop over the support, because adding a
+    # masked 0.0 is exact. Score bytes depend on this order.
+    return np.add.accumulate(a, axis=0)[-1]
 
 
-def build_feature_vectors(m: MatchMatrix, theta_match: float = DEFAULT_THETA_MATCH) -> list[FeatureVector]:
-    """One feature vector per key point column, support thresholded at theta_match."""
-    if not 0.0 <= theta_match <= 1.0:
-        raise ValueError(f"theta_match must lie in [0, 1], got {theta_match}")
-    if m.num_sentences == 0 or not m.kp_ids:
-        raise DataError(f"match matrix {m.summary_id!r} is empty; nothing to score")
-    out = []
-    for j, kp_id in enumerate(m.kp_ids):
-        col = m.values[:, j]
-        support = frozenset(int(i) for i in np.flatnonzero(col >= theta_match))
-        out.append(FeatureVector(kp_id=kp_id, weights=col, support=support))
+def _per_row(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """num[i, j] / denom[i], and 0.0 for each row i whose denom is 0."""
+    out = np.zeros(num.shape)
+    np.divide(num, denom[:, None], out=out, where=denom[:, None] != 0)
     return out
 
 
-def _check_universe(fi: FeatureVector, fj: FeatureVector) -> None:
-    if len(fi.weights) != len(fj.weights):
-        raise DataError(
-            f"feature vectors {fi.kp_id!r} and {fj.kp_id!r} cover different "
-            f"sentence universes ({len(fi.weights)} vs {len(fj.weights)} sentences)")
-
-
-def score_binary_inclusion(fi: FeatureVector, fj: FeatureVector) -> float:
+def _bininc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Fraction of i's support sentences that are also in j's support."""
-    _check_universe(fi, fj)
-    if not fi.support:
-        return 0.0
-    return len(fi.support & fj.support) / len(fi.support)
+    # Integer counts: a float product would go through BLAS, whose worker
+    # threads spin after each call and cost more CPU time than they save.
+    c = s.astype(np.int64)
+    shared = c.T @ c
+    return _per_row(shared, np.diagonal(shared))
 
 
-def score_weedsprec(fi: FeatureVector, fj: FeatureVector) -> float:
+def _inclusion(w: np.ndarray, s: np.ndarray, shared) -> np.ndarray:
+    """Row i: shared(w_i, w_j) summed over S_i & S_j, divided by i's support mass.
+
+    Only i's support rows can hold a shared term, so the sum runs down
+    those rows alone; the terms it skips are 0.0 and change no bit.
+    """
+    num = np.zeros((w.shape[1], w.shape[1]))
+    for i in range(w.shape[1]):
+        rows = np.flatnonzero(s[:, i])
+        if rows.size:
+            num[i] = _sums_down(np.where(s[rows], shared(w[rows, i:i + 1], w[rows]), 0.0))
+    return _per_row(num, _sums_down(np.where(s, w, 0.0)))
+
+
+def _weedsprec(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Weight-mass fraction of i's support that falls inside j's support."""
-    _check_universe(fi, fj)
-    denom = sum(float(fi.weights[k]) for k in sorted(fi.support))
-    if denom == 0.0:
-        return 0.0
-    num = sum(float(fi.weights[k]) for k in sorted(fi.support & fj.support))
-    return num / denom
+    return _inclusion(w, s, lambda wi, wj: wi)
 
 
-def score_clarkede(fi: FeatureVector, fj: FeatureVector) -> float:
+def _clarkede(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Degree of inclusion: shared mass is capped by j's own weights."""
-    _check_universe(fi, fj)
-    denom = sum(float(fi.weights[k]) for k in sorted(fi.support))
-    if denom == 0.0:
-        return 0.0
-    num = sum(min(float(fi.weights[k]), float(fj.weights[k]))
-              for k in sorted(fi.support & fj.support))
-    return num / denom
+    return _inclusion(w, s, np.minimum)
 
 
-def _ranked(support: frozenset[int], weights: np.ndarray) -> list[int]:
-    # Descending weight; equal weights fall back to sentence index so the
-    # ranking is a total order.
-    return sorted(support, key=lambda k: (-float(weights[k]), k))
-
-
-def score_apinc(fi: FeatureVector, fj: FeatureVector) -> float:
+def _apinc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Average-precision-style inclusion of i's ranked support in j's.
 
-    i's support is ranked by descending weight; each rank r contributes
-    P(r) (precision of the top-r against j's support) times a relevance
-    that decays with the feature's rank in j. Features outside j's support
-    contribute nothing.
+    Each support is ranked by descending weight, equal weights by sentence
+    index. Walking down i's ranking, rank r contributes P(r) (precision of
+    the top r against j's support) times a relevance 1 - rank_j / (|S_j| + 1)
+    that decays with the sentence's rank in j; sentences outside j's
+    support contribute nothing. The sum is divided by |S_i|.
     """
-    _check_universe(fi, fj)
-    if not fi.support:
-        return 0.0
-    order_i = _ranked(fi.support, fi.weights)
-    rank_j = {f: r for r, f in enumerate(_ranked(fj.support, fj.weights), start=1)}
-    nj = len(fj.support)
-    total = 0.0
-    hits = 0
-    for r, f in enumerate(order_i, start=1):
-        if f in rank_j:
-            hits += 1
-            rel = 1.0 - rank_j[f] / (nj + 1)
-            total += (hits / r) * rel
-    return total / len(order_i)
+    ranked = []
+    rank = np.zeros(w.shape, dtype=np.int64)  # rank[k, j]: k's 1-based rank in j, 0 outside
+    for j in range(w.shape[1]):
+        sj = np.flatnonzero(s[:, j])
+        order = sj[np.lexsort((sj, -w[sj, j]))]
+        rank[order, j] = np.arange(1, order.size + 1)
+        ranked.append(order)
+    rel = 1.0 - rank / (s.sum(axis=0) + 1)
+    out = np.zeros((w.shape[1], w.shape[1]))
+    for i, order in enumerate(ranked):
+        if order.size:
+            hit = s[order]
+            r = np.arange(1, order.size + 1)[:, None]
+            terms = np.where(hit, (np.cumsum(hit, axis=0) / r) * rel[order], 0.0)
+            out[i] = _sums_down(terms) / order.size
+    return out
 
 
+# Each scorer maps the match values and the support mask (values >=
+# theta_match), both sentences x key points, to the n x n scores s(i, j).
 SCORERS = {
-    "bininc": score_binary_inclusion,
-    "weedsprec": score_weedsprec,
-    "clarkede": score_clarkede,
-    "apinc": score_apinc,
+    "bininc": _bininc,
+    "weedsprec": _weedsprec,
+    "clarkede": _clarkede,
+    "apinc": _apinc,
 }
 
 
@@ -274,16 +250,19 @@ class ScoreMatrix:
 
 def compute_score_matrix(m: MatchMatrix, scorer: str,
                          theta_match: float = DEFAULT_THETA_MATCH) -> ScoreMatrix:
-    """Score every ordered pair of the matrix's key points with one scorer."""
+    """Score every ordered pair of the matrix's key points with one scorer.
+
+    A key point's support is the set of sentences whose match value is at
+    least ``theta_match``.
+    """
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}; expected one of {sorted(SCORERS)}")
-    vectors = build_feature_vectors(m, theta_match)
-    fn = SCORERS[scorer]
-    values = np.zeros((len(vectors), len(vectors)))
-    for i, fi in enumerate(vectors):
-        for j, fj in enumerate(vectors):
-            if i != j:
-                values[i, j] = fn(fi, fj)
+    if not 0.0 <= theta_match <= 1.0:
+        raise ValueError(f"theta_match must lie in [0, 1], got {theta_match}")
+    if m.num_sentences == 0 or not m.kp_ids:
+        raise DataError(f"match matrix {m.summary_id!r} is empty; nothing to score")
+    values = SCORERS[scorer](m.values, m.values >= theta_match)
+    np.fill_diagonal(values, 0.0)
     return ScoreMatrix(m.summary_id, m.kp_ids, values, scorer, {"theta_match": theta_match})
 
 

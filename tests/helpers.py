@@ -6,7 +6,15 @@ import random
 
 import numpy as np
 
-from kph import Hierarchy, ScoreMatrix, canonical_hierarchy
+from kph import Hierarchy, MatchMatrix, ScoreMatrix, canonical_hierarchy, compute_score_matrix
+
+
+def pair_score(scorer: str, wi, wj, theta: float = 0.5) -> float:
+    """s(i, j) from compute_score_matrix on the two-column match matrix [wi, wj]."""
+    values = np.column_stack((np.asarray(wi, dtype=float), np.asarray(wj, dtype=float)))
+    m = MatchMatrix(summary_id="s", sentence_ids=[f"s{k}" for k in range(len(values))],
+                    kp_ids=("i", "j"), values=values)
+    return compute_score_matrix(m, scorer, theta).score("i", "j")
 
 
 def random_digraph(rng: random.Random, n: int = 8, p: float = 0.25) -> np.ndarray:

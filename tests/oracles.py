@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written with different algorithms and data
-structures than the package (Floyd-Warshall matrices instead of DFS,
-numpy ranking instead of sorted lists) so that agreement between the two
-is meaningful evidence of correctness.
+structures than the package (Floyd-Warshall matrices, one scorer call per
+key point pair instead of one array kernel per matrix) so that agreement
+between the two is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -131,6 +131,84 @@ def apinc_ref(wi: np.ndarray, wj: np.ndarray, theta: float) -> float:
     return float((precision_at * rel).sum() / si.size)
 
 
+# -- distributional scorers, one call per pair (exact) --------------------
+# The scorers as first written: one call for each ordered pair of key
+# points, every sum an explicit left-to-right loop over sorted sentence
+# indices. compute_score_matrix must reproduce these floats bit for bit.
+
+def _support(w: np.ndarray, theta: float) -> frozenset[int]:
+    return frozenset(int(k) for k in np.flatnonzero(w >= theta))
+
+
+def _left_sum(xs) -> float:
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def bininc_pair(wi: np.ndarray, si: frozenset[int], wj: np.ndarray, sj: frozenset[int]) -> float:
+    if not si:
+        return 0.0
+    return len(si & sj) / len(si)
+
+
+def weedsprec_pair(wi: np.ndarray, si: frozenset[int], wj: np.ndarray, sj: frozenset[int]) -> float:
+    denom = _left_sum(float(wi[k]) for k in sorted(si))
+    if denom == 0.0:
+        return 0.0
+    return _left_sum(float(wi[k]) for k in sorted(si & sj)) / denom
+
+
+def clarkede_pair(wi: np.ndarray, si: frozenset[int], wj: np.ndarray, sj: frozenset[int]) -> float:
+    denom = _left_sum(float(wi[k]) for k in sorted(si))
+    if denom == 0.0:
+        return 0.0
+    return _left_sum(min(float(wi[k]), float(wj[k])) for k in sorted(si & sj)) / denom
+
+
+def _ranked(support: frozenset[int], weights: np.ndarray) -> list[int]:
+    # Descending weight; equal weights fall back to sentence index.
+    return sorted(support, key=lambda k: (-float(weights[k]), k))
+
+
+def apinc_pair(wi: np.ndarray, si: frozenset[int], wj: np.ndarray, sj: frozenset[int]) -> float:
+    if not si:
+        return 0.0
+    order_i = _ranked(si, wi)
+    rank_j = {f: r for r, f in enumerate(_ranked(sj, wj), start=1)}
+    nj = len(sj)
+    total = 0.0
+    hits = 0
+    for r, f in enumerate(order_i, start=1):
+        if f in rank_j:
+            hits += 1
+            rel = 1.0 - rank_j[f] / (nj + 1)
+            total += (hits / r) * rel
+    return total / len(order_i)
+
+
+PAIR_SCORERS = {
+    "bininc": bininc_pair,
+    "weedsprec": weedsprec_pair,
+    "clarkede": clarkede_pair,
+    "apinc": apinc_pair,
+}
+
+
+def pair_score_values(values: np.ndarray, scorer: str, theta: float) -> np.ndarray:
+    """n x n scores of a sentences x key points matrix, one call per ordered pair."""
+    cols = [values[:, j] for j in range(values.shape[1])]
+    supports = [_support(w, theta) for w in cols]
+    fn = PAIR_SCORERS[scorer]
+    out = np.zeros((len(cols), len(cols)))
+    for i in range(len(cols)):
+        for j in range(len(cols)):
+            if i != j:
+                out[i, j] = fn(cols[i], supports[i], cols[j], supports[j])
+    return out
+
+
 # -- clustering ------------------------------------------------------------
 
 def average_linkage_ref(ids: list[str], dist: dict[tuple[str, str], float],
@@ -147,7 +225,7 @@ def average_linkage_ref(ids: list[str], dist: dict[tuple[str, str], float],
         scored = []
         for a, b in itertools.combinations(range(len(clusters)), 2):
             ds = [dist[(x, y)] for x in sorted(clusters[a]) for y in sorted(clusters[b])]
-            scored.append((sum(ds) / len(ds), a, b))
+            scored.append((_left_sum(ds) / len(ds), a, b))
         best = min(scored)
         if best[0] > threshold:
             break

@@ -45,7 +45,7 @@ from kph import io as kio
 from kph.cli import main
 from kph.construction import _condense
 from conftest import record_acceptance
-from helpers import edge_set, random_digraph, random_hierarchy, random_score_matrix
+from helpers import edge_set, pair_score, random_digraph, random_hierarchy, random_score_matrix
 from oracles import (
     apinc_ref,
     bininc_ref,
@@ -103,15 +103,8 @@ def test_criterion_02_graph_utility_oracles():
 
 def test_criterion_03_scorer_correctness():
     def check():
-        from kph import FeatureVector, score_binary_inclusion, score_weedsprec
-
         refs = {"bininc": bininc_ref, "weedsprec": weedsprec_ref,
                 "clarkede": clarkede_ref, "apinc": apinc_ref}
-
-        def fv(kp_id, w, theta):
-            w = np.asarray(w, dtype=float)
-            return FeatureVector(kp_id=kp_id, weights=w,
-                                 support=frozenset(np.flatnonzero(w >= theta).tolist()))
 
         rng = random.Random(1003)
         for _ in range(200):
@@ -121,8 +114,8 @@ def test_criterion_03_scorer_correctness():
                            for _ in range(n)])
             wj = np.array([rng.random() if rng.random() < 0.8 else 0.0
                            for _ in range(n)])
-            for name, scorer in SCORERS.items():
-                got = scorer(fv("i", wi, theta), fv("j", wj, theta))
+            for name in SCORERS:
+                got = pair_score(name, wi, wj, theta)
                 assert abs(got - refs[name](wi, wj, theta)) <= 1e-9, name
 
         # constant weights: BinInc and WeedsPrec coincide
@@ -130,18 +123,14 @@ def test_criterion_03_scorer_correctness():
             n = rng.randrange(1, 10)
             wi = [0.8 if rng.random() < 0.5 else 0.0 for _ in range(n)]
             wj = [0.8 if rng.random() < 0.5 else 0.0 for _ in range(n)]
-            i, j = fv("i", wi, 0.5), fv("j", wj, 0.5)
-            assert abs(score_binary_inclusion(i, j) - score_weedsprec(i, j)) <= 1e-12
+            assert abs(pair_score("bininc", wi, wj) - pair_score("weedsprec", wi, wj)) <= 1e-12
 
         # inclusion and disjointness fixtures
-        i = fv("i", [0.9, 0.8, 0.0, 0.0], 0.5)
-        j = fv("j", [0.7, 0.6, 0.9, 0.0], 0.5)
-        assert score_binary_inclusion(i, j) == 1.0
-        assert score_weedsprec(i, j) == 1.0
-        d1 = fv("i", [0.9, 0.9, 0.0, 0.0], 0.5)
-        d2 = fv("j", [0.0, 0.0, 0.9, 0.9], 0.5)
-        for scorer in SCORERS.values():
-            assert scorer(d1, d2) == 0.0
+        wi, wj = [0.9, 0.8, 0.0, 0.0], [0.7, 0.6, 0.9, 0.0]
+        assert pair_score("bininc", wi, wj) == 1.0
+        assert pair_score("weedsprec", wi, wj) == 1.0
+        for name in SCORERS:
+            assert pair_score(name, [0.9, 0.9, 0.0, 0.0], [0.0, 0.0, 0.9, 0.9]) == 0.0
         return "200 pairs vs direct formulas at 1e-9"
 
     _criterion(3, check)

@@ -440,6 +440,18 @@ class TestValidate:
         assert doc["num_key_points"] == 16
         assert doc["num_relations"] == 8
 
+    def test_loads_each_key_point_file_once(self, dataset, tmp_path, monkeypatch):
+        calls = []
+        real = kio.load_key_points
+
+        def counting(path):
+            calls.append(path.parent.name)
+            return real(path)
+
+        monkeypatch.setattr(kio, "load_key_points", counting)
+        assert run("validate", "--in-dir", dataset, "--out-dir", tmp_path / "v") == 0
+        assert sorted(calls) == ["h1", "h2", "r1", "r2"]
+
     def test_detects_gold_kp_mismatch(self, dataset, tmp_path, capsys):
         bad = Hierarchy(summary_id="h1", domain="hotels",
                         clusters=(frozenset({"k00"}), frozenset({"unknown"})),

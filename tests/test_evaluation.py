@@ -7,6 +7,8 @@ import pytest
 
 from kph import (
     DataError,
+    DomainMetrics,
+    EvalReport,
     Hierarchy,
     PRCurve,
     PRPoint,
@@ -118,6 +120,13 @@ class TestEvaluateHierarchies:
         assert rep.macro_f1 == pytest.approx(0.7, abs=1e-9)
         assert rep.macro_precision == pytest.approx(0.75, abs=1e-9)
         assert rep.macro_recall == pytest.approx((1 + 1 / 3) / 2, abs=1e-9)
+
+    def test_macro_mean_adds_left_to_right(self):
+        # Builtin sum() on Python >= 3.12 gives 0.6, not 0.6000000000000001, so
+        # its mean would be 0.19999999999999998 instead of 0.20000000000000004.
+        rep = EvalReport(per_domain={d: DomainMetrics(0.0, 0.0, f)
+                                     for d, f in (("a", 0.1), ("b", 0.2), ("c", 0.3))})
+        assert rep.macro_f1 == ((0.1 + 0.2) + 0.3) / 3
 
     def test_domain_taken_from_gold(self):
         gold = [chain("s1", ["a", "b"], domain="hotels")]

@@ -16,3 +16,13 @@ def test_every_exported_name_resolves():
 def test_graph_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("kph.graphs")
+
+
+@pytest.mark.parametrize("name", [
+    "FeatureVector", "build_feature_vectors", "score_apinc", "score_binary_inclusion",
+    "score_clarkede", "score_weedsprec", "_check_universe", "_ranked",
+])
+def test_per_pair_scoring_layer_is_gone(name):
+    assert name not in kph.__all__
+    assert not hasattr(kph, name)
+    assert not hasattr(kph.scoring, name)

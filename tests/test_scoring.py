@@ -9,21 +9,16 @@ import pytest
 from kph import (
     SCORERS,
     DataError,
-    FeatureVector,
     KeyPoint,
     KeyPointSet,
     MatchMatrix,
     ScoreMatrix,
-    build_feature_vectors,
     combine_average,
     compute_score_matrix,
     export_weak_labels,
-    score_apinc,
-    score_binary_inclusion,
-    score_clarkede,
-    score_weedsprec,
 )
-from oracles import apinc_ref, bininc_ref, clarkede_ref, weedsprec_ref
+from helpers import pair_score
+from oracles import apinc_ref, bininc_ref, clarkede_ref, pair_score_values, weedsprec_ref
 
 ORACLES = {
     "bininc": bininc_ref,
@@ -31,12 +26,6 @@ ORACLES = {
     "clarkede": clarkede_ref,
     "apinc": apinc_ref,
 }
-
-
-def fv(kp_id, weights, theta=0.5):
-    w = np.asarray(weights, dtype=float)
-    return FeatureVector(kp_id=kp_id, weights=w,
-                         support=frozenset(np.flatnonzero(w >= theta).tolist()))
 
 
 class TestMatchMatrix:
@@ -67,18 +56,17 @@ class TestMatchMatrix:
         assert m.column("b").tolist() == [0.9, 0.8]
 
 
-class TestBuildFeatureVectors:
+class TestSupportThreshold:
     def test_threshold_is_inclusive(self):
-        m = MatchMatrix(summary_id="s", sentence_ids=("s0", "s1", "s2"), kp_ids=("a",),
-                        values=np.array([[0.5], [0.49], [0.51]]))
-        (f,) = build_feature_vectors(m, theta_match=0.5)
-        assert f.support == {0, 2}
+        # The all-ones column supports all three sentences; under an
+        # inclusive threshold 0.5 and 0.51 are in the other's support.
+        assert pair_score("bininc", [1.0, 1.0, 1.0], [0.5, 0.49, 0.51], 0.5) == 2 / 3
 
     def test_rejects_bad_theta(self):
         m = MatchMatrix(summary_id="s", sentence_ids=("s0",), kp_ids=("a",),
                         values=np.array([[0.5]]))
         with pytest.raises(ValueError):
-            build_feature_vectors(m, theta_match=1.5)
+            compute_score_matrix(m, "bininc", theta_match=1.5)
 
 
 class TestScorerHandValues:
@@ -87,53 +75,41 @@ class TestScorerHandValues:
     WI = [1.0, 1.0, 0.5, 0.0]
     WJ = [0.9, 0.6, 0.0, 0.7]
 
-    def pair(self):
-        return fv("i", self.WI), fv("j", self.WJ)
+    def score(self, scorer):
+        return pair_score(scorer, self.WI, self.WJ)
 
     def test_binary_inclusion(self):
-        i, j = self.pair()
-        assert score_binary_inclusion(i, j) == pytest.approx(2 / 3, abs=1e-12)
+        assert self.score("bininc") == pytest.approx(2 / 3, abs=1e-12)
 
     def test_weedsprec(self):
         # (1.0 + 1.0) / 2.5
-        i, j = self.pair()
-        assert score_weedsprec(i, j) == pytest.approx(0.8, abs=1e-12)
+        assert self.score("weedsprec") == pytest.approx(0.8, abs=1e-12)
 
     def test_clarkede(self):
         # (min(1.0, 0.9) + min(1.0, 0.6)) / 2.5 = 1.5 / 2.5
-        i, j = self.pair()
-        assert score_clarkede(i, j) == pytest.approx(0.6, abs=1e-12)
+        assert self.score("clarkede") == pytest.approx(0.6, abs=1e-12)
 
     def test_apinc(self):
         # i ranks [0, 1, 2]; j ranks 0->1, 3->2, 1->3 of |sup_j|=3.
         # r=1: P=1, rel(0)=1-1/4; r=2: P=1, rel(1)=1-3/4; r=3: miss.
         # (0.75 + 0.25) / 3
-        i, j = self.pair()
-        assert score_apinc(i, j) == pytest.approx(1 / 3, abs=1e-12)
+        assert self.score("apinc") == pytest.approx(1 / 3, abs=1e-12)
 
 
 class TestScorerEdgeCases:
     def test_empty_antecedent_support_scores_zero(self):
-        i = fv("i", [0.1, 0.2])
-        j = fv("j", [0.9, 0.9])
-        for scorer in SCORERS.values():
-            assert scorer(i, j) == 0.0
+        for scorer in SCORERS:
+            assert pair_score(scorer, [0.1, 0.2], [0.9, 0.9]) == 0.0
 
     def test_disjoint_supports_score_zero(self):
-        i = fv("i", [0.9, 0.9, 0.0, 0.0])
-        j = fv("j", [0.0, 0.0, 0.9, 0.9])
-        for scorer in SCORERS.values():
-            assert scorer(i, j) == 0.0
+        for scorer in SCORERS:
+            assert pair_score(scorer, [0.9, 0.9, 0.0, 0.0], [0.0, 0.0, 0.9, 0.9]) == 0.0
 
     def test_support_subset_gives_full_inclusion(self):
-        i = fv("i", [0.9, 0.8, 0.0, 0.0])
-        j = fv("j", [0.7, 0.6, 0.9, 0.0])
-        assert score_binary_inclusion(i, j) == 1.0
-        assert score_weedsprec(i, j) == 1.0
-
-    def test_mismatched_universes_rejected(self):
-        with pytest.raises(DataError):
-            score_binary_inclusion(fv("i", [0.9]), fv("j", [0.9, 0.9]))
+        wi = [0.9, 0.8, 0.0, 0.0]
+        wj = [0.7, 0.6, 0.9, 0.0]
+        assert pair_score("bininc", wi, wj) == 1.0
+        assert pair_score("weedsprec", wi, wj) == 1.0
 
     def test_bininc_equals_weedsprec_on_constant_weights(self):
         rng = random.Random(21)
@@ -141,30 +117,28 @@ class TestScorerEdgeCases:
             n = rng.randrange(1, 10)
             wi = [0.8 if rng.random() < 0.5 else 0.0 for _ in range(n)]
             wj = [0.8 if rng.random() < 0.5 else 0.0 for _ in range(n)]
-            i, j = fv("i", wi), fv("j", wj)
-            assert score_binary_inclusion(i, j) == pytest.approx(
-                score_weedsprec(i, j), abs=1e-12)
+            assert pair_score("bininc", wi, wj) == pytest.approx(
+                pair_score("weedsprec", wi, wj), abs=1e-12)
 
     def test_apinc_self_is_half(self):
         rng = random.Random(22)
         for _ in range(50):
             n = rng.randrange(1, 10)
             w = [round(rng.uniform(0.5, 1.0), 3) for _ in range(n)]
-            f = fv("f", w)
-            assert score_apinc(f, f) == pytest.approx(0.5, abs=1e-12)
+            assert pair_score("apinc", w, w) == pytest.approx(0.5, abs=1e-12)
 
     def test_apinc_rewards_top_ranked_shared_features(self):
         # Antecedent supports features 0 and 1 only; consequent supports all
         # five. With full overlap the score reduces to
         # (rel(rank of 0) + rel(rank of 1)) / 2, so it is a strictly
         # decreasing function of the consequent ranks of features 0 and 1.
-        i = fv("i", [0.9, 0.8, 0.0, 0.0, 0.0])
+        wi = [0.9, 0.8, 0.0, 0.0, 0.0]
         base = [0.9, 0.8, 0.7, 0.6, 0.55]
         for perm in itertools.permutations(range(5)):
             wj = [0.0] * 5
             for rank_pos, feature in enumerate(perm):
                 wj[feature] = base[rank_pos]
-            got = score_apinc(i, fv("j", wj))
+            got = pair_score("apinc", wi, wj)
             r0, r1 = perm.index(0) + 1, perm.index(1) + 1
             want = ((1 - r0 / 6) + (1 - r1 / 6)) / 2
             assert got == pytest.approx(want, abs=1e-12)
@@ -179,10 +153,8 @@ class TestScorersAgainstReference:
             theta = rng.choice([0.3, 0.5, 0.7])
             wi = np.array([rng.random() if rng.random() < 0.8 else 0.0 for _ in range(n)])
             wj = np.array([rng.random() if rng.random() < 0.8 else 0.0 for _ in range(n)])
-            i = fv("i", wi, theta)
-            j = fv("j", wj, theta)
-            for name, scorer in SCORERS.items():
-                assert scorer(i, j) == pytest.approx(
+            for name in SCORERS:
+                assert pair_score(name, wi, wj, theta) == pytest.approx(
                     ORACLES[name](wi, wj, theta), abs=1e-9), (name, wi, wj, theta)
             checked += 1
 
@@ -190,10 +162,54 @@ class TestScorersAgainstReference:
         rng = random.Random(24)
         for _ in range(100):
             n = rng.randrange(1, 8)
-            i = fv("i", [rng.random() for _ in range(n)])
-            j = fv("j", [rng.random() for _ in range(n)])
-            for scorer in SCORERS.values():
-                assert 0.0 <= scorer(i, j) <= 1.0
+            wi = [rng.random() for _ in range(n)]
+            wj = [rng.random() for _ in range(n)]
+            for scorer in SCORERS:
+                assert 0.0 <= pair_score(scorer, wi, wj) <= 1.0
+
+
+class TestScorersMatchPairOracle:
+    """The array kernels add the same floats in the same order as the
+    per-pair scorers, so every score is equal to the last bit."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(25)
+        yield np.array([[0.7, 0.2, 0.7]]), 0.5                      # one sentence
+        yield np.array([[0.0, 0.4], [0.0, 0.9], [0.0, 0.6]]), 0.5   # all-zero column
+        yield np.array([[0.1, 0.6], [0.3, 0.9], [0.2, 0.6]]), 0.5   # empty support
+        for case in range(240):
+            rows = int(rng.integers(1, 300))
+            cols = int(rng.integers(1, 9))
+            values = rng.random((rows, cols)) * (rng.random((rows, cols)) < 0.7)
+            if case % 2:
+                values = np.round(values, 2)  # ties within and across columns
+            if case % 4 == 0:
+                values[:, rng.integers(cols)] = 0.0
+            yield values, (0.0, 0.3, 0.5, 0.7)[case % 4]
+
+    def test_equal_to_the_bit(self):
+        checked = 0
+        for values, theta in self._matrices():
+            m = MatchMatrix(summary_id="s", sentence_ids=[f"s{k}" for k in range(len(values))],
+                            kp_ids=[f"k{j}" for j in range(values.shape[1])], values=values)
+            for name in SCORERS:
+                got = compute_score_matrix(m, name, theta).values
+                want = pair_score_values(m.values, name, theta)
+                assert np.array_equal(got, want), (name, values.shape, theta)
+            checked += 1
+        assert checked == 243
+
+    def test_accumulate_adds_left_to_right(self):
+        # The kernels rely on np.add.accumulate adding element after element.
+        # Pairwise or compensated summation gives 1.0000000000000016 here.
+        v = [1.0] + [1e-16] * 16
+        total = 0.0
+        for x in v:
+            total += x
+        assert total == 1.0
+        assert np.add.accumulate(np.array(v))[-1] == total
+        assert np.add.accumulate(np.array(v)[:, None] * np.ones(3), axis=0)[-1].tolist() == [total] * 3
 
 
 class TestScoreMatrix:
