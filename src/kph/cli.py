@@ -151,7 +151,7 @@ def _apply_config(args: argparse.Namespace, parser: _Parser) -> None:
         return
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, bad UTF-8, too many digits
         parser.error(f"cannot read config file {args.config}: {e}")
     if not isinstance(cfg, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
@@ -169,6 +169,11 @@ def _apply_config(args: argparse.Namespace, parser: _Parser) -> None:
         kind = (bool if action.nargs == 0
                 else {None: str, int: int, float: (int, float)}[action.type])
         ok = isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
+        if ok and action.type is float:
+            try:
+                float(value)
+            except OverflowError:  # an integer too large for a float
+                ok = False
         if not ok or (action.choices is not None and value not in action.choices):
             parser.error(f"config key {key!r}: invalid value {value!r}")
         if getattr(args, key) == action.default:  # the flag was not given

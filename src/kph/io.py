@@ -13,6 +13,7 @@ import hashlib
 import io as _io
 import json
 import os
+import re
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -117,6 +118,8 @@ def _load_json_line(path, lineno: int, line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", path=path, line=lineno) from e
+    except ValueError as e:  # an integer literal past Python's int max-str-digits limit
+        raise FormatError(f"invalid JSON: {e}", path=path, line=lineno) from e
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object", path=path, line=lineno)
     return obj
@@ -130,7 +133,11 @@ def _field(obj: dict, name: str, kind, path, lineno: int):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise FormatError(f"expected a number, got {v!r}",
                               path=path, line=lineno, field=name)
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError as e:  # an integer too large for a float
+            raise FormatError("number is too large for a float",
+                              path=path, line=lineno, field=name) from e
     if kind is int:
         if not isinstance(v, int) or isinstance(v, bool):
             raise FormatError(f"expected an integer, got {v!r}",
@@ -249,7 +256,7 @@ def load_match_matrix(path: str | Path) -> MatchMatrix:
                           path=path, line=2, field="sentence_id")
     kp_ids = tuple(header[1:])
     sentence_ids = []
-    values = []
+    values = []  # every cell, row after row, for one np.array call
     for lineno, row in enumerate(rows[1:], start=3):
         if len(row) != len(header):
             raise FormatError(
@@ -257,7 +264,7 @@ def load_match_matrix(path: str | Path) -> MatchMatrix:
                 path=path, line=lineno)
         sentence_ids.append(row[0])
         try:
-            values.append([float(c) for c in row[1:]])
+            values += [float(c) for c in row[1:]]
         except ValueError as e:
             raise FormatError(f"non-numeric likelihood: {e}", path=path, line=lineno) from e
     try:
@@ -278,8 +285,10 @@ def write_scores(path: str | Path, s: ScoreMatrix) -> None:
     lines = [dumps6(
         {"kind": "scores", "summary_id": s.summary_id, "scorer": s.scorer,
          "params": _jsonable(s.params), "kp_ids": list(s.kp_ids)})]
-    for src, dst, v in s.pairs():
-        lines.append(dumps6({"src": src, "dst": dst, "score": v}))
+    # dumps6({"src": src, "dst": dst, "score": v}) per pair, each id quoted once
+    q = {x: json.dumps(x, ensure_ascii=False) for x in s.kp_ids}
+    lines += [f'{{"src": {q[a]}, "dst": {q[b]}, "score": {fmt6(v)}}}'
+              for a, b, v in s.pairs()]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -308,6 +317,9 @@ def load_external_scores(path: str | Path) -> ScoreMatrix:
     kp_ids = _field(meta, "kp_ids", list, path, 1)
     if not all(isinstance(x, str) for x in kp_ids):
         raise FormatError("kp_ids must be strings", path=path, line=1, field="kp_ids")
+    values = _canonical_score_values(kp_ids, lines[1:])
+    if values is not None:
+        return ScoreMatrix(summary_id, kp_ids, values, scorer, params)
     scores: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         obj = _load_json_line(path, lineno, line)
@@ -325,6 +337,48 @@ def load_external_scores(path: str | Path) -> ScoreMatrix:
         return ScoreMatrix.from_pairs(summary_id, kp_ids, scores, scorer, params)
     except DataError as e:
         raise FormatError(str(e), path=path) from e
+
+
+# A pair line exactly as write_scores emits it. A JSON string with no
+# backslash or control character decodes to its own text, and json reads
+# the score with float(), so the groups give the values json.loads would.
+_CANONICAL_PAIR = re.compile(
+    r'\{"src": "([^"\\\x00-\x1f]*)", "dst": "([^"\\\x00-\x1f]*)", '
+    r'"score": ([0-9]\.[0-9]{6})\}')
+
+
+def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> np.ndarray | None:
+    """The score matrix of pair lines that are all canonical and complete, else None.
+
+    None sends the caller to the line-by-line loop, which accepts any valid
+    JSON object per line and names the first bad record. Lines are matched
+    one by one: decoding them together (json.loads over "[" + ",".join(lines)
+    + "]") would lose line boundaries and accept a line holding two objects
+    beside an object split over two lines, which that loop rejects.
+    """
+    n = len(kp_ids)
+    pos = {x: i for i, x in enumerate(kp_ids)}
+    if len(pos) != n or len(lines) != n * (n - 1):
+        return None
+    matches = []
+    for line in lines:
+        m = _CANONICAL_PAIR.fullmatch(line)
+        if m is None:  # so a file in any other form pays for one match attempt
+            return None
+        matches.append(m)
+    try:
+        src = np.array([pos[m[1]] for m in matches], dtype=np.intp)
+        dst = np.array([pos[m[2]] for m in matches], dtype=np.intp)
+    except KeyError:  # an id outside kp_ids
+        return None
+    scores = np.array([float(m[3]) for m in matches])
+    # every ordered pair of distinct key points exactly once
+    filled = np.bincount(src * n + dst, minlength=n * n).reshape(n, n)
+    if (scores > 1.0).any() or not (filled == 1 - np.eye(n, dtype=np.intp)).all():
+        return None
+    values = np.zeros((n, n))
+    values[src, dst] = scores
+    return values
 
 
 # -- hierarchies --------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms and data
 structures than the package (Floyd-Warshall matrices, one scorer call per
-key point pair instead of one array kernel per matrix) so that agreement
+key point pair instead of one array kernel per matrix, one json call per
+score-file line instead of one pass over all lines) so that agreement
 between the two is meaningful evidence of correctness.
 """
 
@@ -13,7 +14,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from kph import Hierarchy, HierarchyError, ScoreMatrix, build_reduced_forest, canonical_hierarchy
+from kph import (DataError, FormatError, Hierarchy, HierarchyError, ScoreMatrix,
+                 build_reduced_forest, canonical_hierarchy)
+from kph import io as kio
 
 
 # -- reachability (Floyd-Warshall) ---------------------------------------
@@ -207,6 +210,50 @@ def pair_score_values(values: np.ndarray, scorer: str, theta: float) -> np.ndarr
             if i != j:
                 out[i, j] = fn(cols[i], supports[i], cols[j], supports[j])
     return out
+
+
+# -- score files -------------------------------------------------------------
+
+def write_scores_reference(path, s: ScoreMatrix) -> None:
+    """A score file written with one dumps6 call per pair line."""
+    lines = [kio.dumps6(
+        {"kind": "scores", "summary_id": s.summary_id, "scorer": s.scorer,
+         "params": kio._jsonable(s.params), "kp_ids": list(s.kp_ids)})]
+    for src, dst, v in s.pairs():
+        lines.append(kio.dumps6({"src": src, "dst": dst, "score": v}))
+    kio.write_text(path, "\n".join(lines) + "\n")
+
+
+def load_scores_reference(path) -> ScoreMatrix:
+    """A score file read with one json.loads and three field checks per line."""
+    lines = kio._read_lines(path)
+    if not lines:
+        raise FormatError("empty score file", path=path)
+    meta = kio._load_json_line(path, 1, lines[0])
+    kio._check_kind(meta, "scores", path, 1)
+    summary_id = kio._field(meta, "summary_id", str, path, 1)
+    scorer = kio._field(meta, "scorer", str, path, 1)
+    params = kio._field(meta, "params", dict, path, 1)
+    kp_ids = kio._field(meta, "kp_ids", list, path, 1)
+    if not all(isinstance(x, str) for x in kp_ids):
+        raise FormatError("kp_ids must be strings", path=path, line=1, field="kp_ids")
+    scores: dict[tuple[str, str], float] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        obj = kio._load_json_line(path, lineno, line)
+        src = kio._field(obj, "src", str, path, lineno)
+        dst = kio._field(obj, "dst", str, path, lineno)
+        v = kio._field(obj, "score", float, path, lineno)
+        if not 0.0 <= v <= 1.0:
+            raise FormatError(f"score {v} for pair ({src!r}, {dst!r}) is outside [0, 1]",
+                              path=path, line=lineno, field="score")
+        if (src, dst) in scores:
+            raise FormatError(f"pair ({src!r}, {dst!r}) listed twice",
+                              path=path, line=lineno)
+        scores[(src, dst)] = v
+    try:
+        return ScoreMatrix.from_pairs(summary_id, kp_ids, scores, scorer, params)
+    except DataError as e:
+        raise FormatError(str(e), path=path) from e
 
 
 # -- clustering ------------------------------------------------------------

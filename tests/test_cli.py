@@ -485,6 +485,24 @@ class TestConfigFile:
         assert run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
                    "--config", cfg) == 1
 
+    def test_number_json_cannot_read_is_usage_error(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 1' + "0" * 4999 + "}")  # past the int max-str-digits limit
+        capsys.readouterr()
+        assert run("build", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--scores", "scores_bininc.jsonl", "--config", cfg) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_number_too_large_for_a_float_is_usage_error(self, dataset, tmp_path, capsys):
+        out = scored_copy(dataset, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ratio": 1' + "0" * 399 + "}")
+        capsys.readouterr()
+        assert run("weaklabel", "--in-dir", out, "--out-dir", tmp_path / "w",
+                   "--scores", "scores_bininc.jsonl", "--config", cfg) == 1
+        assert "config key 'ratio': invalid value" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
     BUILD = ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf")
 

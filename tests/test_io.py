@@ -20,6 +20,7 @@ from kph import (
 )
 from kph import io as kio
 from helpers import random_hierarchy, random_score_matrix
+from oracles import load_scores_reference, write_scores_reference
 
 
 def kp_set(n=3, summary_id="s", domain="hotels", filtered=()):
@@ -176,6 +177,26 @@ class TestMatchMatrixRoundTrip:
         with pytest.raises(FormatError):
             kio.load_match_matrix(p)
 
+    def test_cells_parse_as_float(self, tmp_path):
+        p = tmp_path / "mm.csv"
+        p.write_text("# summary_id=s domain=hotels\nsentence_id,a,b\n"
+                     "t0, 0.5 ,1e-1\nt1,.25,1\n")
+        assert kio.load_match_matrix(p).values.tolist() == [[0.5, 0.1], [0.25, 1.0]]
+
+    @pytest.mark.parametrize("rows,message", [
+        (["t0,nan,0.5"], "values must lie in [0, 1]"),
+        (["t0,0.5,0.5", "t1,1e309,0.5"], "values must lie in [0, 1]"),
+        # the first bad row is named, even when a later row is short
+        (["t0,x,0.5", "t1,0.5"], "record 3: non-numeric likelihood"),
+        (["t0,0.5,0.5", "t1,0.5", "t2,x,0.5"], "record 4: row has 2 cells, header has 3"),
+    ])
+    def test_first_bad_row_is_named(self, tmp_path, rows, message):
+        p = tmp_path / "mm.csv"
+        p.write_text("# summary_id=s domain=hotels\nsentence_id,a,b\n" + "\n".join(rows) + "\n")
+        with pytest.raises(FormatError) as exc:
+            kio.load_match_matrix(p)
+        assert message in str(exc.value)
+
 
 class TestScoresRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -227,6 +248,147 @@ class TestScoresRoundTrip:
         p.write_text(text)
         with pytest.raises(FormatError):
             kio.load_external_scores(p)
+
+
+# A quote, a backslash and a tab are escaped in JSON text; non-ASCII is not.
+ODD_IDS = ('say "hi"', "back\\slash", "tab\there", "café", "日本")
+PLAIN_IDS = tuple(f"k{i:02d}" for i in range(10))
+
+
+def odd_score_matrix(rng: random.Random, ids) -> ScoreMatrix:
+    """Scores over ids that mix -0.0, 0.0 and 1.0 in with random values."""
+    values = np.zeros((len(ids), len(ids)))
+    for i in range(len(ids)):
+        for j in range(len(ids)):
+            if i != j:
+                values[i, j] = rng.choice([-0.0, 0.0, 1.0, rng.random()])
+    return ScoreMatrix("s", ids, values, "avg", {"theta": 0.5, "inputs": ["a", "b"], "k": 3})
+
+
+def pair_line(src: str, dst: str, score: str) -> str:
+    return (f'{{"src": {json.dumps(src, ensure_ascii=False)}, '
+            f'"dst": {json.dumps(dst, ensure_ascii=False)}, "score": {score}}}')
+
+
+def _edit_one(edit):
+    """A variant that rewrites one random pair line with edit(obj, rng)."""
+    def variant(header, pairs, rng):
+        k = rng.randrange(len(pairs))
+        return [header, *pairs[:k], edit(json.loads(pairs[k]), rng), *pairs[k + 1:]]
+    return variant
+
+
+def _shuffled(header, pairs, rng):
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    return [header, *pairs]
+
+
+def _blank_lines(header, pairs, rng):
+    lines = [header, *pairs]
+    for _ in range(3):
+        lines.insert(rng.randrange(1, len(lines) + 1), rng.choice(["", "   ", "\t"]))
+    return lines
+
+
+def _duplicate_in_place(header, pairs, rng):
+    i, j = rng.sample(range(len(pairs)), 2)
+    pairs = list(pairs)
+    pairs[i] = pairs[j]  # the line count stays n(n-1)
+    return [header, *pairs]
+
+
+def _duplicate_header_id(header, pairs, rng):
+    meta = json.loads(header)
+    meta["kp_ids"][-1] = meta["kp_ids"][0]
+    return [kio.dumps6(meta), *pairs]
+
+
+# score-file rewrites: (header line, pair lines, rng) -> the file's lines
+LOADER_VARIANTS = {
+    "canonical": lambda header, pairs, rng: [header, *pairs],
+    "escaped ids": lambda header, pairs, rng: [header, *(p.replace('"k', '"\\u006b')
+                                                       for p in pairs)],
+    "compact spacing": lambda header, pairs, rng: [
+        header, *(json.dumps(json.loads(p), separators=(",", ":")) for p in pairs)],
+    "crlf endings": lambda header, pairs, rng: [header, *(p + "\r" for p in pairs)],
+    "shuffled": _shuffled,
+    "blank lines": _blank_lines,
+    "duplicated pair in place": _duplicate_in_place,
+    "duplicated pair appended": lambda header, pairs, rng: [header, *pairs, rng.choice(pairs)],
+    "missing pair": lambda header, pairs, rng: [header, *pairs[:-1]],
+    "duplicate header id": _duplicate_header_id,
+    "unknown id": _edit_one(lambda o, rng: pair_line("zz", o["dst"], "0.500000")),
+    "self pair": _edit_one(lambda o, rng: pair_line(o["src"], o["src"], "0.500000")),
+    "score above 1": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "1.000001")),
+    "score far above 1": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "9.999999")),
+    "negative score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "-0.100000")),
+    "integer score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "1")),
+    "short score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "0.5")),
+    "huge integer score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "9" * 400)),
+    "string score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], '"0.500000"')),
+    "extra key": _edit_one(lambda o, rng: json.dumps({**o, "note": 1})),
+}
+
+
+def load_outcome(load, path):
+    """What a loader makes of a file: the matrix's fields, or the error text."""
+    try:
+        s = load(path)
+    except FormatError as e:
+        return str(e)
+    return s.summary_id, s.kp_ids, s.values.shape, s.values.tobytes(), s.scorer, s.params
+
+
+class TestScoreFileFastPaths:
+    """The array-speed score writer and loader against their per-line oracles."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    def test_writer_bytes_match_reference(self, tmp_path, n):
+        rng = random.Random(n)
+        for _ in range(8):
+            s = odd_score_matrix(rng, rng.sample(PLAIN_IDS + ODD_IDS, n))
+            kio.write_scores(tmp_path / "fast.jsonl", s)
+            write_scores_reference(tmp_path / "ref.jsonl", s)
+            assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("variant", sorted(LOADER_VARIANTS))
+    def test_loader_matches_reference(self, tmp_path, variant):
+        p = tmp_path / "scores.jsonl"
+        for seed in range(6):
+            rng = random.Random(f"{variant}/{seed}")
+            pool = PLAIN_IDS + ODD_IDS if seed % 2 else PLAIN_IDS
+            kio.write_scores(p, odd_score_matrix(rng, rng.sample(pool, rng.choice([2, 3, 5]))))
+            header, *pairs = p.read_text(encoding="utf-8").splitlines()
+            lines = LOADER_VARIANTS[variant](header, pairs, rng)
+            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert (load_outcome(kio.load_external_scores, p)
+                    == load_outcome(load_scores_reference, p)), f"{variant} (seed {seed})"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_canonical_files_take_the_array_path(self, tmp_path, n):
+        p = tmp_path / "scores.jsonl"
+        kio.write_scores(p, odd_score_matrix(random.Random(n), PLAIN_IDS[:n]))
+        lines = p.read_text().splitlines()
+        values = kio._canonical_score_values(list(PLAIN_IDS[:n]), lines[1:])
+        assert values is not None
+        assert values.tobytes() == load_scores_reference(p).values.tobytes()
+
+    def test_lines_are_not_decoded_together(self, tmp_path):
+        """Two objects on one line plus one object split over two keep the
+        line count right and decode as one JSON array, but are no score file."""
+        p = tmp_path / "scores.jsonl"
+        kio.write_scores(p, odd_score_matrix(random.Random(3), PLAIN_IDS[:3]))
+        header, *pairs = p.read_text().splitlines()
+        head, tail = pairs[2].split(', "score"')
+        lines = [pairs[0] + ", " + pairs[1], head, '"score"' + tail, *pairs[3:]]
+        assert len(lines) == len(pairs)
+        assert len(json.loads("[" + ",".join(lines) + "]")) == len(pairs)
+        p.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            kio.load_external_scores(p)
+        assert str(exc.value) == load_outcome(load_scores_reference, p)
+        assert "record 2: invalid JSON: Extra data" in str(exc.value)
 
 
 class TestHierarchyRoundTrip:

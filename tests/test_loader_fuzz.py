@@ -1,10 +1,12 @@
 """Seeded loader property test: every mutated input file is a clean exit 2.
 
 Each input file kind is truncated, byte-flipped, given a duplicated line,
-stripped of a line, or has one numeric literal replaced by NaN, -1, 1e309
-or null. Every subcommand that reads the file must then either succeed
-(the mutation can leave a valid file) or exit 2 with nothing written to
-its output directory; exit 3 (internal invariant breach) never happens.
+stripped of a line, or has one numeric literal replaced by NaN, -1, 1e309,
+null, or an integer too large for a float (400 digits) or for json to
+read (5000 digits, past Python's int max-str-digits limit). Every
+subcommand that reads the file must then either succeed (the mutation can
+leave a valid file) or exit 2 with nothing written to its output
+directory; exit 3 (internal invariant breach) never happens.
 """
 
 import random
@@ -42,7 +44,8 @@ ARGV = {
 }
 
 MUTATIONS = ("truncate", "flip", "duplicate", "drop",
-             "splice:NaN", "splice:-1", "splice:1e309", "splice:null")
+             "splice:NaN", "splice:-1", "splice:1e309", "splice:null",
+             "splice:1" + "0" * 399, "splice:1" + "0" * 4999)
 
 SEEDS_PER_MUTATION = 6
 
@@ -107,10 +110,10 @@ def output_files(out_dir):
 def test_mutated_file_exits_2_and_writes_nothing(filename, pristine, tmp_path, capsys):
     rejected = 0
     runs = 0
-    for mutation in MUTATIONS:
+    for m, mutation in enumerate(MUTATIONS):
         for seed in range(SEEDS_PER_MUTATION):
             rng = random.Random(f"{filename}/{mutation}/{seed}")
-            data_dir = tmp_path / f"{mutation}-{seed}".replace(":", "_")
+            data_dir = tmp_path / f"{m}-{seed}"
             shutil.copytree(pristine, data_dir / "in")
             target = data_dir / "in" / rng.choice(["h1", "h2", "r1", "r2"]) / filename
             target.write_bytes(mutate(target.read_bytes(), mutation, rng))
@@ -119,7 +122,7 @@ def test_mutated_file_exits_2_and_writes_nothing(filename, pristine, tmp_path, c
                 code = main(ARGV[command] + ["--in-dir", str(data_dir / "in"),
                                             "--out-dir", str(out_dir)])
                 err = capsys.readouterr().err
-                where = f"{command} on {filename} after {mutation} (seed {seed})"
+                where = f"{command} on {filename} after {mutation:.20} (seed {seed})"
                 assert code in (0, 2), f"{where}: exit {code}\n{err}"
                 runs += 1
                 if code == 2:
