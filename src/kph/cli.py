@@ -21,6 +21,8 @@ import traceback
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from . import io as kio
 from .construction import ALGORITHMS, DEFAULT_MAX_PASSES, ConstructionConfig, build_hierarchy
@@ -310,11 +312,19 @@ def cmd_build(args, parser: _Parser) -> int:
         run.read(d / scores_name)
 
     unconverged: dict[str, set[float]] = {}  # summary -> taus whose tncf hit max_passes
+    # reduced_forest sees tau only through the threshold graph s.values > tau,
+    # so one build serves every tau with the same graph.
+    forests: dict[tuple[str, bytes], Hierarchy] = {}
 
     def builder(s, tau: float) -> Hierarchy:
+        config = ConstructionConfig(tau=tau, algorithm=algorithm, max_passes=max_passes)
+        if algorithm == "reduced_forest":
+            key = (s.summary_id, np.packbits(s.values > tau).tobytes())
+            if key not in forests:
+                forests[key] = build_hierarchy(s, config)
+            return forests[key]
         stats: dict = {}
-        h = build_hierarchy(s, ConstructionConfig(
-            tau=tau, algorithm=algorithm, max_passes=max_passes), stats=stats)
+        h = build_hierarchy(s, config, stats=stats)
         if stats.get("converged") is False:
             unconverged.setdefault(s.summary_id, set()).add(tau)
         return h

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Hierarchy, canonical_hierarchy, derive_relations
+from .core import Hierarchy, RelationSet, canonical_hierarchy, derive_relations
 from .construction import objective_value
 from .errors import DataError
 from .scoring import ScoreMatrix
@@ -110,11 +110,14 @@ class EvalReport:
 
 
 def _prf(pred: frozenset, gold: frozenset) -> DomainMetrics:
-    if not pred and not gold:
+    return _prf_counts(len(pred & gold), len(pred), len(gold))
+
+
+def _prf_counts(inter: int, npred: int, ngold: int) -> DomainMetrics:
+    if not npred and not ngold:
         return DomainMetrics(1.0, 1.0, 1.0)
-    inter = len(pred & gold)
-    precision = inter / len(pred) if pred else 0.0
-    recall = inter / len(gold) if gold else 1.0
+    precision = inter / npred if npred else 0.0
+    recall = inter / ngold if ngold else 1.0
     f1 = 0.0 if precision + recall == 0.0 else 2 * precision * recall / (precision + recall)
     return DomainMetrics(precision, recall, f1)
 
@@ -128,6 +131,23 @@ def _by_summary(hs: Hierarchy | Iterable[Hierarchy], role: str) -> dict[str, Hie
             raise DataError(f"{role} hierarchies list summary {h.summary_id!r} twice")
         out[h.summary_id] = h
     return out
+
+
+def _check_same_summaries(pred_map: Mapping[str, Hierarchy],
+                          gold_map: Mapping[str, Hierarchy]) -> None:
+    if set(pred_map) != set(gold_map):
+        raise DataError(
+            f"predicted and gold cover different summaries "
+            f"(only predicted: {sorted(set(pred_map) - set(gold_map))}, "
+            f"only gold: {sorted(set(gold_map) - set(pred_map))})")
+
+
+def _check_known_kps(sid: str, pred: Hierarchy, gold: Hierarchy) -> None:
+    unknown = pred.kp_ids - gold.kp_ids
+    if unknown:
+        raise DataError(
+            f"summary {sid!r}: predicted hierarchy uses key points not in gold: "
+            f"{sorted(unknown)}")
 
 
 def _tagged_relations(hs: Mapping[str, Hierarchy]) -> frozenset[tuple[str, str, str]]:
@@ -148,18 +168,9 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
     """
     pred_map = _by_summary(predicted, "predicted")
     gold_map = _by_summary(gold, "gold")
-    if set(pred_map) != set(gold_map):
-        only_p = sorted(set(pred_map) - set(gold_map))
-        only_g = sorted(set(gold_map) - set(pred_map))
-        raise DataError(
-            f"predicted and gold cover different summaries "
-            f"(only predicted: {only_p}, only gold: {only_g})")
+    _check_same_summaries(pred_map, gold_map)
     for sid, ph in sorted(pred_map.items()):
-        unknown = ph.kp_ids - gold_map[sid].kp_ids
-        if unknown:
-            raise DataError(
-                f"summary {sid!r}: predicted hierarchy uses key points not in gold: "
-                f"{sorted(unknown)}")
+        _check_known_kps(sid, ph, gold_map[sid])
     return _prf(_tagged_relations(pred_map), _tagged_relations(gold_map))
 
 
@@ -168,11 +179,7 @@ def evaluate_hierarchies(predicted: Iterable[Hierarchy],
     """Relation F1 per domain (pooled within each domain) plus the macro mean."""
     pred_map = _by_summary(predicted, "predicted")
     gold_map = _by_summary(gold, "gold")
-    if set(pred_map) != set(gold_map):
-        raise DataError(
-            f"predicted and gold cover different summaries "
-            f"(only predicted: {sorted(set(pred_map) - set(gold_map))}, "
-            f"only gold: {sorted(set(gold_map) - set(pred_map))})")
+    _check_same_summaries(pred_map, gold_map)
     domains: dict[str, list[str]] = {}
     for sid in sorted(gold_map):
         domains.setdefault(gold_map[sid].domain, []).append(sid)
@@ -304,7 +311,15 @@ def loo_threshold_tuning(
     peers; the tau with the best pooled F1 on those peers (ties to the
     smallest tau) is then used to build S itself. The report pools each
     domain's held-out predictions. Returns the chosen taus, the report and
-    the hierarchies built at them; each (summary, tau) is built once.
+    the hierarchies built at them.
+
+    Each (summary, tau) is built once, and each built hierarchy is checked
+    against its gold and tallied once, as (true positives, predicted, gold)
+    relation counts. Pooled relations are tagged by summary, so a peer
+    set's pooled counts are the sums of its members' tallies, and its F1
+    comes from those sums. A builder may return one hierarchy object for
+    several taus; ``kph tune`` and ``kph build --loo`` build reduced_forest
+    once per threshold graph and do so, and the object is tallied once.
     """
     tau_grid = tuple(tau_grid)
     if not tau_grid:
@@ -321,12 +336,35 @@ def loo_threshold_tuning(
                 f"leave-one-out tuning needs at least 2")
 
     built: dict[tuple[str, float], Hierarchy] = {}
+    gold_relations: dict[str, RelationSet] = {}
+    # (true positives, predicted, gold) keyed by summary and built object;
+    # every object stays alive in ``built``, so its id is never reused.
+    tallies: dict[tuple[str, int], tuple[int, int, int]] = {}
 
     def build(sid: str, tau: float) -> Hierarchy:
         key = (sid, tau)
         if key not in built:
             built[key] = builder(scores[sid], tau)
         return built[key]
+
+    def peer_f1(peers: list[str], tau: float) -> float:
+        # relation_f1's checks in relation_f1's order, run on the hierarchies
+        # not tallied yet, so the first error raised is the same.
+        hs = [build(p, tau) for p in peers]
+        new = [(p, h) for p, h in zip(peers, hs) if (p, id(h)) not in tallies]
+        if any(h.summary_id != p or gold[p].summary_id != p for p, h in new):
+            # pooling pairs hierarchies by their own summary ids, not by keys
+            return relation_f1(hs, [gold[p] for p in peers]).f1
+        for p, h in new:
+            _check_known_kps(p, h, gold[p])
+        pred_relations = [derive_relations(h) for _, h in new]
+        for p, _ in new:
+            if p not in gold_relations:
+                gold_relations[p] = derive_relations(gold[p])
+        for (p, h), rel in zip(new, pred_relations):
+            g = gold_relations[p]
+            tallies[p, id(h)] = (len(rel & g), len(rel), len(g))
+        return _prf_counts(*map(sum, zip(*(tallies[p, id(h)] for p, h in zip(peers, hs))))).f1
 
     chosen: dict[str, float] = {}
     for dom in sorted(domains):
@@ -335,8 +373,7 @@ def loo_threshold_tuning(
             best_tau = None
             best_f1 = -1.0
             for tau in tau_grid:
-                f1 = relation_f1([build(p, tau) for p in peers],
-                                 [gold[p] for p in peers]).f1
+                f1 = peer_f1(peers, tau)
                 if f1 > best_f1:
                     best_f1 = f1
                     best_tau = tau

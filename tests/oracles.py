@@ -3,20 +3,22 @@
 Everything here is deliberately written with different algorithms and data
 structures than the package (Floyd-Warshall matrices, one scorer call per
 key point pair instead of one array kernel per matrix, one json call per
-score-file line instead of one pass over all lines) so that agreement
-between the two is meaningful evidence of correctness.
+score-file line instead of one pass over all lines, one pooled relation F1
+per leave-one-out peer set instead of summed per-summary counts) so that
+agreement between the two is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from kph import (DataError, FormatError, Hierarchy, HierarchyError, ScoreMatrix,
                  build_reduced_forest, canonical_hierarchy)
 from kph import io as kio
+from kph.evaluation import DEFAULT_TAU_GRID, EvalReport, relation_f1
 
 
 # -- reachability (Floyd-Warshall) ---------------------------------------
@@ -452,3 +454,70 @@ def tncf_reference(s: ScoreMatrix, tau: float, max_passes: int = 100) -> Hierarc
         clusters, parent = best_state
         cur = best_obj
     return canonical_hierarchy(s.summary_id, clusters, parent)
+
+
+# -- leave-one-out tuning (one pooled relation_f1 per peer set and tau) --
+
+def loo_threshold_tuning_reference(
+    scores: Mapping[str, ScoreMatrix],
+    gold: Mapping[str, Hierarchy],
+    builder: Callable[[ScoreMatrix, float], Hierarchy],
+    tau_grid: Sequence[float] = DEFAULT_TAU_GRID,
+) -> tuple[dict[str, float], EvalReport, dict[str, Hierarchy]]:
+    """Pick each summary's tau on the other summaries of its domain.
+
+    For summary S, every tau in the grid builds hierarchies for S's domain
+    peers; the tau with the best pooled F1 on those peers (ties to the
+    smallest tau) is then used to build S itself. The report pools each
+    domain's held-out predictions. Returns the chosen taus, the report and
+    the hierarchies built at them; each (summary, tau) is built once.
+    """
+    tau_grid = tuple(tau_grid)
+    if not tau_grid:
+        raise ValueError("tau grid must be nonempty")
+    if set(scores) != set(gold):
+        raise DataError("scores and gold must cover the same summaries")
+    domains: dict[str, list[str]] = {}
+    for sid in sorted(gold):
+        domains.setdefault(gold[sid].domain, []).append(sid)
+    for dom, sids in sorted(domains.items()):
+        if len(sids) < 2:
+            raise DataError(
+                f"domain {dom!r} has a single summary ({sids[0]!r}); "
+                f"leave-one-out tuning needs at least 2")
+
+    built: dict[tuple[str, float], Hierarchy] = {}
+
+    def build(sid: str, tau: float) -> Hierarchy:
+        key = (sid, tau)
+        if key not in built:
+            built[key] = builder(scores[sid], tau)
+        return built[key]
+
+    chosen: dict[str, float] = {}
+    for dom in sorted(domains):
+        for sid in domains[dom]:
+            peers = [p for p in domains[dom] if p != sid]
+            best_tau = None
+            best_f1 = -1.0
+            for tau in tau_grid:
+                f1 = relation_f1([build(p, tau) for p in peers],
+                                 [gold[p] for p in peers]).f1
+                if f1 > best_f1:
+                    best_f1 = f1
+                    best_tau = tau
+            chosen[sid] = best_tau
+
+    final = {sid: build(sid, chosen[sid]) for dom in sorted(domains) for sid in domains[dom]}
+    per_domain = {}
+    for dom in sorted(domains):
+        sids = domains[dom]
+        per_domain[dom] = relation_f1([final[sid] for sid in sids],
+                                      [gold[sid] for sid in sids])
+    report = EvalReport(
+        per_domain=per_domain,
+        chosen_tau=chosen,
+        provenance={"tau_grid": list(tau_grid),
+                    "builder": getattr(builder, "__name__", "custom")},
+    )
+    return chosen, report, final

@@ -422,6 +422,21 @@ def test_criterion_09_dataset_conformance():
     _criterion(9, check)
 
 
+def test_criterion_09_on_generated_paper_corpus(tmp_path, monkeypatch):
+    """Criterion 9's totals on the benchmark's paper-shaped corpus (seed 0)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from generator import write_corpus
+    from workloads import BUILD_PAPER
+
+    planted = write_corpus(tmp_path, BUILD_PAPER.spec, 0)
+    kp_sets, golds = kio.load_dataset(tmp_path)
+    stats = kio.dataset_stats(kp_sets, golds)
+    assert stats["num_kphs"] == 12, stats
+    assert stats["num_key_points"] == 517, stats
+    assert stats["num_filtered"] == 86, stats
+    assert stats["num_relations"] == sum(len(p.relations()) for p in planted), stats
+
+
 def test_criterion_10_weak_label_export():
     def check():
         rng = random.Random(1010)

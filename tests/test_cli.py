@@ -292,6 +292,39 @@ class TestTune:
         assert sorted(calls) == [(sid, tau) for sid in ("h1", "h2", "r1", "r2")
                                  for tau in (0.2, 0.5)]
 
+    def _count_builds(self, dataset, tmp_path, monkeypatch, algorithm, *grid):
+        """(summary, tau, threshold graph) of every build that one tune run makes."""
+        out = scored_copy(dataset, tmp_path)
+        calls = []
+        real = kph.cli.build_hierarchy
+
+        def counting(s, config, stats=None):
+            calls.append((s.summary_id, config.tau, np.packbits(s.values > config.tau).tobytes()))
+            return real(s, config, stats=stats)
+
+        monkeypatch.setattr(kph.cli, "build_hierarchy", counting)
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / f"tuned_{algorithm}",
+                   "--scores", "scores_bininc.jsonl", "--algorithm", algorithm, *grid) == 0
+        return out, calls
+
+    def test_reduced_forest_built_once_per_threshold_graph(self, dataset, tmp_path,
+                                                           monkeypatch):
+        out, calls = self._count_builds(dataset, tmp_path, monkeypatch, "reduced_forest")
+        graphs = set()
+        for sid in ("h1", "h2", "r1", "r2"):
+            s = kio.load_external_scores(out / sid / "scores_bininc.jsonl")
+            graphs |= {(sid, np.packbits(s.values > tau).tobytes())
+                       for tau in kph.cli.DEFAULT_TAU_GRID}
+        assert len(calls) == len(graphs) < 4 * len(kph.cli.DEFAULT_TAU_GRID)
+        assert {(sid, graph) for sid, _, graph in calls} == graphs
+
+    def test_tncf_built_once_per_tau(self, dataset, tmp_path, monkeypatch):
+        _, calls = self._count_builds(dataset, tmp_path, monkeypatch, "tncf",
+                                      "--grid", "0:1:0.05")
+        taus = [round(0.05 * k, 10) for k in range(21)]
+        assert sorted((sid, tau) for sid, tau, _ in calls) == [
+            (sid, tau) for sid in ("h1", "h2", "r1", "r2") for tau in taus]
+
     def test_singleton_domain_is_data_error(self, tmp_path, capsys):
         root = tmp_path / "data"
         make_summary(root, "only", "hotels")

@@ -1,8 +1,10 @@
 """Evaluation: relation F1, PR curves, AUC, tuning, baselines, brute force."""
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kph import (
@@ -29,7 +31,7 @@ from kph import (
     spearman_correlation,
 )
 from helpers import random_hierarchy, random_score_matrix
-from oracles import pr_points_ref
+from oracles import loo_threshold_tuning_reference, pr_points_ref
 
 
 def c(*ids):
@@ -435,6 +437,131 @@ class TestLooThresholdTuning:
         chosen, report, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
         assert set(report.per_domain) == {"hotels", "restaurants"}
         assert len(chosen) == 4
+
+
+def _memoised_reduced_forest():
+    """reduced_forest built once per threshold graph, as ``kph tune`` builds it."""
+    forests = {}
+
+    def builder(s, tau):
+        key = (s.summary_id, np.packbits(s.values > tau).tobytes())
+        if key not in forests:
+            forests[key] = build_reduced_forest(s, tau)
+        return forests[key]
+
+    return builder
+
+
+LOO_BUILDERS = {
+    "reduced_forest": lambda: build_reduced_forest,
+    "reduced_forest_memoised": _memoised_reduced_forest,
+    "tncf": lambda: build_tncf,
+    "greedy": lambda: build_greedy,
+    "greedy_gs": lambda: build_greedy_gs,
+}
+
+
+def _coarse_score_matrix(rng, n, sid):
+    """Scores on a 0.1 grid, so taus often share a threshold graph and F1s tie."""
+    ids = tuple(f"k{i:02d}" for i in range(n))
+    return ScoreMatrix.from_pairs(summary_id=sid, kp_ids=ids, scores={
+        (a, b): rng.randint(0, 10) / 10 for a in ids for b in ids if a != b})
+
+
+def _random_loo_case(rng):
+    """Domains of 2 to 5 summaries; some golds induce no relations, some lack a key
+    point, and in some domains two golds carry each other's summary ids."""
+    scores, golds = {}, {}
+    for d in range(rng.randint(1, 3)):
+        size = rng.randint(2, 5)
+        for k in range(size):
+            sid, dom, n = f"d{d}s{k}", f"dom{d}", rng.randint(1, 6)
+            scores[sid] = _coarse_score_matrix(rng, n, sid)
+            r = rng.random()
+            if r < 0.25:
+                golds[sid] = Hierarchy(summary_id=sid, domain=dom,
+                                       clusters=tuple(c(x) for x in scores[sid].kp_ids))
+            elif r < 0.28 and n > 1:
+                golds[sid] = random_hierarchy(rng, n - 1, summary_id=sid, domain=dom)
+            else:
+                golds[sid] = random_hierarchy(rng, n, summary_id=sid, domain=dom)
+        if rng.random() < 0.1:
+            a, b = f"d{d}s0", f"d{d}s{size - 1}"
+            golds[a], golds[b] = (dataclasses.replace(golds[a], summary_id=b),
+                                  dataclasses.replace(golds[b], summary_id=a))
+    grid = rng.choices([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0], k=rng.randint(1, 7))
+    return scores, golds, grid
+
+
+def _loo_outcome(tune, scores, golds, builder, grid):
+    try:
+        chosen, report, built = tune(scores, golds, builder, grid)
+    except DataError as exc:
+        return "DataError", str(exc)
+    return (chosen, dict(report.per_domain), report.chosen_tau, report.provenance,
+            {sid: h.canonical_form() for sid, h in built.items()})
+
+
+def _loo_outcomes(scores, golds, make_builder, grid):
+    """The outcomes of the package's LOO and of the reference, each with a fresh builder."""
+    return tuple(_loo_outcome(tune, scores, golds, make_builder(), grid)
+                 for tune in (loo_threshold_tuning, loo_threshold_tuning_reference))
+
+
+class TestLooMatchesReference:
+    """Summed per-summary tallies against one pooled relation_f1 per peer set and tau."""
+
+    @pytest.mark.parametrize("name", sorted(LOO_BUILDERS))
+    def test_random_domains(self, name):
+        rng = random.Random(808)
+        outcomes = []
+        for _ in range(40):
+            scores, golds, grid = _random_loo_case(rng)
+            new, ref = _loo_outcomes(scores, golds, LOO_BUILDERS[name], grid)
+            assert new == ref
+            outcomes.append(new)
+        # the seeded cases reach both an error and a peer set with no relations at all
+        assert any(o[0] == "DataError" for o in outcomes)
+        assert any(m == (1.0, 1.0, 1.0) for o in outcomes if o[0] != "DataError"
+                   for m in o[1].values())
+
+    def test_single_summary_domain_same_error(self):
+        scores, golds = _plateau_domain(num=1)
+        new, ref = _loo_outcomes(scores, golds, LOO_BUILDERS["reduced_forest"], [0.5])
+        assert new == ref
+        assert new[0] == "DataError" and "single summary" in new[1]
+
+    def test_key_point_missing_from_gold_same_error(self):
+        scores, golds = _plateau_domain(num=3)
+        golds["s2"] = Hierarchy(summary_id="s2", domain="hotels", clusters=(c("a", "b"),))
+        new, ref = _loo_outcomes(scores, golds, LOO_BUILDERS["reduced_forest"], [0.5])
+        assert new == ref
+        assert new == ("DataError", "summary 's2': predicted hierarchy uses key points "
+                                    "not in gold: ['cc']")
+
+    def test_each_built_hierarchy_and_gold_derived_once(self, monkeypatch):
+        import kph.evaluation as ev
+
+        rng = random.Random(5)
+        scores = {f"s{k}": _coarse_score_matrix(rng, 5, f"s{k}") for k in range(4)}
+        golds = {sid: random_hierarchy(rng, 5, summary_id=sid, domain="hotels")
+                 for sid in scores}
+        grid = [0.1 * k for k in range(11)]
+        derived = []
+        monkeypatch.setattr(ev, "derive_relations",
+                            lambda h: derived.append(h) or derive_relations(h))
+        memoised = _memoised_reduced_forest()
+        builds = []
+
+        def builder(s, tau):
+            builds.append(memoised(s, tau))
+            return builds[-1]
+
+        _, _, final = loo_threshold_tuning(scores, golds, builder, grid)
+        objects = {id(h) for h in builds}
+        # tuning: each distinct built object and each gold once; then the
+        # final report's relation_f1 derives every final hierarchy and gold
+        assert len(derived) == len(objects) + len(golds) + 2 * len(final)
 
 
 class TestBruteForce:
