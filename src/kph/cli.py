@@ -90,27 +90,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--name", default=None, help="output score name (default: combined)")
     p.set_defaults(func=cmd_combine)
 
-    for cmd_name, forced_loo in (("build", False), ("tune", True)):
-        p = sub.add_parser(
-            cmd_name, parents=[common],
-            help=("build hierarchies from score files" if not forced_loo else
-                  "build hierarchies with leave-one-out tau tuning"))
+    for cmd_name, help_text in (("build", "build hierarchies from score files"),
+                                ("tune", "build hierarchies with leave-one-out tau tuning")):
+        p = sub.add_parser(cmd_name, parents=[common], help=help_text)
         p.add_argument("--scores", help="score file name inside each summary directory")
         p.add_argument("--algorithm", choices=ALGORITHMS)
         p.add_argument("--max-passes", type=int, default=None)
-        p.add_argument("--gold", default=None,
-                       help="gold hierarchy file name (default: gold.jsonl)")
-        if forced_loo:
-            p.add_argument("--grid", default=None,
-                           help="tau grid as start:stop:step or a comma list")
-            p.set_defaults(func=cmd_build, loo=True, tau=None)
-        else:
+        if cmd_name == "build":
             p.add_argument("--tau", type=float, default=None)
-            p.add_argument("--loo", action="store_true", default=False,
-                           help="tune tau per summary on its domain peers")
+        else:
+            p.add_argument("--gold", default=None,
+                           help="gold hierarchy file name (default: gold.jsonl)")
             p.add_argument("--grid", default=None,
                            help="tau grid as start:stop:step or a comma list")
-            p.set_defaults(func=cmd_build)
+        p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", parents=[common],
                        help="relation F1 of predicted vs gold hierarchies")
@@ -167,10 +160,8 @@ def _apply_config(args: argparse.Namespace, parser: _Parser) -> None:
         action = options[args.command].get(key)
         if action is None:
             continue  # option not used by this subcommand
-        # A switch (nargs 0, such as --loo) takes a JSON boolean; no other option does.
-        kind = (bool if action.nargs == 0
-                else {None: str, int: int, float: (int, float)}[action.type])
-        ok = isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
+        kind = {None: str, int: int, float: (int, float)}[action.type]
+        ok = isinstance(value, kind) and not isinstance(value, bool)
         if ok and action.type is float:
             try:
                 float(value)
@@ -196,9 +187,7 @@ def _in_out_dirs(args, parser: _Parser) -> tuple[Path, Path]:
 
 def _dirs_with(root: Path, filename: str) -> list[Path]:
     """The summary directories under root that hold filename; at least one."""
-    if not root.is_dir():
-        raise DataError(f"input directory {root} does not exist")
-    dirs = sorted(p.parent for p in root.glob(f"*/{filename}"))
+    dirs = kio.discover_summaries(root, filename)
     if not dirs:
         raise DataError(f"no summaries found: no */{filename} under {root}")
     return dirs
@@ -211,8 +200,10 @@ def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
             start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0:
-                raise ValueError("step must be positive")
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
+            if step < 1e-6:  # the resolution every tau is written at
+                raise ValueError("step must be at least 1e-06")
             values = []
             k = 0
             while True:
@@ -220,6 +211,8 @@ def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
                 if v > stop + 1e-9:
                     break
                 values.append(v)
+                if not 0.0 <= v <= 1.0:
+                    break  # rejected below; a far stop must not grow the list
                 k += 1
         else:
             values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -245,7 +238,8 @@ def _load_summary_scores(d: Path, scores_name: str):
             raise DataError(
                 f"{d}: key points are for {kps.summary_id!r} but scores are "
                 f"for {s.summary_id!r}")
-        keep = [x for x in s.kp_ids if x in set(kps.unfiltered_ids)]
+        unfiltered = set(kps.unfiltered_ids)
+        keep = [x for x in s.kp_ids if x in unfiltered]
         s = s.restrict(keep)
         domain = kps.domain
     return s, domain
@@ -292,13 +286,11 @@ def cmd_build(args, parser: _Parser) -> int:
     max_passes = args.max_passes if args.max_passes is not None else DEFAULT_MAX_PASSES
     if max_passes < 1:
         parser.error(f"--max-passes must be >= 1, got {max_passes}")
-    if args.loo and args.tau is not None:
-        parser.error("--tau and --loo are mutually exclusive")
-    if not args.loo and args.tau is None:
-        parser.error("either --tau or --loo is required")
-    if args.tau is not None and not 0.0 <= args.tau <= 1.0:
-        parser.error(f"--tau must lie in [0, 1], got {args.tau}")
-    gold_name = args.gold or kio.GOLD_FILE
+    tuning = args.command == "tune"
+    if not tuning:
+        tau = _require(args, parser, "tau", args.tau)
+        if not 0.0 <= tau <= 1.0:
+            parser.error(f"--tau must lie in [0, 1], got {tau}")
 
     run = _Manifest(out_dir)
     scores_by_sid, dir_by_sid, domain_by_sid = {}, {}, {}
@@ -332,13 +324,14 @@ def cmd_build(args, parser: _Parser) -> int:
     config: dict[str, object] = {"scores": scores_name, "algorithm": algorithm,
                                  "max_passes": max_passes}
     report = None
-    if args.loo:
+    if tuning:
         grid = _parse_grid(args.grid, parser)
+        gold_name = args.gold or kio.GOLD_FILE
         golds = {}
         for sid, d in sorted(dir_by_sid.items()):
             gold_path = d / gold_name
             if not gold_path.exists():
-                raise DataError(f"{d}: --loo needs {gold_name}, which is missing")
+                raise DataError(f"{d}: tune needs {gold_name}, which is missing")
             g = kio.load_hierarchy(gold_path)
             if g.summary_id != sid:
                 raise DataError(f"{d}: gold is for {g.summary_id!r}, scores for {sid!r}")
@@ -349,8 +342,8 @@ def cmd_build(args, parser: _Parser) -> int:
         config["grid"] = [kio.quant6(v) for v in grid]
         config["chosen_tau"] = {sid: kio.quant6(t) for sid, t in sorted(taus.items())}
     else:
-        built = {sid: builder(scores_by_sid[sid], args.tau) for sid in sorted(scores_by_sid)}
-        config["tau"] = args.tau
+        built = {sid: builder(scores_by_sid[sid], tau) for sid in sorted(scores_by_sid)}
+        config["tau"] = tau
 
     for sid, stopped in sorted(unconverged.items()):
         print(f"kph: warning: summary {sid!r}: tncf stopped at max_passes={max_passes} "

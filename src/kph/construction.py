@@ -407,7 +407,7 @@ def _rounding_margin(wm: np.ndarray) -> float:
     return 4.0 * (n * (n - 1) + 8 * n) * 2.0 ** -53 * float(np.abs(wm).sum())
 
 
-def build_tncf(s: ScoreMatrix, tau: float, config: ConstructionConfig | None = None,
+def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
                stats: dict | None = None) -> Hierarchy:
     """Local search over node and cluster re-attachments.
 
@@ -426,17 +426,11 @@ def build_tncf(s: ScoreMatrix, tau: float, config: ConstructionConfig | None = N
     the same move, with the same float tie-breaking, as recomputing the
     objective of every candidate in the same order.
 
-    ``config`` must carry this ``tau`` and the "tncf" algorithm. If
-    ``stats`` is given, it receives ``passes``, ``candidates`` (moves
+    If ``stats`` is given, it receives ``passes``, ``candidates`` (moves
     scored), ``exact_checks`` (moves materialised and summed exactly),
     ``accepted`` (moves applied) and ``converged`` (False when the search
     stopped at max_passes with a move still improving).
     """
-    if config is None:
-        config = ConstructionConfig(tau=tau, algorithm="tncf")
-    if config.tau != tau or config.algorithm != "tncf":
-        raise ValueError(f"build_tncf(tau={tau}) got a config for algorithm "
-                         f"{config.algorithm!r} at tau={config.tau}")
     init = build_reduced_forest(s, tau)
     clusters: list[frozenset[str]] = list(init.clusters)
     parent: dict[int, int] = dict(init.parent)
@@ -449,7 +443,7 @@ def build_tncf(s: ScoreMatrix, tau: float, config: ConstructionConfig | None = N
     cur = _state_objective(clusters, parent, w, pos)
     counts = {"passes": 0, "candidates": 0, "exact_checks": 0, "accepted": 0,
               "converged": False}
-    for _ in range(config.max_passes):
+    for _ in range(max_passes):
         counts["passes"] += 1
         gains, move = _move_gains(clusters, parent, wm, ids)
         counts["candidates"] += len(gains)
@@ -486,7 +480,7 @@ def build_hierarchy(s: ScoreMatrix, config: ConstructionConfig,
     if config.algorithm == "reduced_forest":
         return build_reduced_forest(s, config.tau)
     if config.algorithm == "tncf":
-        return build_tncf(s, config.tau, config, stats)
+        return build_tncf(s, config.tau, config.max_passes, stats)
     if config.algorithm == "greedy":
         return build_greedy(s, config.tau)
     if config.algorithm == "greedy_gs":

@@ -10,7 +10,7 @@ within a domain so a summary's own gold never influences its tau.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -109,10 +109,6 @@ class EvalReport:
         return self._macro(self.per_domain_auc.values())
 
 
-def _prf(pred: frozenset, gold: frozenset) -> DomainMetrics:
-    return _prf_counts(len(pred & gold), len(pred), len(gold))
-
-
 def _prf_counts(inter: int, npred: int, ngold: int) -> DomainMetrics:
     if not npred and not ngold:
         return DomainMetrics(1.0, 1.0, 1.0)
@@ -143,19 +139,27 @@ def _check_same_summaries(pred_map: Mapping[str, Hierarchy],
 
 
 def _check_known_kps(sid: str, pred: Hierarchy, gold: Hierarchy) -> None:
-    unknown = pred.kp_ids - gold.kp_ids
-    if unknown:
+    if not pred.kp_ids <= gold.kp_ids:
         raise DataError(
             f"summary {sid!r}: predicted hierarchy uses key points not in gold: "
-            f"{sorted(unknown)}")
+            f"{sorted(pred.kp_ids - gold.kp_ids)}")
 
 
-def _tagged_relations(hs: Mapping[str, Hierarchy]) -> frozenset[tuple[str, str, str]]:
-    out = set()
-    for sid in sorted(hs):
-        for x, y in derive_relations(hs[sid]):
-            out.add((sid, x, y))
-    return frozenset(out)
+def _pooled_f1(predicted: Hierarchy | Iterable[Hierarchy],
+               gold: Hierarchy | Iterable[Hierarchy],
+               relations: Callable[[Hierarchy], RelationSet]) -> DomainMetrics:
+    """relation_f1 with the relation derivation supplied by the caller."""
+    pred_map = _by_summary(predicted, "predicted")
+    gold_map = _by_summary(gold, "gold")
+    _check_same_summaries(pred_map, gold_map)
+    sids = sorted(pred_map)
+    for sid in sids:
+        _check_known_kps(sid, pred_map[sid], gold_map[sid])
+    pred_rel = [relations(pred_map[sid]) for sid in sids]
+    gold_rel = [relations(gold_map[sid]) for sid in sids]
+    # Pooled relations are tagged by summary, so the pooled counts are sums.
+    return _prf_counts(sum(len(p & g) for p, g in zip(pred_rel, gold_rel)),
+                       sum(map(len, pred_rel)), sum(map(len, gold_rel)))
 
 
 def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
@@ -166,12 +170,7 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
     counts. Empty sets follow fixed conventions: empty predictions score
     precision 0 against nonempty gold, and 1 when gold is empty too.
     """
-    pred_map = _by_summary(predicted, "predicted")
-    gold_map = _by_summary(gold, "gold")
-    _check_same_summaries(pred_map, gold_map)
-    for sid, ph in sorted(pred_map.items()):
-        _check_known_kps(sid, ph, gold_map[sid])
-    return _prf(_tagged_relations(pred_map), _tagged_relations(gold_map))
+    return _pooled_f1(predicted, gold, derive_relations)
 
 
 def evaluate_hierarchies(predicted: Iterable[Hierarchy],
@@ -309,17 +308,15 @@ def loo_threshold_tuning(
 
     For summary S, every tau in the grid builds hierarchies for S's domain
     peers; the tau with the best pooled F1 on those peers (ties to the
-    smallest tau) is then used to build S itself. The report pools each
-    domain's held-out predictions. Returns the chosen taus, the report and
-    the hierarchies built at them.
+    smallest tau) is then used to build S itself. The report is
+    :func:`evaluate_hierarchies` of the held-out predictions against gold,
+    plus the chosen taus. Returns the chosen taus, the report and the
+    hierarchies built at them.
 
-    Each (summary, tau) is built once, and each built hierarchy is checked
-    against its gold and tallied once, as (true positives, predicted, gold)
-    relation counts. Pooled relations are tagged by summary, so a peer
-    set's pooled counts are the sums of its members' tallies, and its F1
-    comes from those sums. A builder may return one hierarchy object for
-    several taus; ``kph tune`` and ``kph build --loo`` build reduced_forest
-    once per threshold graph and do so, and the object is tallied once.
+    Each (summary, tau) is built once, and each built or gold hierarchy
+    object has its relations derived once. A builder may return one
+    hierarchy object for several taus (``kph tune`` builds reduced_forest
+    once per threshold graph), and that object is derived once.
     """
     tau_grid = tuple(tau_grid)
     if not tau_grid:
@@ -336,10 +333,9 @@ def loo_threshold_tuning(
                 f"leave-one-out tuning needs at least 2")
 
     built: dict[tuple[str, float], Hierarchy] = {}
-    gold_relations: dict[str, RelationSet] = {}
-    # (true positives, predicted, gold) keyed by summary and built object;
-    # every object stays alive in ``built``, so its id is never reused.
-    tallies: dict[tuple[str, int], tuple[int, int, int]] = {}
+    # Relations keyed by object id; every object stays alive in ``built`` or
+    # ``gold``, so no id is reused.
+    derived: dict[int, RelationSet] = {}
 
     def build(sid: str, tau: float) -> Hierarchy:
         key = (sid, tau)
@@ -347,24 +343,11 @@ def loo_threshold_tuning(
             built[key] = builder(scores[sid], tau)
         return built[key]
 
-    def peer_f1(peers: list[str], tau: float) -> float:
-        # relation_f1's checks in relation_f1's order, run on the hierarchies
-        # not tallied yet, so the first error raised is the same.
-        hs = [build(p, tau) for p in peers]
-        new = [(p, h) for p, h in zip(peers, hs) if (p, id(h)) not in tallies]
-        if any(h.summary_id != p or gold[p].summary_id != p for p, h in new):
-            # pooling pairs hierarchies by their own summary ids, not by keys
-            return relation_f1(hs, [gold[p] for p in peers]).f1
-        for p, h in new:
-            _check_known_kps(p, h, gold[p])
-        pred_relations = [derive_relations(h) for _, h in new]
-        for p, _ in new:
-            if p not in gold_relations:
-                gold_relations[p] = derive_relations(gold[p])
-        for (p, h), rel in zip(new, pred_relations):
-            g = gold_relations[p]
-            tallies[p, id(h)] = (len(rel & g), len(rel), len(g))
-        return _prf_counts(*map(sum, zip(*(tallies[p, id(h)] for p, h in zip(peers, hs))))).f1
+    def relations(h: Hierarchy) -> RelationSet:
+        rel = derived.get(id(h))
+        if rel is None:
+            rel = derived[id(h)] = derive_relations(h)
+        return rel
 
     chosen: dict[str, float] = {}
     for dom in sorted(domains):
@@ -373,20 +356,16 @@ def loo_threshold_tuning(
             best_tau = None
             best_f1 = -1.0
             for tau in tau_grid:
-                f1 = peer_f1(peers, tau)
+                f1 = _pooled_f1([build(p, tau) for p in peers],
+                                [gold[p] for p in peers], relations).f1
                 if f1 > best_f1:
                     best_f1 = f1
                     best_tau = tau
             chosen[sid] = best_tau
 
     final = {sid: build(sid, chosen[sid]) for dom in sorted(domains) for sid in domains[dom]}
-    per_domain = {}
-    for dom in sorted(domains):
-        sids = domains[dom]
-        per_domain[dom] = relation_f1([final[sid] for sid in sids],
-                                      [gold[sid] for sid in sids])
-    report = EvalReport(
-        per_domain=per_domain,
+    report = replace(
+        evaluate_hierarchies(final.values(), gold.values()),
         chosen_tau=chosen,
         provenance={"tau_grid": list(tau_grid),
                     "builder": getattr(builder, "__name__", "custom")},

@@ -102,6 +102,9 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
+# The writers below call write_text through this second name. bench/tracing.py
+# wraps the module's writers, write_text among them, and counts each span as
+# one write; a writer reaching the wrapped write_text would count twice.
 _write_text = write_text
 
 
@@ -553,12 +556,12 @@ def write_correlations(path: str | Path, rows: Mapping[str, float]) -> None:
 
 # -- datasets -----------------------------------------------------------
 
-def discover_summaries(root: str | Path) -> list[Path]:
-    """Summary directories under root, identified by their key point file."""
+def discover_summaries(root: str | Path, filename: str = KEY_POINTS_FILE) -> list[Path]:
+    """Summary directories under root, identified by holding filename."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"input directory {root} does not exist")
-    return sorted(p.parent for p in root.glob(f"*/{KEY_POINTS_FILE}"))
+    return sorted(p.parent for p in root.glob(f"*/{filename}"))
 
 
 def load_dataset(root: str | Path) -> tuple[dict[str, KeyPointSet], dict[str, Hierarchy]]:

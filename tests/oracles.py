@@ -3,22 +3,24 @@
 Everything here is deliberately written with different algorithms and data
 structures than the package (Floyd-Warshall matrices, one scorer call per
 key point pair instead of one array kernel per matrix, one json call per
-score-file line instead of one pass over all lines, one pooled relation F1
-per leave-one-out peer set instead of summed per-summary counts) so that
-agreement between the two is meaningful evidence of correctness.
+score-file line instead of one pass over all lines, one set of
+summary-tagged relations per relation F1 instead of summed per-summary
+counts) so that agreement between the two is meaningful evidence of
+correctness.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from kph import (DataError, FormatError, Hierarchy, HierarchyError, ScoreMatrix,
-                 build_reduced_forest, canonical_hierarchy)
+from kph import (DataError, DomainMetrics, FormatError, Hierarchy, HierarchyError, ScoreMatrix,
+                 build_reduced_forest, canonical_hierarchy, derive_relations)
 from kph import io as kio
-from kph.evaluation import DEFAULT_TAU_GRID, EvalReport, relation_f1
+from kph.evaluation import (DEFAULT_TAU_GRID, EvalReport, _by_summary, _check_known_kps,
+                            _check_same_summaries, _prf_counts)
 
 
 # -- reachability (Floyd-Warshall) ---------------------------------------
@@ -456,7 +458,37 @@ def tncf_reference(s: ScoreMatrix, tau: float, max_passes: int = 100) -> Hierarc
     return canonical_hierarchy(s.summary_id, clusters, parent)
 
 
-# -- leave-one-out tuning (one pooled relation_f1 per peer set and tau) --
+# -- relation F1 (one set of summary-tagged relations per side) ----------
+
+def _prf(pred: frozenset, gold: frozenset) -> DomainMetrics:
+    return _prf_counts(len(pred & gold), len(pred), len(gold))
+
+
+def _tagged_relations(hs: Mapping[str, Hierarchy]) -> frozenset[tuple[str, str, str]]:
+    out = set()
+    for sid in sorted(hs):
+        for x, y in derive_relations(hs[sid]):
+            out.add((sid, x, y))
+    return frozenset(out)
+
+
+def relation_f1_reference(predicted: Hierarchy | Iterable[Hierarchy],
+                          gold: Hierarchy | Iterable[Hierarchy]) -> DomainMetrics:
+    """Pooled precision/recall/F1 over the summaries' induced relations.
+
+    Relations are pooled across all supplied summaries before computing the
+    counts. Empty sets follow fixed conventions: empty predictions score
+    precision 0 against nonempty gold, and 1 when gold is empty too.
+    """
+    pred_map = _by_summary(predicted, "predicted")
+    gold_map = _by_summary(gold, "gold")
+    _check_same_summaries(pred_map, gold_map)
+    for sid, ph in sorted(pred_map.items()):
+        _check_known_kps(sid, ph, gold_map[sid])
+    return _prf(_tagged_relations(pred_map), _tagged_relations(gold_map))
+
+
+# -- leave-one-out tuning (one pooled relation F1 per peer set and tau) --
 
 def loo_threshold_tuning_reference(
     scores: Mapping[str, ScoreMatrix],
@@ -501,8 +533,8 @@ def loo_threshold_tuning_reference(
             best_tau = None
             best_f1 = -1.0
             for tau in tau_grid:
-                f1 = relation_f1([build(p, tau) for p in peers],
-                                 [gold[p] for p in peers]).f1
+                f1 = relation_f1_reference([build(p, tau) for p in peers],
+                                           [gold[p] for p in peers]).f1
                 if f1 > best_f1:
                     best_f1 = f1
                     best_tau = tau
@@ -512,8 +544,8 @@ def loo_threshold_tuning_reference(
     per_domain = {}
     for dom in sorted(domains):
         sids = domains[dom]
-        per_domain[dom] = relation_f1([final[sid] for sid in sids],
-                                      [gold[sid] for sid in sids])
+        per_domain[dom] = relation_f1_reference([final[sid] for sid in sids],
+                                                [gold[sid] for sid in sids])
     report = EvalReport(
         per_domain=per_domain,
         chosen_tau=chosen,

@@ -1,6 +1,8 @@
 """Command line driver: exit codes, outputs, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +341,38 @@ class TestTune:
         assert "single summary" in capsys.readouterr().err
 
 
+class TestGrid:
+    TUNE = ("--scores", "scores_bininc.jsonl", "--algorithm", "reduced_forest")
+
+    def test_step_grid_lists_every_tau(self, dataset, tmp_path):
+        out = scored_copy(dataset, tmp_path)
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "t", *self.TUNE,
+                   "--grid", "0:1:0.05") == 0
+        manifest = json.loads((tmp_path / "t" / "manifest_tune.json").read_text())
+        assert manifest["config"]["grid"] == [round(0.05 * k, 10) for k in range(21)]
+
+    # All but the zero step once grew the list of taus without end.
+    @pytest.mark.parametrize("grid", ["0:1:nan", "0:nan:0.1", "0:inf:0.1", "nan:1:0.1",
+                                      "0:1:-inf", "0:1:1e-12", "0:1:0", "0:1e300:0.001",
+                                      "-1e300:1:0.001"])
+    def test_unbounded_step_grid_is_usage_error(self, dataset, tmp_path, capsys, grid):
+        out = scored_copy(dataset, tmp_path)
+        capsys.readouterr()
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "t", *self.TUNE,
+                   f"--grid={grid}") == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_unbounded_step_grid_from_config_is_usage_error(self, dataset, tmp_path, capsys):
+        out = scored_copy(dataset, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "0:1:nan"}))
+        capsys.readouterr()
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "t", *self.TUNE,
+                   "--config", cfg) == 1
+        assert "bad --grid '0:1:nan'" in capsys.readouterr().err
+
+
 class TestTncfConvergenceWarning:
     # The scores of test_construction's test_escapes_bad_parent_choice at
     # tau 0.5 and 0.6: the first pass moves d from under b to under cc, and
@@ -549,7 +583,7 @@ class TestConfigFile:
         ("score", {"in_dir": 3}, ("--scorer", "bininc")),
         ("score", {"theta_match": "x"}, ("--scorer", "bininc")),
         ("weaklabel", {"seed": "7"}, ("--scores", "scores_bininc.jsonl")),
-        ("build", {"loo": "no"}, BUILD),
+        ("build", {"max_passes": True}, BUILD + ("--tau", "0.5")),
     ])
     def test_ill_typed_value_is_usage_error(self, dataset, tmp_path, capsys,
                                             command, cfg, flags):
@@ -567,11 +601,23 @@ class TestConfigFile:
         out = scored_copy(dataset, tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scores": "scores_bininc.jsonl", "algorithm": "tncf",
-                                    "tau": 1, "max_passes": 2, "loo": False}))
+                                    "tau": 1, "max_passes": 2}))
         assert run("build", "--in-dir", out, "--out-dir", tmp_path / "b",
                    "--config", path) == 0
         manifest = json.loads((tmp_path / "b" / "manifest_build.json").read_text())
         assert manifest["config"]["max_passes"] == 2
+
+
+def test_readme_command_lines_use_existing_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```text\n(.*?)```", readme, re.S).group(1)
+    commands = kph.cli._build_parser().commands
+    lines = [line.split() for line in block.splitlines() if line.startswith("kph ")]
+    assert {words[1] for words in lines} == set(commands)
+    for words in lines:
+        known = set(commands[words[1]]._option_string_actions)
+        flags = [w for w in words if w.startswith("--")]
+        assert flags and set(flags) <= known, (words[1], sorted(set(flags) - known))
 
 
 class TestManifests:

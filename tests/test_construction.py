@@ -475,20 +475,10 @@ class TestTncf:
     def test_respects_max_passes(self):
         rng = random.Random(38)
         m = random_score_matrix(rng, 7)
-        h1 = build_tncf(m, 0.3, ConstructionConfig(tau=0.3, max_passes=1))
+        h1 = build_tncf(m, 0.3, max_passes=1)
         assert validate_hierarchy(h1) == []
         full = build_tncf(m, 0.3)
         assert objective_value(full, m, 0.3) >= objective_value(h1, m, 0.3) - 1e-12
-
-    def test_rejects_config_with_other_tau(self):
-        m = sm(["a", "b"], {("b", "a"): 0.9})
-        with pytest.raises(ValueError, match="tau"):
-            build_tncf(m, 0.5, ConstructionConfig(tau=0.3))
-
-    def test_rejects_config_for_other_algorithm(self):
-        m = sm(["a", "b"], {("b", "a"): 0.9})
-        with pytest.raises(ValueError, match="greedy"):
-            build_tncf(m, 0.5, ConstructionConfig(tau=0.5, algorithm="greedy"))
 
     def test_stats_report_convergence(self):
         # The fixture of test_escapes_bad_parent_choice: one improving
@@ -496,7 +486,7 @@ class TestTncf:
         m = sm(["a", "b", "cc", "d", "e"],
                {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78, ("d", "a"): 0.1})
         stats = {}
-        build_tncf(m, 0.5, ConstructionConfig(tau=0.5, max_passes=1), stats=stats)
+        build_tncf(m, 0.5, max_passes=1, stats=stats)
         assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 1, False)
         stats = {}
         build_hierarchy(m, ConstructionConfig(tau=0.5, algorithm="tncf"), stats=stats)
@@ -536,7 +526,7 @@ class TestTncfMatchesReference:
 
     @staticmethod
     def check(m: ScoreMatrix, tau: float, max_passes: int = 100):
-        got = build_tncf(m, tau, ConstructionConfig(tau=tau, max_passes=max_passes))
+        got = build_tncf(m, tau, max_passes)
         want = tncf_reference(m, tau, max_passes)
         assert (got.clusters, got.parent) == (want.clusters, want.parent)
 

@@ -31,7 +31,7 @@ from kph import (
     spearman_correlation,
 )
 from helpers import random_hierarchy, random_score_matrix
-from oracles import loo_threshold_tuning_reference, pr_points_ref
+from oracles import loo_threshold_tuning_reference, pr_points_ref, relation_f1_reference
 
 
 def c(*ids):
@@ -107,6 +107,75 @@ class TestRelationF1:
     def test_rejects_unknown_key_points_in_prediction(self):
         with pytest.raises(DataError):
             relation_f1(flat("s", [c("a"), c("zz")]), flat("s", [c("a")]))
+
+
+def _random_f1_case(rng):
+    """Predicted and gold hierarchies of 1 to 4 summaries, in shuffled order.
+
+    Golds may hold no key point or induce no relation, predictions may be
+    empty; now and then two predictions swap summary ids, a summary is
+    listed twice or dropped, or a prediction uses a key point gold lacks.
+    """
+    preds, golds = [], []
+    for k in range(rng.randint(1, 4)):
+        sid, n = f"s{k}", rng.randint(1, 6)
+        r = rng.random()
+        if r < 0.1:
+            gold = Hierarchy(summary_id=sid, clusters=())
+        elif r < 0.3:
+            gold = Hierarchy(summary_id=sid, clusters=tuple(c(f"k{i:02d}") for i in range(n)))
+        else:
+            gold = random_hierarchy(rng, n, summary_id=sid)
+        r = rng.random()
+        if r < 0.2:
+            pred = dataclasses.replace(gold, clusters=tuple(c(x) for x in sorted(gold.kp_ids)),
+                                       parent={})
+        elif r < 0.25:
+            pred = random_hierarchy(rng, n + 1, summary_id=sid)
+        else:
+            pred = random_hierarchy(rng, rng.randint(1, n), summary_id=sid)
+        preds.append(pred)
+        golds.append(gold)
+    r = rng.random()
+    if r < 0.15 and len(preds) > 1:
+        a, b = rng.sample(range(len(preds)), 2)
+        preds[a], preds[b] = (dataclasses.replace(preds[a], summary_id=preds[b].summary_id),
+                              dataclasses.replace(preds[b], summary_id=preds[a].summary_id))
+    elif r < 0.2:
+        rng.choice((preds, golds)).append(rng.choice(golds))
+    elif r < 0.25 and len(preds) > 1:
+        rng.choice((preds, golds)).pop(rng.randrange(len(preds)))
+    rng.shuffle(preds)
+    rng.shuffle(golds)
+    if len(preds) == 1 and rng.random() < 0.5:
+        return preds[0], golds[0]
+    return preds, golds
+
+
+def _f1_outcome(f1, pred, gold):
+    try:
+        return f1(pred, gold)
+    except DataError as exc:
+        return "DataError", str(exc)
+
+
+class TestRelationF1MatchesReference:
+    """Per-summary count sums against pooling summary-tagged relation sets."""
+
+    def test_random_summaries(self):
+        rng = random.Random(1010)
+        outcomes = []
+        for _ in range(400):
+            pred, gold = _random_f1_case(rng)
+            new = _f1_outcome(relation_f1, pred, gold)
+            assert new == _f1_outcome(relation_f1_reference, pred, gold)
+            outcomes.append(new)
+        errors = " ".join(o[1] for o in outcomes if o[0] == "DataError")
+        for text in ("different summaries", "twice", "key points not in gold"):
+            assert text in errors
+        scores = [o for o in outcomes if o[0] != "DataError"]
+        assert (1.0, 1.0, 1.0) in scores and (0.0, 0.0, 0.0) in scores
+        assert any(0.0 < o.f1 < 1.0 for o in scores)
 
 
 class TestEvaluateHierarchies:
