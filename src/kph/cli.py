@@ -31,7 +31,9 @@ from .errors import DataError, KphError
 from .evaluation import (DEFAULT_MIN_RECALL, DEFAULT_TAU_GRID, EvalReport, auc_at_min_recall,
                          evaluate_hierarchies, loo_threshold_tuning, pr_curve,
                          spearman_correlation)
-from .scoring import SCORERS, compute_score_matrix, combine_average, export_weak_labels
+from .scoring import (DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED,
+                      DEFAULT_WEAK_LABEL_THRESHOLD, SCORERS, compute_score_matrix,
+                      combine_average, export_weak_labels)
 
 
 class _Manifest:
@@ -80,7 +82,7 @@ def _build_parser() -> _Parser:
                        help="compute distributional scores from match matrices")
     p.add_argument("--scorer", choices=sorted(SCORERS))
     p.add_argument("--theta-match", type=float, default=None,
-                   help="match threshold for support sets (default 0.5)")
+                   help=f"match threshold for support sets (default {DEFAULT_THETA_MATCH})")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("combine", parents=[common],
@@ -123,9 +125,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--scores", help="score file name inside each summary directory")
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--ratio", type=float, default=None,
-                   help="negatives kept per positive (default 5)")
+                   help=f"negatives kept per positive (default {DEFAULT_NEG_RATIO:g})")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for sampling the negatives (default 0)")
+                   help=f"seed for sampling the negatives (default {DEFAULT_WEAK_LABEL_SEED})")
     p.set_defaults(func=cmd_weaklabel)
 
     p = sub.add_parser("correlate", parents=[common],
@@ -248,7 +250,7 @@ def _load_summary_scores(d: Path, scores_name: str):
 def cmd_score(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
     scorer = _require(args, parser, "scorer", args.scorer)
-    theta = args.theta_match if args.theta_match is not None else 0.5
+    theta = args.theta_match if args.theta_match is not None else DEFAULT_THETA_MATCH
     if not 0.0 <= theta <= 1.0:
         parser.error(f"--theta-match must lie in [0, 1], got {theta}")
     dirs = _dirs_with(in_dir, kio.MATCH_MATRIX_FILE)
@@ -414,9 +416,9 @@ def cmd_prcurve(args, parser: _Parser) -> int:
 def cmd_weaklabel(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
     scores_name = _require(args, parser, "scores", args.scores)
-    threshold = args.threshold if args.threshold is not None else 0.5
-    ratio = args.ratio if args.ratio is not None else 5.0
-    seed = args.seed if args.seed is not None else 0
+    threshold = args.threshold if args.threshold is not None else DEFAULT_WEAK_LABEL_THRESHOLD
+    ratio = args.ratio if args.ratio is not None else DEFAULT_NEG_RATIO
+    seed = args.seed if args.seed is not None else DEFAULT_WEAK_LABEL_SEED
     if not 0.0 < threshold < 1.0:
         parser.error(f"--threshold must lie in (0, 1), got {threshold}")
     if not (math.isfinite(ratio) and ratio >= 1):

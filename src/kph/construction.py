@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hierarchy, canonical_hierarchy, validate_hierarchy
+from .core import Hierarchy, canonical_hierarchy
 from .errors import HierarchyError
 from .scoring import ScoreMatrix
 
@@ -55,12 +55,8 @@ class ConstructionConfig:
 def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
     """Sum of s(x, y) - tau over all relations induced by the hierarchy.
 
-    Raises HierarchyError for a structurally invalid hierarchy and DataError
-    when the hierarchy holds a key point the scores lack.
+    Raises DataError when the hierarchy holds a key point the scores lack.
     """
-    violations = validate_hierarchy(h)
-    if violations:
-        raise HierarchyError(f"summary {h.summary_id!r}: {violations[0]}")
     ids = sorted(h.kp_ids)
     w = (s.restrict(ids).values - tau).tolist()
     return _state_objective(h.clusters, h.parent, w, {x: i for i, x in enumerate(ids)})

@@ -4,6 +4,8 @@ A hierarchy is a directed forest over clusters of key points: every cluster
 has at most one parent, edges point from the more specific cluster to the
 more general one, and the set of key point relations it induces is the
 co-cluster pairs plus every (member of cluster, member of ancestor) pair.
+A Hierarchy is checked to be such a forest when it is built, and derives
+its relations once, on first use.
 
 All types are immutable after construction and the functions here are pure,
 so everything is safe to share across threads.
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NoReturn
 
 from .errors import HierarchyError
 
@@ -80,33 +83,30 @@ class KeyPointSet:
     def unfiltered_ids(self) -> tuple[str, ...]:
         return tuple(kp.id for kp in self.key_points if not kp.filtered)
 
-    @property
-    def polarity(self) -> str | None:
-        return self.key_points[0].polarity if self.key_points else None
-
     def get(self, kp_id: str) -> KeyPoint:
         try:
             return self.by_id[kp_id]
         except KeyError:
             raise KeyError(f"summary {self.summary_id!r}: unknown key point {kp_id!r}") from None
 
-    def by_match_count(self) -> list[KeyPoint]:
-        """Key points sorted by descending match count (display order)."""
-        return sorted(self.key_points, key=lambda kp: -kp.match_count)
-
     def __len__(self) -> int:
         return len(self.key_points)
 
 
+def _invalid(kind: str, detail: str) -> NoReturn:
+    raise HierarchyError(f"invalid hierarchy: {kind}: {detail}")
+
+
 @dataclass(frozen=True)
 class Hierarchy:
-    """A directed forest of key point clusters.
+    """A directed forest of key point clusters, valid by construction.
 
     ``clusters`` are disjoint, non-empty sets of key point ids; ``parent``
     maps a cluster index to its single parent's index (clusters absent from
-    the map are roots). The parent map structurally enforces the single-
-    parent rule; cycles and overlapping clusters are representable and are
-    reported by :func:`validate_hierarchy`.
+    the map are roots) and is read-only. Building a hierarchy whose parent
+    map leaves the index range, or whose clusters are empty, overlap or lie
+    on a parent cycle, raises HierarchyError, so every consumer can rely on
+    a forest.
     """
 
     summary_id: str
@@ -115,15 +115,33 @@ class Hierarchy:
     domain: str = "other"
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(frozenset(c) for c in self.clusters))
+        clusters = tuple(frozenset(c) for c in self.clusters)
         parent = {int(c): int(p) for c, p in dict(self.parent).items()}
-        m = len(self.clusters)
+        m = len(clusters)
         for c, p in parent.items():
             if not (0 <= c < m and 0 <= p < m):
                 raise HierarchyError(
                     f"summary {self.summary_id!r}: parent edge ({c}, {p}) "
                     f"references a cluster index outside 0..{m - 1}")
-        object.__setattr__(self, "parent", dict(sorted(parent.items())))
+        seen: dict[str, int] = {}
+        for i, members in enumerate(clusters):
+            if not members:
+                _invalid("empty-cluster", f"cluster {i} has no members")
+            for x in sorted(members):
+                if x in seen:
+                    _invalid("duplicate-membership",
+                             f"key point {x!r} appears in clusters {seen[x]} and {i}")
+                seen[x] = i
+        for i in range(m):
+            cur = i
+            for _ in range(m):  # a root is at most m - 1 steps up
+                if cur not in parent:
+                    break
+                cur = parent[cur]
+            else:
+                _invalid("cycle", f"cluster {i} lies on a parent cycle")
+        object.__setattr__(self, "clusters", clusters)
+        object.__setattr__(self, "parent", MappingProxyType(dict(sorted(parent.items()))))
 
     @property
     def num_clusters(self) -> int:
@@ -134,13 +152,25 @@ class Hierarchy:
         return frozenset(x for c in self.clusters for x in c)
 
     @cached_property
-    def cluster_of(self) -> Mapping[str, int]:
-        """Key point id -> cluster index (first occurrence wins on overlap)."""
-        out: dict[str, int] = {}
+    def relations(self) -> RelationSet:
+        """All directional key point relations the hierarchy induces.
+
+        A pair (x, y) with x != y is included when x and y share a cluster
+        (both directions) or when x's cluster has a directed path to y's
+        cluster. Reflexive pairs are never included.
+        """
+        relations: set[tuple[str, str]] = set()
         for i, c in enumerate(self.clusters):
-            for x in c:
-                out.setdefault(x, i)
-        return out
+            members = sorted(c)
+            for x in members:
+                for y in members:
+                    if x != y:
+                        relations.add((x, y))
+            for a in ancestors(self, i):
+                for x in members:
+                    for y in self.clusters[a]:
+                        relations.add((x, y))
+        return frozenset(relations)
 
     def children(self, c: int) -> tuple[int, ...]:
         return tuple(i for i, p in self.parent.items() if p == c)
@@ -159,9 +189,6 @@ class Hierarchy:
             for c, p in self.parent.items()))
         return clusters, edges
 
-    def same_structure(self, other: "Hierarchy") -> bool:
-        return self.canonical_form() == other.canonical_form()
-
 
 def canonical_hierarchy(summary_id: str, clusters: Iterable[Iterable[str]],
                         parent: Mapping[int, int], domain: str = "other") -> Hierarchy:
@@ -179,7 +206,7 @@ def canonical_hierarchy(summary_id: str, clusters: Iterable[Iterable[str]],
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant violation found by :func:`validate_hierarchy`."""
+    """One membership violation found by :func:`validate_hierarchy`."""
 
     kind: str
     detail: str
@@ -191,94 +218,39 @@ class Violation:
 def ancestors(h: Hierarchy, c: int) -> list[int]:
     """Clusters on the parent path from ``c`` to its root, excluding ``c``.
 
-    Roots yield an empty list. Raises HierarchyError if the parent map is
-    cyclic along the walk.
+    Roots yield an empty list.
     """
     if not 0 <= c < len(h.clusters):
         raise IndexError(f"cluster index {c} out of range 0..{len(h.clusters) - 1}")
     path: list[int] = []
-    seen = {c}
-    cur = c
-    while cur in h.parent:
-        cur = h.parent[cur]
-        if cur in seen:
-            raise HierarchyError(f"summary {h.summary_id!r}: parent map has a cycle through cluster {cur}")
-        seen.add(cur)
-        path.append(cur)
+    while c in h.parent:
+        c = h.parent[c]
+        path.append(c)
     return path
 
 
 def derive_relations(h: Hierarchy) -> RelationSet:
-    """All directional key point relations induced by a hierarchy.
-
-    A pair (x, y) with x != y is included when x and y share a cluster
-    (both directions) or when x's cluster has a directed path to y's
-    cluster. Reflexive pairs are never included.
-    """
-    violations = validate_hierarchy(h)
-    if violations:
-        raise HierarchyError(f"summary {h.summary_id!r}: {violations[0]}")
-    relations: set[tuple[str, str]] = set()
-    for i, c in enumerate(h.clusters):
-        members = sorted(c)
-        for x in members:
-            for y in members:
-                if x != y:
-                    relations.add((x, y))
-        for a in ancestors(h, i):
-            for x in members:
-                for y in h.clusters[a]:
-                    relations.add((x, y))
-    return frozenset(relations)
+    """All directional key point relations induced by a hierarchy (``h.relations``)."""
+    return h.relations
 
 
-def validate_hierarchy(h: Hierarchy, kps: KeyPointSet | None = None) -> list[Violation]:
-    """Check a hierarchy's invariants; the returned report is empty iff valid.
+def validate_hierarchy(h: Hierarchy, kps: KeyPointSet) -> list[Violation]:
+    """Check a hierarchy's membership against its key point set.
 
-    Structural checks: empty clusters, key points in more than one cluster,
-    cycles in the parent map. With ``kps`` given, also checks membership:
-    unknown ids, filtered key points, and a summary_id mismatch. Multiple
-    parents per cluster cannot be represented (the parent map enforces the
-    rule); file loaders reject duplicate child edges instead.
+    The returned report is empty iff every member is a known, unfiltered
+    key point of ``kps`` and the summary ids agree. Structure needs no
+    check here: every Hierarchy is a valid forest once built.
     """
     out: list[Violation] = []
-    seen: dict[str, int] = {}
-    for i, c in enumerate(h.clusters):
-        if not c:
-            out.append(Violation("empty-cluster", f"cluster {i} has no members"))
-        for x in sorted(c):
-            if x in seen:
-                out.append(Violation(
-                    "duplicate-membership",
-                    f"key point {x!r} appears in clusters {seen[x]} and {i}"))
-            else:
-                seen[x] = i
-
-    on_cycle: set[int] = set()
-    for start in range(len(h.clusters)):
-        path = [start]
-        visited = {start}
-        cur = start
-        while cur in h.parent:
-            cur = h.parent[cur]
-            if cur in visited:
-                on_cycle.update(path)
-                break
-            visited.add(cur)
-            path.append(cur)
-    for c in sorted(on_cycle):
-        out.append(Violation("cycle", f"cluster {c} lies on a parent cycle"))
-
-    if kps is not None:
-        if h.summary_id != kps.summary_id:
-            out.append(Violation(
-                "summary-mismatch",
-                f"hierarchy is for {h.summary_id!r} but key points are for {kps.summary_id!r}"))
-        known = set(kps.ids)
-        filtered = {kp.id for kp in kps.key_points if kp.filtered}
-        for x in sorted(seen):
-            if x not in known:
-                out.append(Violation("unknown-key-point", f"{x!r} is not in the key point set"))
-            elif x in filtered:
-                out.append(Violation("filtered-key-point", f"{x!r} is filtered and cannot appear"))
+    if h.summary_id != kps.summary_id:
+        out.append(Violation(
+            "summary-mismatch",
+            f"hierarchy is for {h.summary_id!r} but key points are for {kps.summary_id!r}"))
+    known = set(kps.ids)
+    filtered = {kp.id for kp in kps.key_points if kp.filtered}
+    for x in sorted(h.kp_ids):
+        if x not in known:
+            out.append(Violation("unknown-key-point", f"{x!r} is not in the key point set"))
+        elif x in filtered:
+            out.append(Violation("filtered-key-point", f"{x!r} is filtered and cannot appear"))
     return out

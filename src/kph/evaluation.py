@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Hierarchy, RelationSet, canonical_hierarchy, derive_relations
+from .core import Hierarchy, canonical_hierarchy, derive_relations
 from .construction import objective_value
 from .errors import DataError
 from .scoring import ScoreMatrix
@@ -145,23 +145,6 @@ def _check_known_kps(sid: str, pred: Hierarchy, gold: Hierarchy) -> None:
             f"{sorted(pred.kp_ids - gold.kp_ids)}")
 
 
-def _pooled_f1(predicted: Hierarchy | Iterable[Hierarchy],
-               gold: Hierarchy | Iterable[Hierarchy],
-               relations: Callable[[Hierarchy], RelationSet]) -> DomainMetrics:
-    """relation_f1 with the relation derivation supplied by the caller."""
-    pred_map = _by_summary(predicted, "predicted")
-    gold_map = _by_summary(gold, "gold")
-    _check_same_summaries(pred_map, gold_map)
-    sids = sorted(pred_map)
-    for sid in sids:
-        _check_known_kps(sid, pred_map[sid], gold_map[sid])
-    pred_rel = [relations(pred_map[sid]) for sid in sids]
-    gold_rel = [relations(gold_map[sid]) for sid in sids]
-    # Pooled relations are tagged by summary, so the pooled counts are sums.
-    return _prf_counts(sum(len(p & g) for p, g in zip(pred_rel, gold_rel)),
-                       sum(map(len, pred_rel)), sum(map(len, gold_rel)))
-
-
 def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
                 gold: Hierarchy | Iterable[Hierarchy]) -> DomainMetrics:
     """Pooled precision/recall/F1 over the summaries' induced relations.
@@ -170,7 +153,17 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
     counts. Empty sets follow fixed conventions: empty predictions score
     precision 0 against nonempty gold, and 1 when gold is empty too.
     """
-    return _pooled_f1(predicted, gold, derive_relations)
+    pred_map = _by_summary(predicted, "predicted")
+    gold_map = _by_summary(gold, "gold")
+    _check_same_summaries(pred_map, gold_map)
+    sids = sorted(pred_map)
+    for sid in sids:
+        _check_known_kps(sid, pred_map[sid], gold_map[sid])
+    pred_rel = [derive_relations(pred_map[sid]) for sid in sids]
+    gold_rel = [derive_relations(gold_map[sid]) for sid in sids]
+    # Pooled relations are tagged by summary, so the pooled counts are sums.
+    return _prf_counts(sum(len(p & g) for p, g in zip(pred_rel, gold_rel)),
+                       sum(map(len, pred_rel)), sum(map(len, gold_rel)))
 
 
 def evaluate_hierarchies(predicted: Iterable[Hierarchy],
@@ -311,12 +304,7 @@ def loo_threshold_tuning(
     smallest tau) is then used to build S itself. The report is
     :func:`evaluate_hierarchies` of the held-out predictions against gold,
     plus the chosen taus. Returns the chosen taus, the report and the
-    hierarchies built at them.
-
-    Each (summary, tau) is built once, and each built or gold hierarchy
-    object has its relations derived once. A builder may return one
-    hierarchy object for several taus (``kph tune`` builds reduced_forest
-    once per threshold graph), and that object is derived once.
+    hierarchies built at them. Each (summary, tau) is built once.
     """
     tau_grid = tuple(tau_grid)
     if not tau_grid:
@@ -333,21 +321,12 @@ def loo_threshold_tuning(
                 f"leave-one-out tuning needs at least 2")
 
     built: dict[tuple[str, float], Hierarchy] = {}
-    # Relations keyed by object id; every object stays alive in ``built`` or
-    # ``gold``, so no id is reused.
-    derived: dict[int, RelationSet] = {}
 
     def build(sid: str, tau: float) -> Hierarchy:
         key = (sid, tau)
         if key not in built:
             built[key] = builder(scores[sid], tau)
         return built[key]
-
-    def relations(h: Hierarchy) -> RelationSet:
-        rel = derived.get(id(h))
-        if rel is None:
-            rel = derived[id(h)] = derive_relations(h)
-        return rel
 
     chosen: dict[str, float] = {}
     for dom in sorted(domains):
@@ -356,8 +335,8 @@ def loo_threshold_tuning(
             best_tau = None
             best_f1 = -1.0
             for tau in tau_grid:
-                f1 = _pooled_f1([build(p, tau) for p in peers],
-                                [gold[p] for p in peers], relations).f1
+                f1 = relation_f1([build(p, tau) for p in peers],
+                                 [gold[p] for p in peers]).f1
                 if f1 > best_f1:
                     best_f1 = f1
                     best_tau = tau

@@ -9,6 +9,7 @@ field; this module is the single implementation of that contract.
 from __future__ import annotations
 
 import csv
+import glob
 import hashlib
 import io as _io
 import json
@@ -20,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import Hierarchy, KeyPoint, KeyPointSet, derive_relations, validate_hierarchy
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, HierarchyError
 from .evaluation import EvalReport, PRCurve
 from .scoring import MatchMatrix, ScoreMatrix, WeakLabelRecord, WeakLabelSet
 
@@ -128,45 +129,31 @@ def _load_json_line(path, lineno: int, line: str) -> dict:
     return obj
 
 
+# What each field type accepts, and the name the type-error message gives it.
+_FIELD_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "an object"),
+}
+
+
 def _field(obj: dict, name: str, kind, path, lineno: int):
     if name not in obj:
         raise FormatError("missing field", path=path, line=lineno, field=name)
     v = obj[name]
+    accepted, noun = _FIELD_TYPES[kind]
+    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+        raise FormatError(f"expected {noun}, got {v!r}", path=path, line=lineno, field=name)
     if kind is float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FormatError(f"expected a number, got {v!r}",
-                              path=path, line=lineno, field=name)
         try:
             return float(v)
         except OverflowError as e:  # an integer too large for a float
             raise FormatError("number is too large for a float",
                               path=path, line=lineno, field=name) from e
-    if kind is int:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise FormatError(f"expected an integer, got {v!r}",
-                              path=path, line=lineno, field=name)
-        return v
-    if kind is bool:
-        if not isinstance(v, bool):
-            raise FormatError(f"expected a boolean, got {v!r}",
-                              path=path, line=lineno, field=name)
-        return v
-    if kind is str:
-        if not isinstance(v, str):
-            raise FormatError(f"expected a string, got {v!r}",
-                              path=path, line=lineno, field=name)
-        return v
-    if kind is list:
-        if not isinstance(v, list):
-            raise FormatError(f"expected a list, got {v!r}",
-                              path=path, line=lineno, field=name)
-        return v
-    if kind is dict:
-        if not isinstance(v, dict):
-            raise FormatError(f"expected an object, got {v!r}",
-                              path=path, line=lineno, field=name)
-        return v
-    raise AssertionError(kind)
+    return v
 
 
 def _check_kind(obj: dict, expected: str, path, lineno: int) -> None:
@@ -433,11 +420,8 @@ def load_hierarchies(path: str | Path) -> list[Hierarchy]:
             h = Hierarchy(summary_id=summary_id,
                           clusters=tuple(frozenset(c) for c in clusters),
                           parent=parent, domain=domain)
-        except Exception as e:
+        except HierarchyError as e:
             raise FormatError(str(e), path=path, line=lineno) from e
-        violations = validate_hierarchy(h)
-        if violations:
-            raise FormatError(f"invalid hierarchy: {violations[0]}", path=path, line=lineno)
         out.append(h)
     return out
 
@@ -561,7 +545,7 @@ def discover_summaries(root: str | Path, filename: str = KEY_POINTS_FILE) -> lis
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"input directory {root} does not exist")
-    return sorted(p.parent for p in root.glob(f"*/{filename}"))
+    return sorted(p.parent for p in root.glob(f"*/{glob.escape(filename)}"))
 
 
 def load_dataset(root: str | Path) -> tuple[dict[str, KeyPointSet], dict[str, Hierarchy]]:

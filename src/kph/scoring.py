@@ -25,6 +25,12 @@ from .errors import DataError
 
 DEFAULT_THETA_MATCH = 0.5
 
+# Weak-label export: the entail threshold, negatives kept per positive, and
+# the seed that samples the negatives.
+DEFAULT_WEAK_LABEL_THRESHOLD = 0.5
+DEFAULT_NEG_RATIO = 5.0
+DEFAULT_WEAK_LABEL_SEED = 0
+
 
 @dataclass(frozen=True, eq=False)
 class MatchMatrix:
@@ -58,13 +64,6 @@ class MatchMatrix:
     @property
     def num_sentences(self) -> int:
         return len(self.sentence_ids)
-
-    def column(self, kp_id: str) -> np.ndarray:
-        try:
-            j = self.kp_ids.index(kp_id)
-        except ValueError:
-            raise KeyError(f"match matrix {self.summary_id!r}: unknown key point {kp_id!r}") from None
-        return self.values[:, j]
 
 
 def _sums_down(a: np.ndarray) -> np.ndarray:
@@ -313,8 +312,10 @@ class WeakLabelSet:
         return sum(1 for r in self.records if r.label == "neutral")
 
 
-def export_weak_labels(scores: ScoreMatrix, kps: KeyPointSet, threshold: float = 0.5,
-                       neg_ratio: float = 5, seed: int = 0) -> WeakLabelSet:
+def export_weak_labels(scores: ScoreMatrix, kps: KeyPointSet,
+                       threshold: float = DEFAULT_WEAK_LABEL_THRESHOLD,
+                       neg_ratio: float = DEFAULT_NEG_RATIO,
+                       seed: int = DEFAULT_WEAK_LABEL_SEED) -> WeakLabelSet:
     """Label score pairs entail/neutral and downsample the negatives.
 
     Pairs scoring strictly above ``threshold`` become entail records; the

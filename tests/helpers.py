@@ -72,6 +72,11 @@ def random_hierarchy(rng: random.Random, n: int, summary_id: str = "s",
                                parent, domain=domain)
 
 
+def same_structure(a: Hierarchy, b: Hierarchy) -> bool:
+    """Equal clusters and edges, whatever the cluster order."""
+    return a.canonical_form() == b.canonical_form()
+
+
 def random_score_matrix(rng: random.Random, n: int, summary_id: str = "s",
                         quantize: bool = False) -> ScoreMatrix:
     ids = tuple(f"k{i:02d}" for i in range(n))

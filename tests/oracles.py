@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from kph import (DataError, DomainMetrics, FormatError, Hierarchy, HierarchyError, ScoreMatrix,
-                 build_reduced_forest, canonical_hierarchy, derive_relations)
+                 Violation, build_reduced_forest, canonical_hierarchy, derive_relations)
 from kph import io as kio
 from kph.evaluation import (DEFAULT_TAU_GRID, EvalReport, _by_summary, _check_known_kps,
                             _check_same_summaries, _prf_counts)
@@ -93,6 +93,43 @@ def relations_by_closure(clusters, parent: dict) -> frozenset[tuple[str, str]]:
                     edges.add((x, y))
     closure = fw_closure(nodes, edges)
     return frozenset((x, y) for x in nodes for y in closure[x] if x != y)
+
+
+def structure_violations_reference(clusters, parent: dict) -> list[Violation]:
+    """Every structural violation of a cluster forest, in report order.
+
+    The structural half of the package's former ``validate_hierarchy``:
+    empty clusters and shared members cluster by cluster, then every
+    cluster whose parent walk never reaches a root, as a cycle.
+    """
+    out: list[Violation] = []
+    seen: dict[str, int] = {}
+    for i, c in enumerate(clusters):
+        if not c:
+            out.append(Violation("empty-cluster", f"cluster {i} has no members"))
+        for x in sorted(c):
+            if x in seen:
+                out.append(Violation(
+                    "duplicate-membership",
+                    f"key point {x!r} appears in clusters {seen[x]} and {i}"))
+            else:
+                seen[x] = i
+
+    on_cycle: set[int] = set()
+    for start in range(len(clusters)):
+        path = [start]
+        visited = {start}
+        cur = start
+        while cur in parent:
+            cur = parent[cur]
+            if cur in visited:
+                on_cycle.update(path)
+                break
+            visited.add(cur)
+            path.append(cur)
+    for c in sorted(on_cycle):
+        out.append(Violation("cycle", f"cluster {c} lies on a parent cycle"))
+    return out
 
 
 # -- distributional scorers (numpy formulations) --------------------------

@@ -117,19 +117,35 @@ class TestExitCodes:
                                                   kind, bad_file):
         ids = [f"k{i:02d}" for i in range(4)]
         if kind == "cycle":
-            bad = Hierarchy(summary_id="h1", domain="hotels",
-                            clusters=tuple(frozenset({k}) for k in ids), parent={0: 1, 1: 0})
+            clusters, edges = [[k] for k in ids], [[0, 1], [1, 0]]
         else:  # k01 sits in both clusters
-            bad = Hierarchy(summary_id="h1", domain="hotels",
-                            clusters=(frozenset(ids[:2]), frozenset(ids[1:])))
+            clusters, edges = [ids[:2], ids[1:]], []
+        bad = {"kind": "hierarchy", "summary_id": "h1", "domain": "hotels",
+               "clusters": clusters, "edges": edges}
         for d in dataset.iterdir():
             (d / "pred.jsonl").write_bytes((d / kio.GOLD_FILE).read_bytes())
-        kio.write_hierarchy(dataset / "h1" / bad_file, bad)
+        (dataset / "h1" / bad_file).write_text(json.dumps(bad) + "\n")
         assert run("eval", "--in-dir", dataset, "--out-dir", tmp_path / "e",
                    "--pred", "pred.jsonl") == 2
         err = capsys.readouterr().err
         assert f"h1/{bad_file}, record 1: invalid hierarchy: {kind}: " in err
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("name", ["scores_[v2].jsonl", "scores_*.jsonl"])
+    def test_score_file_name_is_not_a_pattern(self, dataset, tmp_path, name):
+        scored = scored_copy(dataset, tmp_path)
+        for sid in ["h1", "h2", "r1", "r2"]:
+            (scored / sid / "scores_bininc.jsonl").rename(scored / sid / name)
+        built = tmp_path / "built"
+        assert run("build", "--in-dir", scored, "--out-dir", built, "--scores", name,
+                   "--algorithm", "greedy", "--tau", "0.5") == 0
+        assert sorted(p.name for p in built.iterdir() if p.is_dir()) == ["h1", "h2", "r1", "r2"]
+
+    def test_pattern_matching_other_files_finds_no_summaries(self, dataset, tmp_path, capsys):
+        scored = scored_copy(dataset, tmp_path)
+        assert run("build", "--in-dir", scored, "--out-dir", tmp_path / "b",
+                   "--scores", "*.jsonl", "--algorithm", "greedy", "--tau", "0.5") == 2
+        assert "no summaries found: no */*.jsonl under" in capsys.readouterr().err
 
     def test_version_exits_zero(self, capsys):
         assert run("--version") == 0

@@ -21,7 +21,6 @@ from kph import (
     cluster_link_score,
     derive_relations,
     objective_value,
-    validate_hierarchy,
 )
 from kph.construction import _apply_move, _condense, _move_gains, _rounding_margin
 from helpers import (
@@ -32,6 +31,7 @@ from helpers import (
     random_digraph,
     random_hierarchy,
     random_score_matrix,
+    same_structure,
 )
 from oracles import (
     condensation_edges,
@@ -102,19 +102,21 @@ class TestObjectiveValue:
             assert objective_value(h, m, tau) == pytest.approx(want, abs=1e-9)
 
 
-# One structurally broken hierarchy per violation kind validate_hierarchy reports.
+# One structurally broken (clusters, parent) per violation kind building refuses.
 BROKEN = {
-    "duplicate-membership": Hierarchy(summary_id="s", clusters=(c("a", "b"), c("b")), parent={}),
-    "empty-cluster": Hierarchy(summary_id="s", clusters=(c("a"), c()), parent={}),
-    "cycle": Hierarchy(summary_id="s", clusters=(c("a"), c("b")), parent={0: 1, 1: 0}),
+    "duplicate-membership": ((c("a", "b"), c("b")), {}),
+    "empty-cluster": ((c("a"), c()), {}),
+    "cycle": ((c("a"), c("b")), {0: 1, 1: 0}),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BROKEN))
 @pytest.mark.parametrize("fn", ["derive_relations", "objective_value"])
 def test_structure_violations_raise(kind, fn):
-    h = BROKEN[kind]
-    with pytest.raises(HierarchyError, match=f"summary 's': {kind}"):
+    # A broken structure never reaches a consumer: building it raises first.
+    clusters, parent = BROKEN[kind]
+    with pytest.raises(HierarchyError, match=f"^invalid hierarchy: {kind}: "):
+        h = Hierarchy(summary_id="s", clusters=clusters, parent=parent)
         if fn == "derive_relations":
             derive_relations(h)
         else:
@@ -428,14 +430,14 @@ class TestGreedyGs:
 
     def test_matches_greedy_on_single_candidate(self):
         m = sm(["a", "b"], {("b", "a"): 0.9})
-        assert build_greedy_gs(m, 0.5).same_structure(build_greedy(m, 0.5))
+        assert same_structure(build_greedy_gs(m, 0.5), build_greedy(m, 0.5))
 
     def test_outputs_are_valid_forests(self):
         rng = random.Random(36)
         for _ in range(50):
             m = random_score_matrix(rng, rng.randrange(1, 9))
-            h = build_greedy_gs(m, 0.5)
-            assert validate_hierarchy(h) == []
+            h = build_greedy_gs(m, 0.5)  # building checks the forest
+            assert h.kp_ids == frozenset(m.kp_ids)
 
 
 class TestTncf:
@@ -443,7 +445,7 @@ class TestTncf:
         m = sm(["a", "b"], {("b", "a"): 0.9})
         init = build_reduced_forest(m, 0.5)
         h = build_tncf(m, 0.5)
-        assert h.same_structure(init)
+        assert same_structure(h, init)
 
     def test_escapes_bad_parent_choice(self):
         # Reduced forest prefers d->b (0.8 beats 0.78) and inherits the
@@ -476,7 +478,6 @@ class TestTncf:
         rng = random.Random(38)
         m = random_score_matrix(rng, 7)
         h1 = build_tncf(m, 0.3, max_passes=1)
-        assert validate_hierarchy(h1) == []
         full = build_tncf(m, 0.3)
         assert objective_value(full, m, 0.3) >= objective_value(h1, m, 0.3) - 1e-12
 
@@ -505,7 +506,7 @@ class TestTncf:
         planted = random_hierarchy(rng, 40)
         m = forest_matrix(rng, planted)
         stats = {}
-        assert build_tncf(m, 0.5, stats=stats).same_structure(planted)
+        assert same_structure(build_tncf(m, 0.5, stats=stats), planted)
         rebuilds = sum(1 for k, members in enumerate(planted.clusters)
                        if len(members) == 1 and k not in planted.parent.values())
         assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 0, True)
@@ -597,7 +598,6 @@ class TestBuildHierarchy:
             h = build_hierarchy(m, ConstructionConfig(tau=0.5, algorithm=name))
             assert h.summary_id == "s"
             assert h.kp_ids == frozenset(m.kp_ids)
-            assert validate_hierarchy(h) == []
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -635,8 +635,8 @@ class TestBuildHierarchy:
         for _ in range(20):
             planted = random_hierarchy(rng, rng.randrange(2, 8))
             m = forest_matrix(rng, planted)
-            assert build_reduced_forest(m, 0.5).same_structure(planted)
-            assert build_tncf(m, 0.5).same_structure(planted)
+            assert same_structure(build_reduced_forest(m, 0.5), planted)
+            assert same_structure(build_tncf(m, 0.5), planted)
             for name in ("greedy", "greedy_gs"):
                 h = build_hierarchy(m, ConstructionConfig(tau=0.5, algorithm=name))
                 assert set(h.clusters) == set(planted.clusters), name

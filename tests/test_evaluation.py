@@ -1,6 +1,7 @@
 """Evaluation: relation F1, PR curves, AUC, tuning, baselines, brute force."""
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -609,16 +610,16 @@ class TestLooMatchesReference:
                                     "not in gold: ['cc']")
 
     def test_each_built_hierarchy_and_gold_derived_once(self, monkeypatch):
-        import kph.evaluation as ev
-
         rng = random.Random(5)
         scores = {f"s{k}": _coarse_score_matrix(rng, 5, f"s{k}") for k in range(4)}
         golds = {sid: random_hierarchy(rng, 5, summary_id=sid, domain="hotels")
                  for sid in scores}
         grid = [0.1 * k for k in range(11)]
         derived = []
-        monkeypatch.setattr(ev, "derive_relations",
-                            lambda h: derived.append(h) or derive_relations(h))
+        derive = Hierarchy.relations.func
+        counting = functools.cached_property(lambda h: derived.append(h) or derive(h))
+        counting.__set_name__(Hierarchy, "relations")
+        monkeypatch.setattr(Hierarchy, "relations", counting)
         memoised = _memoised_reduced_forest()
         builds = []
 
@@ -628,9 +629,9 @@ class TestLooMatchesReference:
 
         _, _, final = loo_threshold_tuning(scores, golds, builder, grid)
         objects = {id(h) for h in builds}
-        # tuning: each distinct built object and each gold once; then the
-        # final report's relation_f1 derives every final hierarchy and gold
-        assert len(derived) == len(objects) + len(golds) + 2 * len(final)
+        # each distinct built object and each gold derives its relations
+        # once; the final report reads them again without deriving
+        assert len(derived) == len(objects) + len(golds)
 
 
 class TestBruteForce:

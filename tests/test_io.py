@@ -19,7 +19,7 @@ from kph import (
     compute_score_matrix,
 )
 from kph import io as kio
-from helpers import random_hierarchy, random_score_matrix
+from helpers import random_hierarchy, random_score_matrix, same_structure
 from oracles import load_scores_reference, write_scores_reference
 
 
@@ -404,7 +404,7 @@ class TestHierarchyRoundTrip:
         for a, b in zip(got, hs):
             assert a.summary_id == b.summary_id
             assert a.domain == b.domain
-            assert a.same_structure(b)
+            assert same_structure(a, b)
 
     def test_write_is_byte_stable(self, tmp_path):
         rng = random.Random(64)

@@ -50,11 +50,6 @@ class TestMatchMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.9
 
-    def test_column(self):
-        m = MatchMatrix(summary_id="s", sentence_ids=("s0", "s1"), kp_ids=("a", "b"),
-                        values=np.array([[0.1, 0.9], [0.2, 0.8]]))
-        assert m.column("b").tolist() == [0.9, 0.8]
-
 
 class TestSupportThreshold:
     def test_threshold_is_inclusive(self):
