@@ -19,7 +19,7 @@ import math
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,12 +35,16 @@ from .scoring import (DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL
                       DEFAULT_WEAK_LABEL_THRESHOLD, SCORERS, compute_score_matrix,
                       combine_average, export_weak_labels)
 
+T = TypeVar("T")
+
 
 class _Manifest:
     """Digests of the files one command read and wrote, saved as its run manifest.
 
-    Inputs are keyed ``<summary dir>/<file>``, outputs by their path inside
-    the output directory. ``save`` comes last, once every output is written.
+    Every input is parsed through ``load``, so the inputs are exactly the
+    files the command read, keyed ``<summary dir>/<file>``. Outputs are keyed
+    by their path inside the output directory. ``save`` comes last, once
+    every output is written.
     """
 
     def __init__(self, out_dir: Path):
@@ -48,8 +52,11 @@ class _Manifest:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
 
-    def read(self, path: Path) -> None:
+    def load(self, path: Path, loader: Callable[[Path], T]) -> T:
+        """loader(path), with path recorded as an input."""
+        obj = loader(path)
         self.inputs[f"{path.parent.name}/{path.name}"] = kio.file_digest(path)
+        return obj
 
     def write(self, rel: str, writer: Callable, obj) -> None:
         writer(self.out_dir / rel, obj)
@@ -195,6 +202,24 @@ def _dirs_with(root: Path, filename: str) -> list[Path]:
     return dirs
 
 
+def _one_summary(d: Path, *files: tuple[str, object]) -> str:
+    """The summary id that every (file name, loaded object) pair from d is for."""
+    (first, obj), *rest = files
+    sid = obj.summary_id
+    for name, other in rest:
+        if sid != other.summary_id:
+            raise DataError(f"{d}: files are for different summaries: {first} is for "
+                            f"{sid!r}, {name} is for {other.summary_id!r}")
+    return sid
+
+
+def _add_summary(by_sid: dict, sid: str, value) -> None:
+    """Set by_sid[sid] to value; a summary already there came from another directory."""
+    if sid in by_sid:
+        raise DataError(f"summary {sid!r} appears in two directories")
+    by_sid[sid] = value
+
+
 def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_TAU_GRID
@@ -225,26 +250,20 @@ def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _load_summary_scores(d: Path, scores_name: str):
+def _load_summary_scores(run: _Manifest, d: Path, scores_name: str):
     """Score matrix restricted to the summary's unfiltered key points, and its domain.
 
     The key point file is optional for score-only pipelines; without it the
     score universe is used as-is and the domain defaults to "other".
     """
-    s = kio.load_external_scores(d / scores_name)
+    s = run.load(d / scores_name, kio.load_external_scores)
     kp_path = d / kio.KEY_POINTS_FILE
-    domain = "other"
-    if kp_path.exists():
-        kps = kio.load_key_points(kp_path)
-        if kps.summary_id != s.summary_id:
-            raise DataError(
-                f"{d}: key points are for {kps.summary_id!r} but scores are "
-                f"for {s.summary_id!r}")
-        unfiltered = set(kps.unfiltered_ids)
-        keep = [x for x in s.kp_ids if x in unfiltered]
-        s = s.restrict(keep)
-        domain = kps.domain
-    return s, domain
+    if not kp_path.exists():
+        return s, "other"
+    kps = run.load(kp_path, kio.load_key_points)
+    _one_summary(d, (kio.KEY_POINTS_FILE, kps), (scores_name, s))
+    unfiltered = set(kps.unfiltered_ids)
+    return s.restrict([x for x in s.kp_ids if x in unfiltered]), kps.domain
 
 
 def cmd_score(args, parser: _Parser) -> int:
@@ -253,13 +272,12 @@ def cmd_score(args, parser: _Parser) -> int:
     theta = args.theta_match if args.theta_match is not None else DEFAULT_THETA_MATCH
     if not 0.0 <= theta <= 1.0:
         parser.error(f"--theta-match must lie in [0, 1], got {theta}")
-    dirs = _dirs_with(in_dir, kio.MATCH_MATRIX_FILE)
-    results = [compute_score_matrix(kio.load_match_matrix(d / kio.MATCH_MATRIX_FILE),
-                                    scorer, theta) for d in dirs]
     run = _Manifest(out_dir)
+    dirs = _dirs_with(in_dir, kio.MATCH_MATRIX_FILE)
+    results = [compute_score_matrix(run.load(d / kio.MATCH_MATRIX_FILE, kio.load_match_matrix),
+                                    scorer, theta) for d in dirs]
     for d, sm in zip(dirs, results):
         run.write(f"{d.name}/scores_{scorer}.jsonl", kio.write_scores, sm)
-        run.read(d / kio.MATCH_MATRIX_FILE)
     run.save("score", {"scorer": scorer, "theta_match": theta})
     return 0
 
@@ -269,14 +287,12 @@ def cmd_combine(args, parser: _Parser) -> int:
     name_a = _require(args, parser, "a", args.a)
     name_b = _require(args, parser, "b", args.b)
     out_name = args.name or "combined"
-    dirs = _dirs_with(in_dir, name_a)
-    results = [combine_average(kio.load_external_scores(d / name_a),
-                               kio.load_external_scores(d / name_b)) for d in dirs]
     run = _Manifest(out_dir)
+    dirs = _dirs_with(in_dir, name_a)
+    results = [combine_average(run.load(d / name_a, kio.load_external_scores),
+                               run.load(d / name_b, kio.load_external_scores)) for d in dirs]
     for d, sm in zip(dirs, results):
         run.write(f"{d.name}/scores_{out_name}.jsonl", kio.write_scores, sm)
-        run.read(d / name_a)
-        run.read(d / name_b)
     run.save("combine", {"a": name_a, "b": name_b, "name": out_name})
     return 0
 
@@ -297,13 +313,10 @@ def cmd_build(args, parser: _Parser) -> int:
     run = _Manifest(out_dir)
     scores_by_sid, dir_by_sid, domain_by_sid = {}, {}, {}
     for d in _dirs_with(in_dir, scores_name):
-        s, domain = _load_summary_scores(d, scores_name)
-        if s.summary_id in scores_by_sid:
-            raise DataError(f"summary {s.summary_id!r} appears in two directories")
+        s, domain = _load_summary_scores(run, d, scores_name)
+        _add_summary(dir_by_sid, s.summary_id, d)
         scores_by_sid[s.summary_id] = s
-        dir_by_sid[s.summary_id] = d
         domain_by_sid[s.summary_id] = domain
-        run.read(d / scores_name)
 
     unconverged: dict[str, set[float]] = {}  # summary -> taus whose tncf hit max_passes
     # reduced_forest sees tau only through the threshold graph s.values > tau,
@@ -331,16 +344,11 @@ def cmd_build(args, parser: _Parser) -> int:
         gold_name = args.gold or kio.GOLD_FILE
         golds = {}
         for sid, d in sorted(dir_by_sid.items()):
-            gold_path = d / gold_name
-            if not gold_path.exists():
-                raise DataError(f"{d}: tune needs {gold_name}, which is missing")
-            g = kio.load_hierarchy(gold_path)
-            if g.summary_id != sid:
-                raise DataError(f"{d}: gold is for {g.summary_id!r}, scores for {sid!r}")
-            golds[sid] = g
+            g = golds[sid] = run.load(d / gold_name, kio.load_hierarchy)
+            _one_summary(d, (scores_name, scores_by_sid[sid]), (gold_name, g))
             domain_by_sid[sid] = g.domain
-            run.read(gold_path)
         taus, report, built = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
+        config["gold"] = gold_name
         config["grid"] = [kio.quant6(v) for v in grid]
         config["chosen_tau"] = {sid: kio.quant6(t) for sid, t in sorted(taus.items())}
     else:
@@ -367,13 +375,8 @@ def cmd_eval(args, parser: _Parser) -> int:
     run = _Manifest(out_dir)
     preds, golds = [], []
     for d in _dirs_with(in_dir, pred_name):
-        gold_path = d / gold_name
-        if not gold_path.exists():
-            raise DataError(f"{d}: missing gold file {gold_name}")
-        preds.append(kio.load_hierarchy(d / pred_name))
-        golds.append(kio.load_hierarchy(gold_path))
-        run.read(d / pred_name)
-        run.read(gold_path)
+        preds.append(run.load(d / pred_name, kio.load_hierarchy))
+        golds.append(run.load(d / gold_name, kio.load_hierarchy))
     report = evaluate_hierarchies(preds, golds)
     run.write("report_eval.json", kio.write_report, report)
     run.write("metrics.csv", kio.write_metrics_csv, report)
@@ -389,20 +392,16 @@ def cmd_prcurve(args, parser: _Parser) -> int:
     if not 0.0 <= min_recall < 1.0:
         parser.error(f"--min-recall must lie in [0, 1), got {min_recall}")
     run = _Manifest(out_dir)
-    by_domain: dict[str, tuple[list, list]] = {}
+    pairs: dict[str, tuple] = {}
     for d in _dirs_with(in_dir, scores_name):
-        s, _ = _load_summary_scores(d, scores_name)
-        gold_path = d / gold_name
-        if not gold_path.exists():
-            raise DataError(f"{d}: missing gold file {gold_name}")
-        g = kio.load_hierarchy(gold_path)
-        if g.summary_id != s.summary_id:
-            raise DataError(f"{d}: gold is for {g.summary_id!r}, scores for {s.summary_id!r}")
-        by_domain.setdefault(g.domain, ([], []))
-        by_domain[g.domain][0].append(s)
-        by_domain[g.domain][1].append(g)
-        run.read(d / scores_name)
-        run.read(gold_path)
+        s, _ = _load_summary_scores(run, d, scores_name)
+        g = run.load(d / gold_name, kio.load_hierarchy)
+        _add_summary(pairs, _one_summary(d, (scores_name, s), (gold_name, g)), (s, g))
+    by_domain: dict[str, tuple[list, list]] = {}
+    for s, g in pairs.values():
+        ss, gs = by_domain.setdefault(g.domain, ([], []))
+        ss.append(s)
+        gs.append(g)
     curves = {dom: pr_curve(ss, gs) for dom, (ss, gs) in sorted(by_domain.items())}
     aucs = {dom: auc_at_min_recall(c, min_recall) for dom, c in curves.items()}
     report = EvalReport(per_domain={}, per_domain_auc=aucs, curves=curves,
@@ -423,21 +422,14 @@ def cmd_weaklabel(args, parser: _Parser) -> int:
         parser.error(f"--threshold must lie in (0, 1), got {threshold}")
     if not (math.isfinite(ratio) and ratio >= 1):
         parser.error(f"--ratio must be a finite number >= 1, got {ratio}")
-    dirs = _dirs_with(in_dir, scores_name)
-    results = []
-    for d in dirs:
-        s = kio.load_external_scores(d / scores_name)
-        kp_path = d / kio.KEY_POINTS_FILE
-        if not kp_path.exists():
-            raise DataError(f"{d}: weak labeling needs {kio.KEY_POINTS_FILE} for the texts")
-        kps = kio.load_key_points(kp_path)
-        results.append(export_weak_labels(s, kps, threshold=threshold, neg_ratio=ratio,
-                                          seed=seed))
     run = _Manifest(out_dir)
+    dirs = _dirs_with(in_dir, scores_name)
+    results = [export_weak_labels(run.load(d / scores_name, kio.load_external_scores),
+                                  run.load(d / kio.KEY_POINTS_FILE, kio.load_key_points),
+                                  threshold=threshold, neg_ratio=ratio, seed=seed)
+               for d in dirs]
     for d, wls in zip(dirs, results):
         run.write(f"{d.name}/weak_labels.jsonl", kio.write_weak_labels, wls)
-        run.read(d / scores_name)
-        run.read(d / kio.KEY_POINTS_FILE)
     run.save("weaklabel", {"scores": scores_name, "threshold": threshold, "ratio": ratio,
                            "seed": seed})
     return 0
@@ -450,13 +442,10 @@ def cmd_correlate(args, parser: _Parser) -> int:
     run = _Manifest(out_dir)
     rows = {}
     for d in _dirs_with(in_dir, name_a):
-        a = kio.load_external_scores(d / name_a)
-        b = kio.load_external_scores(d / name_b)
-        if a.summary_id != b.summary_id:
-            raise DataError(f"{d}: score files are for different summaries")
-        rows[a.summary_id] = spearman_correlation(a, b)
-        run.read(d / name_a)
-        run.read(d / name_b)
+        a = run.load(d / name_a, kio.load_external_scores)
+        b = run.load(d / name_b, kio.load_external_scores)
+        _add_summary(rows, _one_summary(d, (name_a, a), (name_b, b)),
+                     spearman_correlation(a, b))
     run.write("correlations.csv", kio.write_correlations, rows)
     run.save("correlate", {"a": name_a, "b": name_b})
     return 0
@@ -464,32 +453,26 @@ def cmd_correlate(args, parser: _Parser) -> int:
 
 def cmd_validate(args, parser: _Parser) -> int:
     in_dir, out_dir = _in_out_dirs(args, parser)
-    dirs = _dirs_with(in_dir, kio.KEY_POINTS_FILE)
-    kp_sets, golds = kio.load_dataset(in_dir)  # one key point set per dir, in dirs' order
     run = _Manifest(out_dir)
-    for d, kps in zip(dirs, kp_sets.values()):
-        run.read(d / kio.KEY_POINTS_FILE)
+    kp_sets, golds = {}, {}
+    for d in _dirs_with(in_dir, kio.KEY_POINTS_FILE):
+        kps = run.load(d / kio.KEY_POINTS_FILE, kio.load_key_points)
+        _add_summary(kp_sets, kps.summary_id, kps)
         mm_path = d / kio.MATCH_MATRIX_FILE
         if mm_path.exists():
-            m = kio.load_match_matrix(mm_path)
-            if m.summary_id != kps.summary_id:
-                raise DataError(f"{mm_path}: match matrix is for {m.summary_id!r}, "
-                                f"key points for {kps.summary_id!r}")
+            m = run.load(mm_path, kio.load_match_matrix)
+            _one_summary(d, (kio.KEY_POINTS_FILE, kps), (mm_path.name, m))
             if set(m.kp_ids) != set(kps.ids):
                 raise DataError(f"{mm_path}: columns do not match the summary's key points")
-            run.read(mm_path)
         for score_path in sorted(d.glob("scores_*.jsonl")):
-            s = kio.load_external_scores(score_path)
-            if s.summary_id != kps.summary_id:
-                raise DataError(f"{score_path}: scores are for {s.summary_id!r}, "
-                                f"key points for {kps.summary_id!r}")
+            s = run.load(score_path, kio.load_external_scores)
+            _one_summary(d, (kio.KEY_POINTS_FILE, kps), (score_path.name, s))
             unknown = set(s.kp_ids) - set(kps.ids)
             if unknown:
                 raise DataError(f"{score_path}: unknown key points {sorted(unknown)}")
-            run.read(score_path)
         gold_path = d / kio.GOLD_FILE
         if gold_path.exists():
-            run.read(gold_path)
+            golds[kps.summary_id] = run.load(gold_path, kio.load_hierarchy)
     stats = kio.dataset_stats(kp_sets, golds)
     doc = json.dumps(stats, indent=2, sort_keys=True)
     print(doc)

@@ -118,14 +118,18 @@ def _prf_counts(inter: int, npred: int, ngold: int) -> DomainMetrics:
     return DomainMetrics(precision, recall, f1)
 
 
-def _by_summary(hs: Hierarchy | Iterable[Hierarchy], role: str) -> dict[str, Hierarchy]:
-    if isinstance(hs, Hierarchy):
-        hs = [hs]
-    out: dict[str, Hierarchy] = {}
-    for h in hs:
-        if h.summary_id in out:
-            raise DataError(f"{role} hierarchies list summary {h.summary_id!r} twice")
-        out[h.summary_id] = h
+def _by_summary(items, noun: str) -> dict:
+    """One hierarchy or score matrix, or several, keyed by summary id.
+
+    ``noun`` names the items in the error for a summary listed twice.
+    """
+    if isinstance(items, (Hierarchy, ScoreMatrix)):
+        items = [items]
+    out = {}
+    for x in items:
+        if x.summary_id in out:
+            raise DataError(f"{noun} list summary {x.summary_id!r} twice")
+        out[x.summary_id] = x
     return out
 
 
@@ -153,8 +157,8 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
     counts. Empty sets follow fixed conventions: empty predictions score
     precision 0 against nonempty gold, and 1 when gold is empty too.
     """
-    pred_map = _by_summary(predicted, "predicted")
-    gold_map = _by_summary(gold, "gold")
+    pred_map = _by_summary(predicted, "predicted hierarchies")
+    gold_map = _by_summary(gold, "gold hierarchies")
     _check_same_summaries(pred_map, gold_map)
     sids = sorted(pred_map)
     for sid in sids:
@@ -169,8 +173,8 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
 def evaluate_hierarchies(predicted: Iterable[Hierarchy],
                          gold: Iterable[Hierarchy]) -> EvalReport:
     """Relation F1 per domain (pooled within each domain) plus the macro mean."""
-    pred_map = _by_summary(predicted, "predicted")
-    gold_map = _by_summary(gold, "gold")
+    pred_map = _by_summary(predicted, "predicted hierarchies")
+    gold_map = _by_summary(gold, "gold hierarchies")
     _check_same_summaries(pred_map, gold_map)
     domains: dict[str, list[str]] = {}
     for sid in sorted(gold_map):
@@ -192,14 +196,8 @@ def pr_curve(scores: ScoreMatrix | Iterable[ScoreMatrix],
     if every pair at or above it were predicted positive (ties enter as a
     block, never split).
     """
-    if isinstance(scores, ScoreMatrix):
-        scores = [scores]
-    score_map: dict[str, ScoreMatrix] = {}
-    for s in scores:
-        if s.summary_id in score_map:
-            raise DataError(f"score matrices list summary {s.summary_id!r} twice")
-        score_map[s.summary_id] = s
-    gold_map = _by_summary(gold, "gold")
+    score_map = _by_summary(scores, "score matrices")
+    gold_map = _by_summary(gold, "gold hierarchies")
     missing = sorted(set(gold_map) - set(score_map))
     if missing:
         raise DataError(f"no scores supplied for summaries {missing}")

@@ -517,8 +517,8 @@ def relation_f1_reference(predicted: Hierarchy | Iterable[Hierarchy],
     counts. Empty sets follow fixed conventions: empty predictions score
     precision 0 against nonempty gold, and 1 when gold is empty too.
     """
-    pred_map = _by_summary(predicted, "predicted")
-    gold_map = _by_summary(gold, "gold")
+    pred_map = _by_summary(predicted, "predicted hierarchies")
+    gold_map = _by_summary(gold, "gold hierarchies")
     _check_same_summaries(pred_map, gold_map)
     for sid, ph in sorted(pred_map.items()):
         _check_known_kps(sid, ph, gold_map[sid])

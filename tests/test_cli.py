@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,56 @@ class TestCorrelate:
         assert len(lines) == 6  # four summaries plus header and mean
 
 
+class TestInputChecks:
+    """Missing files, files for different summaries, one summary in two directories."""
+
+    @pytest.mark.parametrize("command,flags,missing", [
+        ("tune", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf"), kio.GOLD_FILE),
+        ("eval", ("--pred", "pred.jsonl"), kio.GOLD_FILE),
+        ("prcurve", ("--scores", "scores_bininc.jsonl"), kio.GOLD_FILE),
+        ("weaklabel", ("--scores", "scores_bininc.jsonl"), kio.KEY_POINTS_FILE),
+    ])
+    def test_missing_file_is_named(self, dataset, tmp_path, capsys, command, flags, missing):
+        data = scored_copy(dataset, tmp_path)
+        for sid in ["h1", "h2", "r1", "r2"]:
+            shutil.copy(data / sid / kio.GOLD_FILE, data / sid / "pred.jsonl")
+        (data / "r1" / missing).unlink()
+        capsys.readouterr()
+        assert run(command, "--in-dir", data, "--out-dir", tmp_path / "o", *flags) == 2
+        err = capsys.readouterr().err
+        assert f"{data / 'r1' / missing}: cannot read file" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_files_for_different_summaries(self, dataset, tmp_path, capsys):
+        data = scored_copy(dataset, tmp_path)
+        shutil.copy(data / "h2" / "scores_bininc.jsonl", data / "h1" / "scores_other.jsonl")
+        capsys.readouterr()
+        assert run("correlate", "--in-dir", data, "--out-dir", tmp_path / "o",
+                   "--a", "scores_other.jsonl", "--b", "scores_bininc.jsonl") == 2
+        assert (f"{data / 'h1'}: files are for different summaries: scores_other.jsonl "
+                f"is for 'h2', scores_bininc.jsonl is for 'h1'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("build", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf", "--tau", "0.5")),
+        ("tune", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf")),
+        ("correlate", ("--a", "scores_bininc.jsonl", "--b", "scores_bininc.jsonl")),
+        ("prcurve", ("--scores", "scores_bininc.jsonl")),
+        ("validate", ()),
+    ])
+    def test_one_summary_in_two_directories(self, dataset, tmp_path, capsys, command, flags):
+        data = scored_copy(dataset, tmp_path)
+        shutil.copytree(data / "h1", data / "h1_copy")
+        # gold in another domain, so no per-domain check alone sees h1 twice
+        gold = kio.load_hierarchy(data / "h1_copy" / kio.GOLD_FILE)
+        kio.write_hierarchy(data / "h1_copy" / kio.GOLD_FILE,
+                            Hierarchy(summary_id="h1", domain="restaurants",
+                                      clusters=gold.clusters, parent=dict(gold.parent)))
+        capsys.readouterr()
+        assert run(command, "--in-dir", data, "--out-dir", tmp_path / "o", *flags) == 2
+        assert "summary 'h1' appears in two directories" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestValidate:
     def test_prints_stats(self, dataset, tmp_path, capsys):
         assert run("validate", "--in-dir", dataset,
@@ -648,6 +699,33 @@ class TestManifests:
         for rel, digest in {**doc["inputs"], **doc["outputs"]}.items():
             assert "/" in rel or rel.endswith(".json")
             assert len(digest) == 64
+
+    def test_inputs_are_exactly_the_files_parsed(self, dataset, tmp_path, monkeypatch):
+        parsed = []
+        real = kio._read_lines
+
+        def recording(path):
+            parsed.append(Path(path))
+            return real(path)
+
+        monkeypatch.setattr(kio, "_read_lines", recording)
+        bininc, combined = "scores_bininc.jsonl", "scores_combined.jsonl"
+        commands = [  # score, combine and build write next to their inputs
+            ("score", dataset, "--scorer", "bininc"),
+            ("combine", dataset, "--a", bininc, "--b", bininc),
+            ("build", dataset, "--scores", combined, "--algorithm", "tncf", "--tau", "0.5"),
+            ("tune", tmp_path / "tune", "--scores", bininc, "--algorithm", "reduced_forest"),
+            ("eval", tmp_path / "eval", "--pred", "hierarchy_tncf.jsonl"),
+            ("prcurve", tmp_path / "prcurve", "--scores", bininc),
+            ("weaklabel", tmp_path / "weaklabel", "--scores", bininc),
+            ("correlate", tmp_path / "correlate", "--a", bininc, "--b", combined),
+            ("validate", tmp_path / "validate"),
+        ]
+        for command, out, *flags in commands:
+            parsed.clear()
+            assert run(command, "--in-dir", dataset, "--out-dir", out, *flags) == 0
+            doc = json.loads((out / f"manifest_{command}.json").read_text())
+            assert set(doc["inputs"]) == {f"{p.parent.name}/{p.name}" for p in parsed}, command
 
     def test_manifest_is_deterministic(self, dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
