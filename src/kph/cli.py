@@ -2,9 +2,9 @@
 
 Inputs are addressed by a summary-set directory: one subdirectory per
 summary holding its key point, match matrix, score, gold, and output
-files. Every command writes a run manifest (inputs, config, outputs, all
-digested) next to its outputs; identical inputs and flags always reproduce
-every output byte for byte.
+files. Every command writes a run manifest (inputs, resolved options,
+outputs, all digested) next to its outputs; identical inputs and options,
+as flags or from a config file, reproduce every output byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 internal
 invariant breach.
@@ -28,9 +28,8 @@ from . import io as kio
 from .construction import ALGORITHMS, DEFAULT_MAX_PASSES, ConstructionConfig, build_hierarchy
 from .core import Hierarchy
 from .errors import DataError, KphError
-from .evaluation import (DEFAULT_MIN_RECALL, DEFAULT_TAU_GRID, EvalReport, auc_at_min_recall,
-                         evaluate_hierarchies, loo_threshold_tuning, pr_curve,
-                         spearman_correlation)
+from .evaluation import (DEFAULT_MIN_RECALL, EvalReport, auc_at_min_recall, evaluate_hierarchies,
+                         loo_threshold_tuning, pr_curve, spearman_correlation)
 from .scoring import (DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED,
                       DEFAULT_WEAK_LABEL_THRESHOLD, SCORERS, compute_score_matrix,
                       combine_average, export_weak_labels)
@@ -43,12 +42,16 @@ class _Manifest:
 
     Every input is parsed through ``load``, so the inputs are exactly the
     files the command read, keyed ``<summary dir>/<file>``. Outputs are keyed
-    by their path inside the output directory. ``save`` comes last, once
-    every output is written.
+    by their path inside the output directory. The config is every resolved
+    option of the subcommand but ``--config``, ``--in-dir`` and ``--out-dir``.
+    ``save`` comes last, once every output is written.
     """
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+    def __init__(self, args: argparse.Namespace, parser: _Parser):
+        self.command = args.command
+        self.out_dir = Path(args.out_dir)
+        self.config = {dest: getattr(args, dest) for dest in _options(parser.commands[self.command])
+                       if dest not in ("config", "in_dir", "out_dir")}
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
 
@@ -62,9 +65,9 @@ class _Manifest:
         writer(self.out_dir / rel, obj)
         self.outputs[rel] = kio.file_digest(self.out_dir / rel)
 
-    def save(self, subcommand: str, config: dict) -> None:
-        kio.write_manifest(self.out_dir / f"manifest_{subcommand}.json", subcommand,
-                           __version__, config, self.inputs, self.outputs)
+    def save(self) -> None:
+        kio.write_manifest(self.out_dir / f"manifest_{self.command}.json", self.command,
+                           __version__, self.config, self.inputs, self.outputs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,19 +87,20 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="JSON file of default option values; flags override it")
     common.add_argument("--in-dir", help="summary-set directory to read")
     common.add_argument("--out-dir", help="directory to write outputs and the run manifest")
+    gold = dict(default=kio.GOLD_FILE, help="gold hierarchy file name (default %(default)s)")
 
     p = sub.add_parser("score", parents=[common],
                        help="compute distributional scores from match matrices")
     p.add_argument("--scorer", choices=sorted(SCORERS))
-    p.add_argument("--theta-match", type=float, default=None,
-                   help=f"match threshold for support sets (default {DEFAULT_THETA_MATCH})")
+    p.add_argument("--theta-match", type=float, default=DEFAULT_THETA_MATCH,
+                   help="match threshold for support sets (default %(default)s)")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("combine", parents=[common],
                        help="average two score files pair by pair")
     p.add_argument("--a", help="first score file name inside each summary directory")
     p.add_argument("--b", help="second score file name")
-    p.add_argument("--name", default=None, help="output score name (default: combined)")
+    p.add_argument("--name", default="combined", help="output score name (default %(default)s)")
     p.set_defaults(func=cmd_combine)
 
     for cmd_name, help_text in (("build", "build hierarchies from score files"),
@@ -104,37 +108,40 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(cmd_name, parents=[common], help=help_text)
         p.add_argument("--scores", help="score file name inside each summary directory")
         p.add_argument("--algorithm", choices=ALGORITHMS)
-        p.add_argument("--max-passes", type=int, default=None)
+        p.add_argument("--max-passes", type=int, default=DEFAULT_MAX_PASSES,
+                       help="tncf local search passes at most (default %(default)s)")
         if cmd_name == "build":
-            p.add_argument("--tau", type=float, default=None)
+            p.add_argument("--tau", type=float, help="score threshold for a relation")
         else:
-            p.add_argument("--gold", default=None,
-                           help="gold hierarchy file name (default: gold.jsonl)")
-            p.add_argument("--grid", default=None,
-                           help="tau grid as start:stop:step or a comma list")
+            p.add_argument("--gold", **gold)
+            p.add_argument("--grid", default="0:1:0.01",
+                           help="tau grid as start:stop:step or a comma list "
+                                "(default %(default)s)")
         p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", parents=[common],
                        help="relation F1 of predicted vs gold hierarchies")
     p.add_argument("--pred", help="predicted hierarchy file name")
-    p.add_argument("--gold", default=None, help="gold hierarchy file name")
+    p.add_argument("--gold", **gold)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("prcurve", parents=[common],
                        help="precision/recall curves and AUC of raw scores vs gold")
     p.add_argument("--scores", help="score file name inside each summary directory")
-    p.add_argument("--gold", default=None, help="gold hierarchy file name")
-    p.add_argument("--min-recall", type=float, default=None)
+    p.add_argument("--gold", **gold)
+    p.add_argument("--min-recall", type=float, default=DEFAULT_MIN_RECALL,
+                   help="recall the AUC starts at (default %(default)s)")
     p.set_defaults(func=cmd_prcurve)
 
     p = sub.add_parser("weaklabel", parents=[common],
                        help="export entail/neutral training pairs from scores")
     p.add_argument("--scores", help="score file name inside each summary directory")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None,
-                   help=f"negatives kept per positive (default {DEFAULT_NEG_RATIO:g})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"seed for sampling the negatives (default {DEFAULT_WEAK_LABEL_SEED})")
+    p.add_argument("--threshold", type=float, default=DEFAULT_WEAK_LABEL_THRESHOLD,
+                   help="score above which a pair is entail (default %(default)s)")
+    p.add_argument("--ratio", type=float, default=DEFAULT_NEG_RATIO,
+                   help="negatives kept per positive (default %(default)s)")
+    p.add_argument("--seed", type=int, default=DEFAULT_WEAK_LABEL_SEED,
+                   help="seed for sampling the negatives (default %(default)s)")
     p.set_defaults(func=cmd_weaklabel)
 
     p = sub.add_parser("correlate", parents=[common],
@@ -150,55 +157,63 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, parser: _Parser) -> None:
-    if not getattr(args, "config", None):
-        return
+def _options(sub: _Parser) -> dict[str, argparse.Action]:
+    """A subcommand's options by dest, --help aside."""
+    return {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+
+
+def _read_config(path: str, parser: _Parser, command: str) -> dict[str, object]:
+    """The config file's values for command, each converted by its option's type."""
     try:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:  # ValueError: bad JSON, bad UTF-8, too many digits
-        parser.error(f"cannot read config file {args.config}: {e}")
+        parser.error(f"cannot read config file {path}: {e}")
     if not isinstance(cfg, dict):
-        parser.error(f"config file {args.config} must hold a JSON object")
-    options = {name: {a.dest: a for a in sub._actions if a.option_strings}
-               for name, sub in parser.commands.items()}
-    known = {dest for opts in options.values() for dest in opts} - {"help", "config"}
-    unknown = sorted(set(cfg) - known)
+        parser.error(f"config file {path} must hold a JSON object")
+    options = {name: _options(sub) for name, sub in parser.commands.items()}
+    unknown = sorted(set(cfg) - ({dest for opts in options.values() for dest in opts} - {"config"}))
     if unknown:
         parser.error(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
     for key, value in cfg.items():
-        action = options[args.command].get(key)
+        action = options[command].get(key)
         if action is None:
             continue  # option not used by this subcommand
         kind = {None: str, int: int, float: (int, float)}[action.type]
         ok = isinstance(value, kind) and not isinstance(value, bool)
-        if ok and action.type is float:
-            try:
-                float(value)
-            except OverflowError:  # an integer too large for a float
-                ok = False
+        try:
+            value = (action.type or str)(value) if ok else value
+        except OverflowError:  # an integer too large for a float
+            ok = False
         if not ok or (action.choices is not None and value not in action.choices):
             parser.error(f"config key {key!r}: invalid value {value!r}")
-        if getattr(args, key) == action.default:  # the flag was not given
-            setattr(args, key, value)
+        values[key] = value
+    return values
 
 
-def _require(args, parser: _Parser, name: str, value):
-    if value is None:
-        parser.error(f"--{name.replace('_', '-')} is required")
-    return value
+def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
+    """Each option from its flag, else the config file, else its default; unset or empty exits 1."""
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.error("a subcommand is required")
+    sub = parser.commands[args.command]
+    if args.config:
+        sub.set_defaults(**_read_config(args.config, parser, args.command))
+        args = parser.parse_args(argv)  # flags win over the config's defaults
+    for dest, action in _options(sub).items():
+        value = getattr(args, dest)
+        if value == "":
+            parser.error(f"{action.option_strings[0]} must not be empty")
+        if value is None and dest != "config":
+            parser.error(f"{action.option_strings[0]} is required")
+    return args
 
 
-def _in_out_dirs(args, parser: _Parser) -> tuple[Path, Path]:
-    in_dir = Path(_require(args, parser, "in_dir", args.in_dir))
-    out_dir = Path(_require(args, parser, "out_dir", args.out_dir))
-    return in_dir, out_dir
-
-
-def _dirs_with(root: Path, filename: str) -> list[Path]:
+def _dirs_with(root: str, filename: str) -> list[Path]:
     """The summary directories under root that hold filename; at least one."""
     dirs = kio.discover_summaries(root, filename)
     if not dirs:
-        raise DataError(f"no summaries found: no */{filename} under {root}")
+        raise DataError(f"no summaries found: no */{filename} under {Path(root)}")
     return dirs
 
 
@@ -220,9 +235,7 @@ def _add_summary(by_sid: dict, sid: str, value) -> None:
     by_sid[sid] = value
 
 
-def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
-    if text is None:
-        return DEFAULT_TAU_GRID
+def _parse_grid(text: str, parser: _Parser) -> tuple[float, ...]:
     try:
         if ":" in text:
             start_s, stop_s, step_s = text.split(":")
@@ -232,15 +245,11 @@ def _parse_grid(text: str | None, parser: _Parser) -> tuple[float, ...]:
             if step < 1e-6:  # the resolution every tau is written at
                 raise ValueError("step must be at least 1e-06")
             values = []
-            k = 0
-            while True:
-                v = round(start + k * step, 10)
+            while not values or 0.0 <= values[-1] <= 1.0:  # a far stop must not grow the list
+                v = round(start + len(values) * step, 10)
                 if v > stop + 1e-9:
                     break
                 values.append(v)
-                if not 0.0 <= v <= 1.0:
-                    break  # rejected below; a far stop must not grow the list
-                k += 1
         else:
             values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
@@ -267,52 +276,42 @@ def _load_summary_scores(run: _Manifest, d: Path, scores_name: str):
 
 
 def cmd_score(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    scorer = _require(args, parser, "scorer", args.scorer)
-    theta = args.theta_match if args.theta_match is not None else DEFAULT_THETA_MATCH
-    if not 0.0 <= theta <= 1.0:
-        parser.error(f"--theta-match must lie in [0, 1], got {theta}")
-    run = _Manifest(out_dir)
-    dirs = _dirs_with(in_dir, kio.MATCH_MATRIX_FILE)
+    if not 0.0 <= args.theta_match <= 1.0:
+        parser.error(f"--theta-match must lie in [0, 1], got {args.theta_match}")
+    run = _Manifest(args, parser)
+    dirs = _dirs_with(args.in_dir, kio.MATCH_MATRIX_FILE)
     results = [compute_score_matrix(run.load(d / kio.MATCH_MATRIX_FILE, kio.load_match_matrix),
-                                    scorer, theta) for d in dirs]
+                                    args.scorer, args.theta_match) for d in dirs]
     for d, sm in zip(dirs, results):
-        run.write(f"{d.name}/scores_{scorer}.jsonl", kio.write_scores, sm)
-    run.save("score", {"scorer": scorer, "theta_match": theta})
+        run.write(f"{d.name}/scores_{args.scorer}.jsonl", kio.write_scores, sm)
+    run.save()
     return 0
 
 
 def cmd_combine(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    name_a = _require(args, parser, "a", args.a)
-    name_b = _require(args, parser, "b", args.b)
-    out_name = args.name or "combined"
-    run = _Manifest(out_dir)
-    dirs = _dirs_with(in_dir, name_a)
-    results = [combine_average(run.load(d / name_a, kio.load_external_scores),
-                               run.load(d / name_b, kio.load_external_scores)) for d in dirs]
+    run = _Manifest(args, parser)
+    dirs = _dirs_with(args.in_dir, args.a)
+    results = [combine_average(run.load(d / args.a, kio.load_external_scores),
+                               run.load(d / args.b, kio.load_external_scores)) for d in dirs]
     for d, sm in zip(dirs, results):
-        run.write(f"{d.name}/scores_{out_name}.jsonl", kio.write_scores, sm)
-    run.save("combine", {"a": name_a, "b": name_b, "name": out_name})
+        run.write(f"{d.name}/scores_{args.name}.jsonl", kio.write_scores, sm)
+    run.save()
     return 0
 
 
 def cmd_build(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    scores_name = _require(args, parser, "scores", args.scores)
-    algorithm = _require(args, parser, "algorithm", args.algorithm)
-    max_passes = args.max_passes if args.max_passes is not None else DEFAULT_MAX_PASSES
+    scores_name, algorithm, max_passes = args.scores, args.algorithm, args.max_passes
     if max_passes < 1:
         parser.error(f"--max-passes must be >= 1, got {max_passes}")
     tuning = args.command == "tune"
-    if not tuning:
-        tau = _require(args, parser, "tau", args.tau)
-        if not 0.0 <= tau <= 1.0:
-            parser.error(f"--tau must lie in [0, 1], got {tau}")
+    if tuning:
+        grid = _parse_grid(args.grid, parser)
+    elif not 0.0 <= args.tau <= 1.0:
+        parser.error(f"--tau must lie in [0, 1], got {args.tau}")
 
-    run = _Manifest(out_dir)
+    run = _Manifest(args, parser)
     scores_by_sid, dir_by_sid, domain_by_sid = {}, {}, {}
-    for d in _dirs_with(in_dir, scores_name):
+    for d in _dirs_with(args.in_dir, scores_name):
         s, domain = _load_summary_scores(run, d, scores_name)
         _add_summary(dir_by_sid, s.summary_id, d)
         scores_by_sid[s.summary_id] = s
@@ -336,24 +335,17 @@ def cmd_build(args, parser: _Parser) -> int:
             unconverged.setdefault(s.summary_id, set()).add(tau)
         return h
 
-    config: dict[str, object] = {"scores": scores_name, "algorithm": algorithm,
-                                 "max_passes": max_passes}
     report = None
     if tuning:
-        grid = _parse_grid(args.grid, parser)
-        gold_name = args.gold or kio.GOLD_FILE
         golds = {}
         for sid, d in sorted(dir_by_sid.items()):
-            g = golds[sid] = run.load(d / gold_name, kio.load_hierarchy)
-            _one_summary(d, (scores_name, scores_by_sid[sid]), (gold_name, g))
+            g = golds[sid] = run.load(d / args.gold, kio.load_hierarchy)
+            _one_summary(d, (scores_name, scores_by_sid[sid]), (args.gold, g))
             domain_by_sid[sid] = g.domain
         taus, report, built = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
-        config["gold"] = gold_name
-        config["grid"] = [kio.quant6(v) for v in grid]
-        config["chosen_tau"] = {sid: kio.quant6(t) for sid, t in sorted(taus.items())}
+        run.config.update(grid=grid, chosen_tau=taus)
     else:
-        built = {sid: builder(scores_by_sid[sid], tau) for sid in sorted(scores_by_sid)}
-        config["tau"] = tau
+        built = {sid: builder(scores_by_sid[sid], args.tau) for sid in sorted(scores_by_sid)}
 
     for sid, stopped in sorted(unconverged.items()):
         print(f"kph: warning: summary {sid!r}: tncf stopped at max_passes={max_passes} "
@@ -364,98 +356,81 @@ def cmd_build(args, parser: _Parser) -> int:
                   dataclasses.replace(h, domain=domain_by_sid[sid]))
     if report is not None:
         run.write("report_loo.json", kio.write_report, report)
-    run.save(args.command, config)
+    run.save()
     return 0
 
 
 def cmd_eval(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    pred_name = _require(args, parser, "pred", args.pred)
-    gold_name = args.gold or kio.GOLD_FILE
-    run = _Manifest(out_dir)
+    run = _Manifest(args, parser)
     preds, golds = [], []
-    for d in _dirs_with(in_dir, pred_name):
-        preds.append(run.load(d / pred_name, kio.load_hierarchy))
-        golds.append(run.load(d / gold_name, kio.load_hierarchy))
+    for d in _dirs_with(args.in_dir, args.pred):
+        preds.append(run.load(d / args.pred, kio.load_hierarchy))
+        golds.append(run.load(d / args.gold, kio.load_hierarchy))
+        _one_summary(d, (args.pred, preds[-1]), (args.gold, golds[-1]))
     report = evaluate_hierarchies(preds, golds)
     run.write("report_eval.json", kio.write_report, report)
     run.write("metrics.csv", kio.write_metrics_csv, report)
-    run.save("eval", {"pred": pred_name, "gold": gold_name})
+    run.save()
     return 0
 
 
 def cmd_prcurve(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    scores_name = _require(args, parser, "scores", args.scores)
-    gold_name = args.gold or kio.GOLD_FILE
-    min_recall = args.min_recall if args.min_recall is not None else DEFAULT_MIN_RECALL
-    if not 0.0 <= min_recall < 1.0:
-        parser.error(f"--min-recall must lie in [0, 1), got {min_recall}")
-    run = _Manifest(out_dir)
+    if not 0.0 <= args.min_recall < 1.0:
+        parser.error(f"--min-recall must lie in [0, 1), got {args.min_recall}")
+    run = _Manifest(args, parser)
     pairs: dict[str, tuple] = {}
-    for d in _dirs_with(in_dir, scores_name):
-        s, _ = _load_summary_scores(run, d, scores_name)
-        g = run.load(d / gold_name, kio.load_hierarchy)
-        _add_summary(pairs, _one_summary(d, (scores_name, s), (gold_name, g)), (s, g))
+    for d in _dirs_with(args.in_dir, args.scores):
+        s, _ = _load_summary_scores(run, d, args.scores)
+        g = run.load(d / args.gold, kio.load_hierarchy)
+        _add_summary(pairs, _one_summary(d, (args.scores, s), (args.gold, g)), (s, g))
     by_domain: dict[str, tuple[list, list]] = {}
     for s, g in pairs.values():
         ss, gs = by_domain.setdefault(g.domain, ([], []))
         ss.append(s)
         gs.append(g)
     curves = {dom: pr_curve(ss, gs) for dom, (ss, gs) in sorted(by_domain.items())}
-    aucs = {dom: auc_at_min_recall(c, min_recall) for dom, c in curves.items()}
+    aucs = {dom: auc_at_min_recall(c, args.min_recall) for dom, c in curves.items()}
     report = EvalReport(per_domain={}, per_domain_auc=aucs, curves=curves,
-                        provenance={"scores": scores_name, "min_recall": min_recall})
+                        provenance={"scores": args.scores, "min_recall": args.min_recall})
     run.write("report_prcurve.json", kio.write_report, report)
     run.write("pr_curves.csv", kio.write_pr_curves, curves)
-    run.save("prcurve", {"scores": scores_name, "gold": gold_name, "min_recall": min_recall})
+    run.save()
     return 0
 
 
 def cmd_weaklabel(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    scores_name = _require(args, parser, "scores", args.scores)
-    threshold = args.threshold if args.threshold is not None else DEFAULT_WEAK_LABEL_THRESHOLD
-    ratio = args.ratio if args.ratio is not None else DEFAULT_NEG_RATIO
-    seed = args.seed if args.seed is not None else DEFAULT_WEAK_LABEL_SEED
-    if not 0.0 < threshold < 1.0:
-        parser.error(f"--threshold must lie in (0, 1), got {threshold}")
-    if not (math.isfinite(ratio) and ratio >= 1):
-        parser.error(f"--ratio must be a finite number >= 1, got {ratio}")
-    run = _Manifest(out_dir)
-    dirs = _dirs_with(in_dir, scores_name)
-    results = [export_weak_labels(run.load(d / scores_name, kio.load_external_scores),
+    if not 0.0 < args.threshold < 1.0:
+        parser.error(f"--threshold must lie in (0, 1), got {args.threshold}")
+    if not (math.isfinite(args.ratio) and args.ratio >= 1):
+        parser.error(f"--ratio must be a finite number >= 1, got {args.ratio}")
+    run = _Manifest(args, parser)
+    dirs = _dirs_with(args.in_dir, args.scores)
+    results = [export_weak_labels(run.load(d / args.scores, kio.load_external_scores),
                                   run.load(d / kio.KEY_POINTS_FILE, kio.load_key_points),
-                                  threshold=threshold, neg_ratio=ratio, seed=seed)
+                                  threshold=args.threshold, neg_ratio=args.ratio, seed=args.seed)
                for d in dirs]
     for d, wls in zip(dirs, results):
         run.write(f"{d.name}/weak_labels.jsonl", kio.write_weak_labels, wls)
-    run.save("weaklabel", {"scores": scores_name, "threshold": threshold, "ratio": ratio,
-                           "seed": seed})
+    run.save()
     return 0
 
 
 def cmd_correlate(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    name_a = _require(args, parser, "a", args.a)
-    name_b = _require(args, parser, "b", args.b)
-    run = _Manifest(out_dir)
+    run = _Manifest(args, parser)
     rows = {}
-    for d in _dirs_with(in_dir, name_a):
-        a = run.load(d / name_a, kio.load_external_scores)
-        b = run.load(d / name_b, kio.load_external_scores)
-        _add_summary(rows, _one_summary(d, (name_a, a), (name_b, b)),
-                     spearman_correlation(a, b))
+    for d in _dirs_with(args.in_dir, args.a):
+        a = run.load(d / args.a, kio.load_external_scores)
+        b = run.load(d / args.b, kio.load_external_scores)
+        _add_summary(rows, _one_summary(d, (args.a, a), (args.b, b)), spearman_correlation(a, b))
     run.write("correlations.csv", kio.write_correlations, rows)
-    run.save("correlate", {"a": name_a, "b": name_b})
+    run.save()
     return 0
 
 
 def cmd_validate(args, parser: _Parser) -> int:
-    in_dir, out_dir = _in_out_dirs(args, parser)
-    run = _Manifest(out_dir)
+    run = _Manifest(args, parser)
     kp_sets, golds = {}, {}
-    for d in _dirs_with(in_dir, kio.KEY_POINTS_FILE):
+    for d in _dirs_with(args.in_dir, kio.KEY_POINTS_FILE):
         kps = run.load(d / kio.KEY_POINTS_FILE, kio.load_key_points)
         _add_summary(kp_sets, kps.summary_id, kps)
         mm_path = d / kio.MATCH_MATRIX_FILE
@@ -477,17 +452,14 @@ def cmd_validate(args, parser: _Parser) -> int:
     doc = json.dumps(stats, indent=2, sort_keys=True)
     print(doc)
     run.write("validation_report.json", kio.write_text, doc + "\n")
-    run.save("validate", {})
+    run.save()
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            parser.error("a subcommand is required")
-        _apply_config(args, parser)
+        args = _parse(parser, argv)
         return args.func(args, parser)
     except SystemExit as e:
         return int(e.code or 0)

@@ -10,6 +10,7 @@ import pytest
 
 from kph import Hierarchy, KeyPoint, KeyPointSet, MatchMatrix, ScoreMatrix
 from kph import io as kio
+from kph.evaluation import DEFAULT_TAU_GRID
 import kph.cli
 from kph.cli import main
 
@@ -333,8 +334,8 @@ class TestTune:
         for sid in ("h1", "h2", "r1", "r2"):
             s = kio.load_external_scores(out / sid / "scores_bininc.jsonl")
             graphs |= {(sid, np.packbits(s.values > tau).tobytes())
-                       for tau in kph.cli.DEFAULT_TAU_GRID}
-        assert len(calls) == len(graphs) < 4 * len(kph.cli.DEFAULT_TAU_GRID)
+                       for tau in DEFAULT_TAU_GRID}
+        assert len(calls) == len(graphs) < 4 * len(DEFAULT_TAU_GRID)
         assert {(sid, graph) for sid, _, graph in calls} == graphs
 
     def test_tncf_built_once_per_tau(self, dataset, tmp_path, monkeypatch):
@@ -360,6 +361,11 @@ class TestTune:
 
 class TestGrid:
     TUNE = ("--scores", "scores_bininc.jsonl", "--algorithm", "reduced_forest")
+
+    def test_default_grid_is_the_evaluation_grid(self):
+        parser = kph.cli._build_parser()
+        grid = kph.cli._parse_grid(parser.commands["tune"].get_default("grid"), parser)
+        assert [v.hex() for v in grid] == [v.hex() for v in DEFAULT_TAU_GRID]
 
     def test_step_grid_lists_every_tau(self, dataset, tmp_path):
         out = scored_copy(dataset, tmp_path)
@@ -543,6 +549,19 @@ class TestInputChecks:
         assert (f"{data / 'h1'}: files are for different summaries: scores_other.jsonl "
                 f"is for 'h2', scores_bininc.jsonl is for 'h1'") in capsys.readouterr().err
 
+    def test_eval_pred_and_gold_for_different_summaries(self, dataset, tmp_path, capsys):
+        for sid in ("h1", "h2"):
+            shutil.copy(dataset / sid / kio.GOLD_FILE, dataset / sid / "pred.jsonl")
+        h1_gold = (dataset / "h1" / kio.GOLD_FILE).read_bytes()
+        shutil.copy(dataset / "h2" / kio.GOLD_FILE, dataset / "h1" / kio.GOLD_FILE)
+        (dataset / "h2" / kio.GOLD_FILE).write_bytes(h1_gold)
+        capsys.readouterr()
+        assert run("eval", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--pred", "pred.jsonl") == 2
+        assert (f"{dataset / 'h1'}: files are for different summaries: pred.jsonl "
+                f"is for 'h1', gold.jsonl is for 'h2'") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,flags", [
         ("build", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf", "--tau", "0.5")),
         ("tune", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf")),
@@ -674,6 +693,66 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "b" / "manifest_build.json").read_text())
         assert manifest["config"]["max_passes"] == 2
 
+    @pytest.mark.parametrize("command,flags,cfg,flag", [
+        ("weaklabel", ("--scores", "scores_bininc.jsonl"), {"ratio": 5}, ("--ratio", "5")),
+        ("build", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf"), {"tau": 1},
+         ("--tau", "1")),
+    ], ids=["weaklabel-ratio", "build-tau"])
+    def test_integer_writes_the_flag_bytes(self, dataset, tmp_path, command, flags, cfg, flag):
+        out = scored_copy(dataset, tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, "--in-dir", out, "--out-dir", tmp_path / "flag", *flags, *flag) == 0
+        assert run(command, "--in-dir", out, "--out-dir", tmp_path / "cfg", *flags,
+                   "--config", path) == 0
+        assert tree_bytes(tmp_path / "cfg") == tree_bytes(tmp_path / "flag")
+
+
+def _string_options():
+    """(command, option, how it is given) for every string option of every command."""
+    for command, sub in kph.cli._build_parser().commands.items():
+        for a in kph.cli._options(sub).values():
+            if a.type is None:
+                for how in ("flag",) if a.dest == "config" else ("flag", "config"):
+                    yield pytest.param(command, a, how, id=f"{command}-{a.dest}-{how}")
+
+
+@pytest.mark.parametrize("command,option,how", list(_string_options()))
+def test_empty_string_is_usage_error(tmp_path, monkeypatch, capsys, command, option, how):
+    cwd = tmp_path / "cwd"  # an empty --out-dir would write here
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    flags = {"--in-dir": tmp_path, "--out-dir": tmp_path / "o"}
+    for a in kph.cli._options(kph.cli._build_parser().commands[command]).values():
+        if a.default is None and a.dest != "config":
+            flags.setdefault(a.option_strings[0],
+                             a.choices[0] if a.choices else "0.5" if a.type else "x.jsonl")
+    name = option.option_strings[0]
+    flags[name] = ""
+    if how == "config":
+        del flags[name]
+        (tmp_path / "cfg.json").write_text(json.dumps({option.dest: ""}))
+        flags["--config"] = tmp_path / "cfg.json"
+    assert run(command, *(f"{k}={v}" for k, v in flags.items())) == 1
+    if option.choices is None:
+        expected = f"{name} must not be empty"
+    elif how == "flag":
+        expected = f"argument {name}: invalid choice: ''"
+    else:
+        expected = f"config key {option.dest!r}: invalid value ''"
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert not any(cwd.iterdir())
+
+
+@pytest.mark.parametrize("command", list(kph.cli._build_parser().commands))
+def test_help_shows_every_default(capsys, command):
+    assert run(command, "--help") == 0
+    text = capsys.readouterr().out
+    for a in kph.cli._options(kph.cli._build_parser().commands[command]).values():
+        if a.default is not None:
+            assert str(a.default) in text, a.dest
+
 
 def test_readme_command_lines_use_existing_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -726,6 +805,29 @@ class TestManifests:
             assert run(command, "--in-dir", dataset, "--out-dir", out, *flags) == 0
             doc = json.loads((out / f"manifest_{command}.json").read_text())
             assert set(doc["inputs"]) == {f"{p.parent.name}/{p.name}" for p in parsed}, command
+
+    def test_config_is_every_resolved_option(self, dataset, tmp_path):
+        commands = kph.cli._build_parser().commands
+        bininc = "scores_bininc.jsonl"
+        flags = {  # score, combine and build write next to their inputs
+            "score": (dataset, "--scorer", "bininc"),
+            "combine": (dataset, "--a", bininc, "--b", bininc),
+            "build": (dataset, "--scores", bininc, "--algorithm", "tncf", "--tau", "0.5"),
+            "tune": (tmp_path / "tune", "--scores", bininc, "--algorithm", "reduced_forest"),
+            "eval": (tmp_path / "eval", "--pred", "hierarchy_tncf.jsonl"),
+            "prcurve": (tmp_path / "prcurve", "--scores", bininc),
+            "weaklabel": (tmp_path / "weaklabel", "--scores", bininc),
+            "correlate": (tmp_path / "correlate", "--a", bininc, "--b", bininc),
+            "validate": (tmp_path / "validate",),
+        }
+        assert set(flags) == set(commands)
+        for command, (out, *rest) in flags.items():
+            assert run(command, "--in-dir", dataset, "--out-dir", out, *rest) == 0
+            config = json.loads((out / f"manifest_{command}.json").read_text())["config"]
+            options = {a.dest for a in commands[command]._actions if a.option_strings}
+            expected = options - {"help", "config", "in_dir", "out_dir"}
+            assert set(config) == expected | ({"chosen_tau"} if command == "tune" else set()), \
+                command
 
     def test_manifest_is_deterministic(self, dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
