@@ -227,6 +227,8 @@ def _parse_meta_comment(path, line: str) -> dict[str, str]:
         if "=" not in token:
             raise FormatError(f"malformed meta token {token!r}", path=path, line=1)
         k, v = token.split("=", 1)
+        if k in meta:
+            raise FormatError("meta entry given twice", path=path, line=1, field=k)
         meta[k] = v
     for required in ("summary_id", "domain"):
         if required not in meta:
@@ -239,7 +241,25 @@ def load_match_matrix(path: str | Path) -> MatchMatrix:
     if len(lines) < 2:
         raise FormatError("match matrix needs a meta line and a header row", path=path)
     meta = _parse_meta_comment(path, lines[0])
-    rows = list(csv.reader(lines[1:]))
+    parsed = _writer_form_rows(lines[1:])
+    if parsed is None:
+        parsed = _csv_rows(path, lines[1:])
+    kp_ids, sentence_ids, values = parsed
+    try:
+        return MatchMatrix(
+            summary_id=meta["summary_id"],
+            sentence_ids=tuple(sentence_ids),
+            kp_ids=kp_ids,
+            values=values,
+            domain=meta["domain"],
+        )
+    except DataError as e:
+        raise FormatError(str(e), path=path) from e
+
+
+def _csv_rows(path, lines: list[str]) -> tuple[tuple[str, ...], list[str], np.ndarray]:
+    """The key point ids, sentence ids and values of a header and data rows, read row by row."""
+    rows = list(csv.reader(lines))
     header = rows[0]
     if not header or header[0] != "sentence_id":
         raise FormatError("header row must start with 'sentence_id'",
@@ -257,16 +277,58 @@ def load_match_matrix(path: str | Path) -> MatchMatrix:
             values += [float(c) for c in row[1:]]
         except ValueError as e:
             raise FormatError(f"non-numeric likelihood: {e}", path=path, line=lineno) from e
+    return kp_ids, sentence_ids, np.array(values, dtype=float).reshape(len(sentence_ids),
+                                                                        len(kp_ids))
+
+
+# A cell as write_match_matrix emits it: "," then fmt6 of a value below 10,
+# which is 9 characters with the digits at these offsets.
+_CELL_WIDTH = 9
+_CELL_DIGITS = [1, 3, 4, 5, 6, 7, 8]
+_DIGIT_WEIGHTS = np.array([10**6, 10**5, 10**4, 10**3, 10**2, 10, 1], dtype=np.int32)
+
+
+def _writer_form_rows(lines: list[str]) -> tuple[tuple[str, ...], list[str], np.ndarray] | None:
+    """What _csv_rows returns, if every data row is in the writer's form, else None.
+
+    A row is in the writer's form when it ends in one ",d.dddddd" cell per
+    key point and the sentence id before them holds no ',', '"', '\\r' or
+    NUL and fits csv's field size limit, so csv.reader would split it at its
+    commas and nowhere else. None sends the caller to _csv_rows, which reads
+    any CSV and names the first bad record.
+    """
+    reader = csv.reader(lines)
     try:
-        return MatchMatrix(
-            summary_id=meta["summary_id"],
-            sentence_ids=tuple(sentence_ids),
-            kp_ids=kp_ids,
-            values=np.array(values, dtype=float).reshape(len(sentence_ids), len(kp_ids)),
-            domain=meta["domain"],
-        )
-    except DataError as e:
-        raise FormatError(str(e), path=path) from e
+        header = next(reader)
+    except csv.Error:
+        return None
+    data = lines[1:]
+    k = len(header) - 1
+    # a header whose open quote runs into the next line is no header of its own
+    if reader.line_num != 1 or header[:1] != ["sentence_id"] or k < 1 or not data:
+        return None
+    width = _CELL_WIDTH * k
+    sentence_ids = [line[:-width] for line in data]
+    cells = "".join([line[-width:] for line in data])
+    joined_ids = "\n".join(sentence_ids)
+    if (len(cells) != width * len(data)  # a row shorter than its cells
+            or any(c in joined_ids for c in ',"\r\x00')
+            or max(map(len, sentence_ids)) > csv.field_size_limit()):  # csv.reader raises
+        return None
+    try:
+        a = np.frombuffer(cells.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL_WIDTH)
+    except UnicodeEncodeError:
+        return None
+    digits = a[:, _CELL_DIGITS] - ord("0")  # uint8, so a byte below "0" wraps past 9
+    if not ((a[:, 0] == ord(",")).all() and (a[:, 2] == ord(".")).all()
+            and (digits <= 9).all()):
+        return None
+    # float(cell) is the float nearest n / 10**6, n being the cell's seven
+    # digits read as one integer. n and 10**6 are exact in float64 and IEEE
+    # division rounds to nearest, so n / 1e6 is that float. Integer weights
+    # keep the product out of BLAS.
+    n = np.einsum("ij,j->i", digits, _DIGIT_WEIGHTS)
+    return tuple(header[1:]), sentence_ids, (n / 1e6).reshape(len(data), k)
 
 
 # -- score matrices -----------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with different algorithms and data
 structures than the package (Floyd-Warshall matrices, one scorer call per
-key point pair instead of one array kernel per matrix, one json call per
-score-file line instead of one pass over all lines, one set of
+key point pair instead of one array kernel per matrix, one float() call per
+match-matrix cell instead of one array pass over fixed-width cells, one json
+call per score-file line instead of one pass over all lines, one set of
 summary-tagged relations per relation F1 instead of summed per-summary
 counts) so that agreement between the two is meaningful evidence of
 correctness.
@@ -11,13 +12,15 @@ correctness.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from kph import (DataError, DomainMetrics, FormatError, Hierarchy, HierarchyError, ScoreMatrix,
-                 Violation, build_reduced_forest, canonical_hierarchy, derive_relations)
+from kph import (DataError, DomainMetrics, FormatError, Hierarchy, HierarchyError, MatchMatrix,
+                 ScoreMatrix, Violation, build_reduced_forest, canonical_hierarchy,
+                 derive_relations)
 from kph import io as kio
 from kph.evaluation import (DEFAULT_TAU_GRID, EvalReport, _by_summary, _check_known_kps,
                             _check_same_summaries, _prf_counts)
@@ -251,6 +254,44 @@ def pair_score_values(values: np.ndarray, scorer: str, theta: float) -> np.ndarr
             if i != j:
                 out[i, j] = fn(cols[i], supports[i], cols[j], supports[j])
     return out
+
+
+# -- match matrices ----------------------------------------------------------
+
+def load_match_matrix_reference(path) -> MatchMatrix:
+    """A match matrix read with csv.reader and one float() call per cell."""
+    lines = kio._read_lines(path)
+    if len(lines) < 2:
+        raise FormatError("match matrix needs a meta line and a header row", path=path)
+    meta = kio._parse_meta_comment(path, lines[0])
+    rows = list(csv.reader(lines[1:]))
+    header = rows[0]
+    if not header or header[0] != "sentence_id":
+        raise FormatError("header row must start with 'sentence_id'",
+                          path=path, line=2, field="sentence_id")
+    kp_ids = tuple(header[1:])
+    sentence_ids = []
+    values = []  # every cell, row after row, for one np.array call
+    for lineno, row in enumerate(rows[1:], start=3):
+        if len(row) != len(header):
+            raise FormatError(
+                f"row has {len(row)} cells, header has {len(header)}",
+                path=path, line=lineno)
+        sentence_ids.append(row[0])
+        try:
+            values += [float(c) for c in row[1:]]
+        except ValueError as e:
+            raise FormatError(f"non-numeric likelihood: {e}", path=path, line=lineno) from e
+    try:
+        return MatchMatrix(
+            summary_id=meta["summary_id"],
+            sentence_ids=tuple(sentence_ids),
+            kp_ids=kp_ids,
+            values=np.array(values, dtype=float).reshape(len(sentence_ids), len(kp_ids)),
+            domain=meta["domain"],
+        )
+    except DataError as e:
+        raise FormatError(str(e), path=path) from e
 
 
 # -- score files -------------------------------------------------------------

@@ -113,6 +113,17 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_repeated_meta_entry_is_data_error(self, dataset, tmp_path, capsys):
+        p = dataset / "h1" / kio.MATCH_MATRIX_FILE
+        meta, rest = p.read_text().split("\n", 1)
+        p.write_text(f"{meta} summary_id=h2\n{rest}")
+        code = run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--scorer", "bininc")
+        assert code == 2
+        assert ("h1/match_matrix.csv, record 1, field 'summary_id': meta entry given twice"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["cycle", "duplicate-membership"])
     @pytest.mark.parametrize("bad_file", ["pred.jsonl", kio.GOLD_FILE])
     def test_invalid_hierarchy_file_is_data_error(self, dataset, tmp_path, capsys,

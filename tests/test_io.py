@@ -1,7 +1,9 @@
 """File formats: round-trips, fixed-decimal serialization, error reporting."""
 
+import csv
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from kph import (
 )
 from kph import io as kio
 from helpers import random_hierarchy, random_score_matrix, same_structure
-from oracles import load_scores_reference, write_scores_reference
+from oracles import load_match_matrix_reference, load_scores_reference, write_scores_reference
 
 
 def kp_set(n=3, summary_id="s", domain="hotels", filtered=()):
@@ -145,6 +147,13 @@ class TestMatchMatrixRoundTrip:
         with pytest.raises(DataError, match="whitespace"):
             kio.write_match_matrix(p, self._m(**meta))
         assert not p.exists()
+
+    def test_repeated_meta_entry_rejected(self, tmp_path):
+        p = tmp_path / "mm.csv"
+        p.write_text("# summary_id=a summary_id=b domain=d\nsentence_id,k\ns,0.500000\n")
+        with pytest.raises(FormatError) as exc:
+            kio.load_match_matrix(p)
+        assert str(exc.value) == f"{p}, record 1, field 'summary_id': meta entry given twice"
 
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "mm.csv"
@@ -389,6 +398,170 @@ class TestScoreFileFastPaths:
             kio.load_external_scores(p)
         assert str(exc.value) == load_outcome(load_scores_reference, p)
         assert "record 2: invalid JSON: Extra data" in str(exc.value)
+
+
+# -- match matrix files -----------------------------------------------------
+
+# Sentence ids the writer leaves bare: outside ASCII, with a space, "=", "#" or "'".
+BARE_SENTENCE_IDS = ("café", "日本 語", "a=b#1", "it's", " lead", "tab\there")
+
+
+def odd_match_matrix(rng: random.Random, rows: int, k: int) -> MatchMatrix:
+    """A matrix whose cells mix -0.0, 0.0 and 1.0 in with random values."""
+    values = np.array([[rng.choice([-0.0, 0.0, 1.0, rng.random()]) for _ in range(k)]
+                       for _ in range(rows)])
+    return MatchMatrix("s", tuple(f"s{i:04d}" for i in range(rows)),
+                       tuple(f"k{j:02d}" for j in range(k)), values, "hotels")
+
+
+def _edit_row(edit):
+    """A variant that rewrites one random data row with edit(row, rng)."""
+    def variant(meta, header, rows, rng):
+        i = rng.randrange(len(rows))
+        return [meta, header, *rows[:i], edit(rows[i], rng), *rows[i + 1:]]
+    return variant
+
+
+def _set_id(text):
+    return _edit_row(lambda row, rng: text + row[row.index(","):])
+
+
+def _set_cell(text):
+    def edit(row, rng):
+        cells = row.split(",")
+        cells[rng.randrange(1, len(cells))] = text
+        return ",".join(cells)
+    return _edit_row(edit)
+
+
+def _bare_odd_ids(meta, header, rows, rng):
+    return [meta, header, *(f"{rng.choice(BARE_SENTENCE_IDS)}{i}{row[row.index(','):]}"
+                            for i, row in enumerate(rows))]
+
+
+def _duplicate_sentence_id(meta, header, rows, rng):
+    rows = list(rows)
+    rows.append(rows[0][:rows[0].index(",")] + rows[-1][rows[-1].index(","):])
+    return [meta, header, *rows]
+
+
+def _open_quote_in_header(meta, header, rows, rng):
+    """The last key point id opens a quote that no later line closes."""
+    head, last = header.rsplit(",", 1)
+    return [meta, f'{head},"{last}', *rows]
+
+
+# match-matrix rewrites: (meta line, header line, data rows, rng) -> the file's lines
+MATRIX_VARIANTS = {
+    "canonical": lambda meta, header, rows, rng: [meta, header, *rows],
+    "bare odd ids": _bare_odd_ids,
+    "quoted id": _edit_row(lambda row, rng: f'"{row[:row.index(",")]}"{row[row.index(","):]}'),
+    "id with comma": _set_id('"a,b"'),
+    "id with quotes": _set_id('"say ""hi"""'),
+    "id with bare quote": _set_id('say"hi'),
+    "id with quoted cr": _set_id('"cr\rhere"'),
+    "id with bare cr": _set_id("cr\rhere"),
+    "id with nul": _set_id("nul\x00here"),
+    "empty id": _set_id(""),
+    "id past the csv field limit": _set_id("x" * (csv.field_size_limit() + 1)),
+    "duplicate id": _duplicate_sentence_id,
+    "crlf endings": lambda meta, header, rows, rng: [f"{x}\r" for x in [meta, header, *rows]],
+    "blank lines": lambda meta, header, rows, rng: _blank_lines(meta, [header, *rows], rng),
+    "short row": _edit_row(lambda row, rng: row[:row.rindex(",")]),
+    "long row": _edit_row(lambda row, rng: row + ",0.500000"),
+    "digit for the last comma": _edit_row(
+        lambda row, rng: row[:row.rindex(",")] + "9" + row[row.rindex(",") + 1:]),
+    "short cell": _set_cell("0.5"),
+    "negative zero": _set_cell("-0.000000"),
+    "just above 1": _set_cell("1.000001"),
+    "far above 1": _set_cell("9.999999"),
+    "underscore integer": _set_cell("1_0"),
+    "underscore in a digit's place": _set_cell("0.10_000"),
+    "underscore in the point's place": _set_cell("0_500000"),
+    "arabic-indic digits": _set_cell("٠.٥٠٠٠٠٠"),
+    "fullwidth digits": _set_cell("０.５"),
+    "space in cell": _set_cell(" 0.50000"),
+    "trailing space": _edit_row(lambda row, rng: row + " "),
+    "header only": lambda meta, header, rows, rng: [meta, header],
+    "kp id with comma": lambda meta, header, rows, rng: [
+        meta, header.replace("k00", '"k,00"'), *rows],
+    "open quote in header": _open_quote_in_header,
+    "duplicate kp id": lambda meta, header, rows, rng: [
+        meta, header + ",k00", *(row + ",0.500000" for row in rows)],
+}
+
+# The variants whose rows are all in the writer's form once the file is read.
+# Reading translates "\r\n" to "\n", so CRLF endings are among them.
+ARRAY_PATH_VARIANTS = {"canonical", "bare odd ids", "empty id", "duplicate id", "crlf endings",
+                       "blank lines", "just above 1", "far above 1", "kp id with comma",
+                       "duplicate kp id"}
+
+
+def matrix_outcome(load, path):
+    """What a loader makes of a file: the matrix's fields, or the error's type and text."""
+    try:
+        m = load(path)
+    except (FormatError, csv.Error) as e:
+        return type(e).__name__, str(e)
+    return (m.summary_id, m.domain, m.sentence_ids, m.kp_ids, m.values.shape,
+            m.values.tobytes())
+
+
+def array_path_matches_reference(path) -> bool:
+    """Whether the file's rows take the array path and give the oracle's fields."""
+    parsed = kio._writer_form_rows(kio._read_lines(path)[1:])
+    if parsed is None:
+        return False
+    kp_ids, sentence_ids, values = parsed
+    ref = load_match_matrix_reference(path)
+    return (kp_ids, tuple(sentence_ids), values.tobytes()) == (
+        ref.kp_ids, ref.sentence_ids, ref.values.tobytes())
+
+
+class TestMatchMatrixFastPath:
+    """The array-speed match-matrix loader against its per-row oracle."""
+
+    @pytest.mark.parametrize("variant", sorted(MATRIX_VARIANTS))
+    def test_loader_matches_reference(self, tmp_path, variant):
+        p = tmp_path / "mm.csv"
+        for seed in range(6):
+            rng = random.Random(f"{variant}/{seed}")
+            kio.write_match_matrix(p, odd_match_matrix(rng, rng.choice([1, 2, 5]),
+                                                       rng.choice([1, 3, 4])))
+            meta, header, *rows = p.read_bytes().decode("utf-8").splitlines()
+            lines = MATRIX_VARIANTS[variant](meta, header, rows, rng)
+            p.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+            assert (matrix_outcome(kio.load_match_matrix, p)
+                    == matrix_outcome(load_match_matrix_reference, p)), f"{variant} (seed {seed})"
+            took_array_path = kio._writer_form_rows(kio._read_lines(p)[1:]) is not None
+            assert took_array_path == (variant in ARRAY_PATH_VARIANTS), f"{variant} (seed {seed})"
+
+    def test_every_six_decimal_cell_converts_like_float(self):
+        cells = [f"{i // 10**6}.{i % 10**6:06d}" for i in range(10**6 + 1)]
+        k = 9901  # 101 rows of 9901 cells hold all 1,000,001
+        lines = [",".join(["sentence_id", *(f"k{j}" for j in range(k))])]
+        lines += [",".join([f"s{r}", *cells[r * k:(r + 1) * k]]) for r in range(101)]
+        _, _, values = kio._writer_form_rows(lines)
+        assert values.tobytes() == np.array([float(c) for c in cells]).reshape(101, k).tobytes()
+
+    @pytest.mark.parametrize("rows, k", [(1, 1), (3, 2), (40, 7)])
+    def test_written_files_take_the_array_path(self, tmp_path, rows, k):
+        rng = random.Random(rows * 100 + k)
+        m = odd_match_matrix(rng, rows, k)
+        ids = [f"{rng.choice(BARE_SENTENCE_IDS)}{i}" for i in range(rows)]
+        p = tmp_path / "mm.csv"
+        kio.write_match_matrix(p, MatchMatrix(m.summary_id, ids, m.kp_ids, m.values, m.domain))
+        assert array_path_matches_reference(p)
+
+    def test_score_stress_corpus_takes_the_array_path(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from generator import write_corpus
+        from workloads import SCORE_STRESS
+
+        write_corpus(tmp_path, SCORE_STRESS.spec, 0)
+        paths = sorted(tmp_path.glob(f"*/{kio.MATCH_MATRIX_FILE}"))
+        assert len(paths) == 4
+        assert all(array_path_matches_reference(p) for p in paths)
 
 
 class TestHierarchyRoundTrip:
