@@ -209,32 +209,6 @@ def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
     return args
 
 
-def _dirs_with(root: str, filename: str) -> list[Path]:
-    """The summary directories under root that hold filename; at least one."""
-    dirs = kio.discover_summaries(root, filename)
-    if not dirs:
-        raise DataError(f"no summaries found: no */{filename} under {Path(root)}")
-    return dirs
-
-
-def _one_summary(d: Path, *files: tuple[str, object]) -> str:
-    """The summary id that every (file name, loaded object) pair from d is for."""
-    (first, obj), *rest = files
-    sid = obj.summary_id
-    for name, other in rest:
-        if sid != other.summary_id:
-            raise DataError(f"{d}: files are for different summaries: {first} is for "
-                            f"{sid!r}, {name} is for {other.summary_id!r}")
-    return sid
-
-
-def _add_summary(by_sid: dict, sid: str, value) -> None:
-    """Set by_sid[sid] to value; a summary already there came from another directory."""
-    if sid in by_sid:
-        raise DataError(f"summary {sid!r} appears in two directories")
-    by_sid[sid] = value
-
-
 def _parse_grid(text: str, parser: _Parser) -> tuple[float, ...]:
     try:
         if ":" in text:
@@ -259,18 +233,16 @@ def _parse_grid(text: str, parser: _Parser) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _load_summary_scores(run: _Manifest, d: Path, scores_name: str):
-    """Score matrix restricted to the summary's unfiltered key points, and its domain.
+def _unfiltered_scores(files: dict, scores_name: str):
+    """The summary's scores restricted to its unfiltered key points, and its domain.
 
     The key point file is optional for score-only pipelines; without it the
     score universe is used as-is and the domain defaults to "other".
     """
-    s = run.load(d / scores_name, kio.load_external_scores)
-    kp_path = d / kio.KEY_POINTS_FILE
-    if not kp_path.exists():
+    s = files[scores_name]
+    kps = files.get(kio.KEY_POINTS_FILE)
+    if kps is None:
         return s, "other"
-    kps = run.load(kp_path, kio.load_key_points)
-    _one_summary(d, (kio.KEY_POINTS_FILE, kps), (scores_name, s))
     unfiltered = set(kps.unfiltered_ids)
     return s.restrict([x for x in s.kp_ids if x in unfiltered]), kps.domain
 
@@ -279,10 +251,12 @@ def cmd_score(args, parser: _Parser) -> int:
     if not 0.0 <= args.theta_match <= 1.0:
         parser.error(f"--theta-match must lie in [0, 1], got {args.theta_match}")
     run = _Manifest(args, parser)
-    dirs = _dirs_with(args.in_dir, kio.MATCH_MATRIX_FILE)
-    results = [compute_score_matrix(run.load(d / kio.MATCH_MATRIX_FILE, kio.load_match_matrix),
-                                    args.scorer, args.theta_match) for d in dirs]
-    for d, sm in zip(dirs, results):
+    # popped, so that no matrix is held while the next one is read
+    results = [(d, compute_score_matrix(files.pop(kio.MATCH_MATRIX_FILE), args.scorer,
+                                        args.theta_match))
+               for _, d, files in kio.load_summaries(
+                   args.in_dir, (kio.MATCH_MATRIX_FILE, kio.load_match_matrix), load=run.load)]
+    for d, sm in results:
         run.write(f"{d.name}/scores_{args.scorer}.jsonl", kio.write_scores, sm)
     run.save()
     return 0
@@ -290,10 +264,11 @@ def cmd_score(args, parser: _Parser) -> int:
 
 def cmd_combine(args, parser: _Parser) -> int:
     run = _Manifest(args, parser)
-    dirs = _dirs_with(args.in_dir, args.a)
-    results = [combine_average(run.load(d / args.a, kio.load_external_scores),
-                               run.load(d / args.b, kio.load_external_scores)) for d in dirs]
-    for d, sm in zip(dirs, results):
+    results = [(d, combine_average(files[args.a], files[args.b]))
+               for _, d, files in kio.load_summaries(
+                   args.in_dir, (args.a, kio.load_external_scores),
+                   (args.b, kio.load_external_scores), load=run.load)]
+    for d, sm in results:
         run.write(f"{d.name}/scores_{args.name}.jsonl", kio.write_scores, sm)
     run.save()
     return 0
@@ -310,12 +285,18 @@ def cmd_build(args, parser: _Parser) -> int:
         parser.error(f"--tau must lie in [0, 1], got {args.tau}")
 
     run = _Manifest(args, parser)
-    scores_by_sid, dir_by_sid, domain_by_sid = {}, {}, {}
-    for d in _dirs_with(args.in_dir, scores_name):
-        s, domain = _load_summary_scores(run, d, scores_name)
-        _add_summary(dir_by_sid, s.summary_id, d)
-        scores_by_sid[s.summary_id] = s
-        domain_by_sid[s.summary_id] = domain
+    needed = [(scores_name, kio.load_external_scores)]
+    if tuning:
+        needed.append((args.gold, kio.load_hierarchy))
+    scores_by_sid, dir_by_sid, domain_by_sid, golds = {}, {}, {}, {}
+    for sid, d, files in kio.load_summaries(args.in_dir, *needed,
+                                            optional=[(kio.KEY_POINTS_FILE, kio.load_key_points)],
+                                            load=run.load):
+        dir_by_sid[sid] = d
+        scores_by_sid[sid], domain_by_sid[sid] = _unfiltered_scores(files, scores_name)
+        if tuning:
+            golds[sid] = files[args.gold]
+            domain_by_sid[sid] = golds[sid].domain
 
     unconverged: dict[str, set[float]] = {}  # summary -> taus whose tncf hit max_passes
     # reduced_forest sees tau only through the threshold graph s.values > tau,
@@ -337,11 +318,6 @@ def cmd_build(args, parser: _Parser) -> int:
 
     report = None
     if tuning:
-        golds = {}
-        for sid, d in sorted(dir_by_sid.items()):
-            g = golds[sid] = run.load(d / args.gold, kio.load_hierarchy)
-            _one_summary(d, (scores_name, scores_by_sid[sid]), (args.gold, g))
-            domain_by_sid[sid] = g.domain
         taus, report, built = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
         run.config.update(grid=grid, chosen_tau=taus)
     else:
@@ -362,12 +338,11 @@ def cmd_build(args, parser: _Parser) -> int:
 
 def cmd_eval(args, parser: _Parser) -> int:
     run = _Manifest(args, parser)
-    preds, golds = [], []
-    for d in _dirs_with(args.in_dir, args.pred):
-        preds.append(run.load(d / args.pred, kio.load_hierarchy))
-        golds.append(run.load(d / args.gold, kio.load_hierarchy))
-        _one_summary(d, (args.pred, preds[-1]), (args.gold, golds[-1]))
-    report = evaluate_hierarchies(preds, golds)
+    summaries = [files for _, _, files in kio.load_summaries(
+        args.in_dir, (args.pred, kio.load_hierarchy), (args.gold, kio.load_hierarchy),
+        load=run.load)]
+    report = evaluate_hierarchies([f[args.pred] for f in summaries],
+                                  [f[args.gold] for f in summaries])
     run.write("report_eval.json", kio.write_report, report)
     run.write("metrics.csv", kio.write_metrics_csv, report)
     run.save()
@@ -378,19 +353,17 @@ def cmd_prcurve(args, parser: _Parser) -> int:
     if not 0.0 <= args.min_recall < 1.0:
         parser.error(f"--min-recall must lie in [0, 1), got {args.min_recall}")
     run = _Manifest(args, parser)
-    pairs: dict[str, tuple] = {}
-    for d in _dirs_with(args.in_dir, args.scores):
-        s, _ = _load_summary_scores(run, d, args.scores)
-        g = run.load(d / args.gold, kio.load_hierarchy)
-        _add_summary(pairs, _one_summary(d, (args.scores, s), (args.gold, g)), (s, g))
     by_domain: dict[str, tuple[list, list]] = {}
-    for s, g in pairs.values():
+    for _, _, files in kio.load_summaries(
+            args.in_dir, (args.scores, kio.load_external_scores), (args.gold, kio.load_hierarchy),
+            optional=[(kio.KEY_POINTS_FILE, kio.load_key_points)], load=run.load):
+        g = files[args.gold]
         ss, gs = by_domain.setdefault(g.domain, ([], []))
-        ss.append(s)
+        ss.append(_unfiltered_scores(files, args.scores)[0])
         gs.append(g)
     curves = {dom: pr_curve(ss, gs) for dom, (ss, gs) in sorted(by_domain.items())}
     aucs = {dom: auc_at_min_recall(c, args.min_recall) for dom, c in curves.items()}
-    report = EvalReport(per_domain={}, per_domain_auc=aucs, curves=curves,
+    report = EvalReport(per_domain={}, per_domain_auc=aucs,
                         provenance={"scores": args.scores, "min_recall": args.min_recall})
     run.write("report_prcurve.json", kio.write_report, report)
     run.write("pr_curves.csv", kio.write_pr_curves, curves)
@@ -404,12 +377,13 @@ def cmd_weaklabel(args, parser: _Parser) -> int:
     if not (math.isfinite(args.ratio) and args.ratio >= 1):
         parser.error(f"--ratio must be a finite number >= 1, got {args.ratio}")
     run = _Manifest(args, parser)
-    dirs = _dirs_with(args.in_dir, args.scores)
-    results = [export_weak_labels(run.load(d / args.scores, kio.load_external_scores),
-                                  run.load(d / kio.KEY_POINTS_FILE, kio.load_key_points),
-                                  threshold=args.threshold, neg_ratio=args.ratio, seed=args.seed)
-               for d in dirs]
-    for d, wls in zip(dirs, results):
+    results = [(d, export_weak_labels(files[args.scores], files[kio.KEY_POINTS_FILE],
+                                      threshold=args.threshold, neg_ratio=args.ratio,
+                                      seed=args.seed))
+               for _, d, files in kio.load_summaries(
+                   args.in_dir, (args.scores, kio.load_external_scores),
+                   (kio.KEY_POINTS_FILE, kio.load_key_points), load=run.load)]
+    for d, wls in results:
         run.write(f"{d.name}/weak_labels.jsonl", kio.write_weak_labels, wls)
     run.save()
     return 0
@@ -417,11 +391,10 @@ def cmd_weaklabel(args, parser: _Parser) -> int:
 
 def cmd_correlate(args, parser: _Parser) -> int:
     run = _Manifest(args, parser)
-    rows = {}
-    for d in _dirs_with(args.in_dir, args.a):
-        a = run.load(d / args.a, kio.load_external_scores)
-        b = run.load(d / args.b, kio.load_external_scores)
-        _add_summary(rows, _one_summary(d, (args.a, a), (args.b, b)), spearman_correlation(a, b))
+    rows = {sid: spearman_correlation(files[args.a], files[args.b])
+            for sid, _, files in kio.load_summaries(
+                args.in_dir, (args.a, kio.load_external_scores),
+                (args.b, kio.load_external_scores), load=run.load)}
     run.write("correlations.csv", kio.write_correlations, rows)
     run.save()
     return 0
@@ -429,25 +402,25 @@ def cmd_correlate(args, parser: _Parser) -> int:
 
 def cmd_validate(args, parser: _Parser) -> int:
     run = _Manifest(args, parser)
+    # every score file name any summary directory holds, read where present
+    score_names = sorted({p.name for p in Path(args.in_dir).glob("*/scores_*.jsonl")})
     kp_sets, golds = {}, {}
-    for d in _dirs_with(args.in_dir, kio.KEY_POINTS_FILE):
-        kps = run.load(d / kio.KEY_POINTS_FILE, kio.load_key_points)
-        _add_summary(kp_sets, kps.summary_id, kps)
-        mm_path = d / kio.MATCH_MATRIX_FILE
-        if mm_path.exists():
-            m = run.load(mm_path, kio.load_match_matrix)
-            _one_summary(d, (kio.KEY_POINTS_FILE, kps), (mm_path.name, m))
-            if set(m.kp_ids) != set(kps.ids):
-                raise DataError(f"{mm_path}: columns do not match the summary's key points")
-        for score_path in sorted(d.glob("scores_*.jsonl")):
-            s = run.load(score_path, kio.load_external_scores)
-            _one_summary(d, (kio.KEY_POINTS_FILE, kps), (score_path.name, s))
-            unknown = set(s.kp_ids) - set(kps.ids)
+    for sid, d, files in kio.load_summaries(
+            args.in_dir, (kio.KEY_POINTS_FILE, kio.load_key_points),
+            optional=[(kio.MATCH_MATRIX_FILE, kio.load_match_matrix),
+                      *((name, kio.load_external_scores) for name in score_names),
+                      (kio.GOLD_FILE, kio.load_hierarchy)], load=run.load):
+        kps = kp_sets[sid] = files[kio.KEY_POINTS_FILE]
+        m = files.get(kio.MATCH_MATRIX_FILE)
+        if m is not None and set(m.kp_ids) != set(kps.ids):
+            raise DataError(f"{d / kio.MATCH_MATRIX_FILE}: columns do not match the summary's "
+                            f"key points")
+        for name in score_names:
+            unknown = set(files[name].kp_ids) - set(kps.ids) if name in files else set()
             if unknown:
-                raise DataError(f"{score_path}: unknown key points {sorted(unknown)}")
-        gold_path = d / kio.GOLD_FILE
-        if gold_path.exists():
-            golds[kps.summary_id] = run.load(gold_path, kio.load_hierarchy)
+                raise DataError(f"{d / name}: unknown key points {sorted(unknown)}")
+        if kio.GOLD_FILE in files:
+            golds[sid] = files[kio.GOLD_FILE]
     stats = kio.dataset_stats(kp_sets, golds)
     doc = json.dumps(stats, indent=2, sort_keys=True)
     print(doc)

@@ -66,12 +66,11 @@ class PRCurve:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-domain metrics plus whatever a run produced (AUC, taus, curves)."""
+    """Per-domain metrics plus whatever a run produced (AUC, taus)."""
 
     per_domain: Mapping[str, DomainMetrics]
     per_domain_auc: Mapping[str, float] = field(default_factory=dict)
     chosen_tau: Mapping[str, float] = field(default_factory=dict)
-    curves: Mapping[str, PRCurve] = field(default_factory=dict)
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -79,7 +78,6 @@ class EvalReport:
                            {k: DomainMetrics(*v) for k, v in sorted(dict(self.per_domain).items())})
         object.__setattr__(self, "per_domain_auc", dict(sorted(dict(self.per_domain_auc).items())))
         object.__setattr__(self, "chosen_tau", dict(sorted(dict(self.chosen_tau).items())))
-        object.__setattr__(self, "curves", dict(sorted(dict(self.curves).items())))
         object.__setattr__(self, "provenance", dict(self.provenance))
 
     def _macro(self, values: Iterable[float]) -> float:

@@ -16,7 +16,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -35,11 +35,6 @@ def fmt6(v: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return f"{v:.6f}"
-
-
-def quant6(v: float) -> float:
-    """The float value a 6-decimal serialization round-trips to."""
-    return float(fmt6(v))
 
 
 def dumps6(obj, indent: int | None = None, sort_keys: bool = False) -> str:
@@ -209,6 +204,10 @@ def write_match_matrix(path: str | Path, m: MatchMatrix) -> None:
         if any(ch.isspace() for ch in value):
             raise DataError(f"match matrix {name} {value!r} holds whitespace, which "
                             f"the '# summary_id=... domain=...' meta line cannot carry")
+    for x in (*m.sentence_ids, *m.kp_ids):
+        if "\r" in x or "\n" in x:
+            raise DataError(f"match matrix id {x!r} holds a line break, which a CSV row "
+                            f"of its own cannot carry")
     buf = _io.StringIO()
     buf.write(f"# summary_id={m.summary_id} domain={m.domain}\n")
     w = csv.writer(buf, lineterminator="\n")
@@ -259,7 +258,16 @@ def load_match_matrix(path: str | Path) -> MatchMatrix:
 
 def _csv_rows(path, lines: list[str]) -> tuple[tuple[str, ...], list[str], np.ndarray]:
     """The key point ids, sentence ids and values of a header and data rows, read row by row."""
-    rows = list(csv.reader(lines))
+    reader = csv.reader(lines)
+    rows = []
+    try:
+        for row in reader:
+            if reader.line_num != len(rows) + 1:  # csv.reader joined the next lines on
+                raise FormatError("quoted field runs past the end of its line",
+                                  path=path, line=len(rows) + 2)
+            rows.append(row)
+    except csv.Error as e:
+        raise FormatError(f"malformed CSV: {e}", path=path, line=reader.line_num + 1) from e
     header = rows[0]
     if not header or header[0] != "sentence_id":
         raise FormatError("header row must start with 'sentence_id'",
@@ -336,24 +344,12 @@ def _writer_form_rows(lines: list[str]) -> tuple[tuple[str, ...], list[str], np.
 def write_scores(path: str | Path, s: ScoreMatrix) -> None:
     lines = [dumps6(
         {"kind": "scores", "summary_id": s.summary_id, "scorer": s.scorer,
-         "params": _jsonable(s.params), "kp_ids": list(s.kp_ids)})]
+         "params": s.params, "kp_ids": list(s.kp_ids)})]
     # dumps6({"src": src, "dst": dst, "score": v}) per pair, each id quoted once
     q = {x: json.dumps(x, ensure_ascii=False) for x in s.kp_ids}
     lines += [f'{{"src": {q[a]}, "dst": {q[b]}, "score": {fmt6(v)}}}'
               for a, b, v in s.pairs()]
     _write_text(path, "\n".join(lines) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return quant6(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
 
 
 def load_external_scores(path: str | Path) -> ScoreMatrix:
@@ -544,20 +540,17 @@ def load_weak_labels(path: str | Path) -> WeakLabelSet:
 def report_to_doc(report: EvalReport) -> dict:
     doc = {}
     if report.per_domain:
-        doc["per_domain"] = {dom: {"precision": quant6(m.precision),
-                                   "recall": quant6(m.recall),
-                                   "f1": quant6(m.f1)}
+        doc["per_domain"] = {dom: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
                              for dom, m in report.per_domain.items()}
-        doc["macro"] = {"precision": quant6(report.macro_precision),
-                        "recall": quant6(report.macro_recall),
-                        "f1": quant6(report.macro_f1)}
+        doc["macro"] = {"precision": report.macro_precision, "recall": report.macro_recall,
+                        "f1": report.macro_f1}
     if report.per_domain_auc:
-        doc["per_domain_auc"] = {d: quant6(v) for d, v in report.per_domain_auc.items()}
-        doc["macro_auc"] = quant6(report.macro_auc)
+        doc["per_domain_auc"] = report.per_domain_auc
+        doc["macro_auc"] = report.macro_auc
     if report.chosen_tau:
-        doc["chosen_tau"] = {sid: quant6(t) for sid, t in report.chosen_tau.items()}
+        doc["chosen_tau"] = report.chosen_tau
     if report.provenance:
-        doc["provenance"] = _jsonable(report.provenance)
+        doc["provenance"] = report.provenance
     return doc
 
 
@@ -610,18 +603,46 @@ def discover_summaries(root: str | Path, filename: str = KEY_POINTS_FILE) -> lis
     return sorted(p.parent for p in root.glob(f"*/{glob.escape(filename)}"))
 
 
+def load_summaries(root: str | Path, *files: tuple[str, Callable], optional=(),
+                   load=lambda path, loader: loader(path)):
+    """Yield (summary id, directory, {file name: loaded file}) for each summary under root.
+
+    The summaries are the directories that hold the first of files, the
+    (file name, loader) pairs each must hold; optional lists the pairs a
+    directory may hold. Each file is read once, as load(path, loader), one
+    directory at a time in name order. Raises DataError when a directory's
+    files are for different summaries or a summary appears in two directories.
+    """
+    first = files[0][0]
+    dirs = discover_summaries(root, first)
+    if not dirs:
+        raise DataError(f"no summaries found: no */{first} under {Path(root)}")
+    seen = set()
+    for d in dirs:
+        loaded = {}
+        for name, loader in (*files, *((n, f) for n, f in optional if (d / n).exists())):
+            if name not in loaded:
+                loaded[name] = load(d / name, loader)
+        sid = loaded[first].summary_id
+        other = next((name for name, obj in loaded.items() if obj.summary_id != sid), None)
+        if other is not None:
+            raise DataError(f"{d}: files are for different summaries: {first} is for "
+                            f"{sid!r}, {other} is for {loaded[other].summary_id!r}")
+        if sid in seen:
+            raise DataError(f"summary {sid!r} appears in two directories")
+        seen.add(sid)
+        yield sid, d, loaded
+
+
 def load_dataset(root: str | Path) -> tuple[dict[str, KeyPointSet], dict[str, Hierarchy]]:
     """Load every summary directory's key points and, when present, gold."""
     kp_sets: dict[str, KeyPointSet] = {}
     golds: dict[str, Hierarchy] = {}
-    for summary_dir in discover_summaries(root):
-        kps = load_key_points(summary_dir / KEY_POINTS_FILE)
-        if kps.summary_id in kp_sets:
-            raise DataError(f"summary {kps.summary_id!r} appears in two directories")
-        kp_sets[kps.summary_id] = kps
-        gold_path = summary_dir / GOLD_FILE
-        if gold_path.exists():
-            golds[kps.summary_id] = load_hierarchy(gold_path)
+    for sid, _, loaded in load_summaries(root, (KEY_POINTS_FILE, load_key_points),
+                                         optional=[(GOLD_FILE, load_hierarchy)]):
+        kp_sets[sid] = loaded[KEY_POINTS_FILE]
+        if GOLD_FILE in loaded:
+            golds[sid] = loaded[GOLD_FILE]
     return kp_sets, golds
 
 
@@ -654,8 +675,8 @@ def write_manifest(path: str | Path, subcommand: str, tool_version: str,
         "kind": "run_manifest",
         "subcommand": subcommand,
         "tool_version": tool_version,
-        "config": _jsonable(dict(sorted(config.items()))),
-        "inputs": dict(sorted(inputs.items())),
-        "outputs": dict(sorted(outputs.items())),
+        "config": config,
+        "inputs": inputs,
+        "outputs": outputs,
     }
     _write_text(path, dumps6(doc, indent=2, sort_keys=True) + "\n")

@@ -259,12 +259,25 @@ def pair_score_values(values: np.ndarray, scorer: str, theta: float) -> np.ndarr
 # -- match matrices ----------------------------------------------------------
 
 def load_match_matrix_reference(path) -> MatchMatrix:
-    """A match matrix read with csv.reader and one float() call per cell."""
+    """A match matrix read with csv.reader and one float() call per cell.
+
+    A quoted field must close on its own line, and csv.reader's errors name
+    the record they stopped at.
+    """
     lines = kio._read_lines(path)
     if len(lines) < 2:
         raise FormatError("match matrix needs a meta line and a header row", path=path)
     meta = kio._parse_meta_comment(path, lines[0])
-    rows = list(csv.reader(lines[1:]))
+    reader = csv.reader(lines[1:])
+    rows = []
+    try:
+        for row in reader:
+            if reader.line_num > len(rows) + 1:
+                raise FormatError("quoted field runs past the end of its line",
+                                  path=path, line=len(rows) + 2)
+            rows.append(row)
+    except csv.Error as e:
+        raise FormatError(f"malformed CSV: {e}", path=path, line=reader.line_num + 1) from e
     header = rows[0]
     if not header or header[0] != "sentence_id":
         raise FormatError("header row must start with 'sentence_id'",
@@ -300,7 +313,7 @@ def write_scores_reference(path, s: ScoreMatrix) -> None:
     """A score file written with one dumps6 call per pair line."""
     lines = [kio.dumps6(
         {"kind": "scores", "summary_id": s.summary_id, "scorer": s.scorer,
-         "params": kio._jsonable(s.params), "kp_ids": list(s.kp_ids)})]
+         "params": s.params, "kp_ids": list(s.kp_ids)})]
     for src, dst, v in s.pairs():
         lines.append(kio.dumps6({"src": src, "dst": dst, "score": v}))
     kio.write_text(path, "\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, outputs, determinism."""
 
+import csv
 import json
 import re
 import shutil
@@ -122,6 +123,20 @@ class TestExitCodes:
         assert code == 2
         assert ("h1/match_matrix.csv, record 1, field 'summary_id': meta entry given twice"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda row: "x" * (csv.field_size_limit() + 1) + row[row.index(","):],
+         "record 3: malformed CSV: field larger than field limit"),
+        (lambda row: '"' + row, "record 3: quoted field runs past the end of its line"),
+    ], ids=["id past the field limit", "open quote"])
+    def test_unreadable_csv_is_data_error(self, dataset, tmp_path, capsys, edit, message):
+        p = dataset / "h1" / kio.MATCH_MATRIX_FILE
+        meta, header, row, rest = p.read_text().split("\n", 3)
+        p.write_text("\n".join([meta, header, edit(row), rest]))
+        assert run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--scorer", "bininc") == 2
+        assert f"h1/match_matrix.csv, {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["cycle", "duplicate-membership"])
@@ -554,11 +569,16 @@ class TestInputChecks:
     def test_files_for_different_summaries(self, dataset, tmp_path, capsys):
         data = scored_copy(dataset, tmp_path)
         shutil.copy(data / "h2" / "scores_bininc.jsonl", data / "h1" / "scores_other.jsonl")
-        capsys.readouterr()
-        assert run("correlate", "--in-dir", data, "--out-dir", tmp_path / "o",
-                   "--a", "scores_other.jsonl", "--b", "scores_bininc.jsonl") == 2
-        assert (f"{data / 'h1'}: files are for different summaries: scores_other.jsonl "
-                f"is for 'h2', scores_bininc.jsonl is for 'h1'") in capsys.readouterr().err
+        pair = ("--a", "scores_other.jsonl", "--b", "scores_bininc.jsonl")
+        for command, flags, second in [("correlate", pair, "scores_bininc.jsonl"),
+                                       ("combine", pair, "scores_bininc.jsonl"),
+                                       ("weaklabel", ("--scores", "scores_other.jsonl"),
+                                        kio.KEY_POINTS_FILE)]:
+            capsys.readouterr()
+            assert run(command, "--in-dir", data, "--out-dir", tmp_path / "o", *flags) == 2
+            assert (f"{data / 'h1'}: files are for different summaries: scores_other.jsonl "
+                    f"is for 'h2', {second} is for 'h1'") in capsys.readouterr().err, command
+            assert not (tmp_path / "o").exists()
 
     def test_eval_pred_and_gold_for_different_summaries(self, dataset, tmp_path, capsys):
         for sid in ("h1", "h2"):
@@ -579,9 +599,16 @@ class TestInputChecks:
         ("correlate", ("--a", "scores_bininc.jsonl", "--b", "scores_bininc.jsonl")),
         ("prcurve", ("--scores", "scores_bininc.jsonl")),
         ("validate", ()),
+        ("score", ("--scorer", "bininc")),
+        ("combine", ("--a", "scores_bininc.jsonl", "--b", "scores_bininc.jsonl")),
+        ("weaklabel", ("--scores", "scores_bininc.jsonl")),
+        ("eval", ("--pred", "pred.jsonl")),
     ])
     def test_one_summary_in_two_directories(self, dataset, tmp_path, capsys, command, flags):
         data = scored_copy(dataset, tmp_path)
+        for sid in ["h1", "h2", "r1", "r2"]:
+            shutil.copy(dataset / sid / kio.MATCH_MATRIX_FILE, data / sid)
+            shutil.copy(data / sid / kio.GOLD_FILE, data / sid / "pred.jsonl")
         shutil.copytree(data / "h1", data / "h1_copy")
         # gold in another domain, so no per-domain check alone sees h1 twice
         gold = kio.load_hierarchy(data / "h1_copy" / kio.GOLD_FILE)
@@ -603,18 +630,6 @@ class TestValidate:
         assert doc["num_kphs"] == 4
         assert doc["num_key_points"] == 16
         assert doc["num_relations"] == 8
-
-    def test_loads_each_key_point_file_once(self, dataset, tmp_path, monkeypatch):
-        calls = []
-        real = kio.load_key_points
-
-        def counting(path):
-            calls.append(path.parent.name)
-            return real(path)
-
-        monkeypatch.setattr(kio, "load_key_points", counting)
-        assert run("validate", "--in-dir", dataset, "--out-dir", tmp_path / "v") == 0
-        assert sorted(calls) == ["h1", "h2", "r1", "r2"]
 
     def test_detects_gold_kp_mismatch(self, dataset, tmp_path, capsys):
         bad = Hierarchy(summary_id="h1", domain="hotels",
@@ -817,6 +832,34 @@ class TestManifests:
             doc = json.loads((out / f"manifest_{command}.json").read_text())
             assert set(doc["inputs"]) == {f"{p.parent.name}/{p.name}" for p in parsed}, command
 
+    @pytest.mark.parametrize("command,flags", [
+        ("score", ("--scorer", "weedsprec")),
+        ("combine", ("--a", "scores_bininc.jsonl", "--b", "scores_bininc.jsonl")),
+        ("build", ("--scores", "scores_bininc.jsonl", "--algorithm", "tncf", "--tau", "0.5")),
+        ("tune", ("--scores", "scores_bininc.jsonl", "--algorithm", "reduced_forest")),
+        ("eval", ("--pred", "hierarchy_tncf.jsonl")),
+        ("prcurve", ("--scores", "scores_bininc.jsonl")),
+        ("weaklabel", ("--scores", "scores_bininc.jsonl")),
+        ("correlate", ("--a", "scores_bininc.jsonl", "--b", "scores_bininc.jsonl")),
+        ("validate", ()),
+    ])
+    def test_each_input_is_parsed_once(self, dataset, tmp_path, monkeypatch, command, flags):
+        assert run("score", "--in-dir", dataset, "--out-dir", dataset, "--scorer", "bininc") == 0
+        assert run("build", "--in-dir", dataset, "--out-dir", dataset,
+                   "--scores", "scores_bininc.jsonl", "--algorithm", "tncf", "--tau", "0.5") == 0
+        parsed = []
+        # the CLI reaches each loader through the module attribute it looks up at call time
+        for name in ("load_key_points", "load_match_matrix", "load_external_scores",
+                     "load_hierarchy"):
+            def counting(path, real=getattr(kio, name)):
+                parsed.append(f"{path.parent.name}/{path.name}")
+                return real(path)
+            monkeypatch.setattr(kio, name, counting)
+        out = tmp_path / "o"
+        assert run(command, "--in-dir", dataset, "--out-dir", out, *flags) == 0
+        inputs = json.loads((out / f"manifest_{command}.json").read_text())["inputs"]
+        assert sorted(parsed) == sorted(inputs)
+
     def test_config_is_every_resolved_option(self, dataset, tmp_path):
         commands = kph.cli._build_parser().commands
         bininc = "scores_bininc.jsonl"
@@ -846,3 +889,10 @@ class TestManifests:
             run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc")
         assert ((a / "manifest_score.json").read_text()
                 == (b / "manifest_score.json").read_text())
+
+
+def test_benchmark_wraps_only_existing_functions(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import absent_targets
+
+    assert absent_targets() == set()

@@ -53,10 +53,6 @@ class TestFixedDecimals:
         assert parsed["scores"] == [0.123457, 1.0]
         assert parsed["n"] == 7 and parsed["name"] == "kéy"
 
-    def test_quant6(self):
-        assert kio.quant6(0.1234567) == 0.123457
-        assert kio.quant6(0.5) == 0.5
-
 
 class TestKeyPointsRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -205,6 +201,37 @@ class TestMatchMatrixRoundTrip:
         with pytest.raises(FormatError) as exc:
             kio.load_match_matrix(p)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("rows,record", [
+        (['sentence_id,a,"b', "t0,0.5,0.5"], 2),  # the open quote would swallow every row
+        (['sentence_id,a,"b', '0"', "t0,0.5,0.5"], 2),  # a key point id "b\n0" would read as b0
+        (["sentence_id,a,b", "t0,0.5,0.5", '"t\n1",0.5,0.5'], 4),
+    ])
+    def test_quoted_field_must_close_on_its_line(self, tmp_path, rows, record):
+        p = tmp_path / "mm.csv"
+        p.write_text("# summary_id=s domain=hotels\n" + "\n".join(rows) + "\n")
+        with pytest.raises(FormatError) as exc:
+            kio.load_match_matrix(p)
+        assert str(exc.value) == f"{p}, record {record}: quoted field runs past the end of its line"
+
+    def test_field_past_the_csv_limit_is_named(self, tmp_path):
+        p = tmp_path / "mm.csv"
+        long_id = "x" * (csv.field_size_limit() + 1)
+        p.write_text(f"# summary_id=s domain=hotels\nsentence_id,a\nt0,0.5\n{long_id},0.5\n")
+        with pytest.raises(FormatError, match="record 4: malformed CSV: field larger than"):
+            kio.load_match_matrix(p)
+
+    @pytest.mark.parametrize("sentence_ids,kp_ids", [
+        (("sent0", "sent\n1", "sent2", "sent3"), ("k00", "k01", "k02")),
+        (("sent0", "sent1", "sent2", "sent3"), ("k00", "k\r01", "k02")),
+    ])
+    def test_line_break_in_an_id_rejected(self, tmp_path, sentence_ids, kp_ids):
+        m = self._m()
+        p = tmp_path / "mm.csv"
+        with pytest.raises(DataError, match="holds a line break"):
+            kio.write_match_matrix(p, MatchMatrix(m.summary_id, sentence_ids, kp_ids, m.values,
+                                                  m.domain))
+        assert not p.exists()
 
 
 class TestScoresRoundTrip:
