@@ -47,7 +47,6 @@ from .evaluation import (
     PRCurve,
     PRPoint,
     auc_at_min_recall,
-    brute_force_optimal_kph,
     evaluate_hierarchies,
     local_relations_baseline,
     loo_threshold_tuning,
@@ -68,7 +67,7 @@ __all__ = [
     "build_greedy_gs", "build_hierarchy", "build_reduced_forest", "build_tncf",
     "cluster_link_score", "objective_value",
     "DomainMetrics", "EvalReport", "PRCurve", "PRPoint", "auc_at_min_recall",
-    "brute_force_optimal_kph", "evaluate_hierarchies", "local_relations_baseline",
+    "evaluate_hierarchies", "local_relations_baseline",
     "loo_threshold_tuning", "pr_curve", "relation_f1", "spearman_correlation",
     "load_external_scores",
 ]

@@ -6,8 +6,8 @@ files. Every command writes a run manifest (inputs, resolved options,
 outputs, all digested) next to its outputs; identical inputs and options,
 as flags or from a config file, reproduce every output byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 internal
-invariant breach.
+Exit codes: 0 success, 1 usage error, 2 invalid input data or an output
+that cannot be written, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -62,12 +62,23 @@ class _Manifest:
         return obj
 
     def write(self, rel: str, writer: Callable, obj) -> None:
-        writer(self.out_dir / rel, obj)
+        _write(self.out_dir / rel, writer, obj)
         self.outputs[rel] = kio.file_digest(self.out_dir / rel)
 
     def save(self) -> None:
-        kio.write_manifest(self.out_dir / f"manifest_{self.command}.json", self.command,
-                           __version__, self.config, self.inputs, self.outputs)
+        _write(self.out_dir / f"manifest_{self.command}.json", kio.write_manifest, self.command,
+               __version__, self.config, self.inputs, self.outputs)
+
+
+class _WriteError(Exception):
+    """An output file could not be written (exit code 2, like bad input)."""
+
+
+def _write(path: Path, writer: Callable, *args) -> None:
+    try:
+        writer(path, *args)
+    except OSError as e:
+        raise _WriteError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 class _Parser(argparse.ArgumentParser):
@@ -438,6 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     except DataError as e:
         print(f"kph: invalid input: {e}", file=sys.stderr)
+        return 2
+    except _WriteError as e:
+        print(f"kph: {e}", file=sys.stderr)
         return 2
     except KphError as e:
         print(f"kph: internal invariant breach: {e}", file=sys.stderr)

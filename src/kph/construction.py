@@ -11,10 +11,10 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
   Each move is scored by its gain, read off per-cluster sums of s - tau;
   only moves whose estimate comes within float rounding of the best so far
   are materialised, and the exact objective decides between them.
-- greedy: agglomerative clustering, then edges added in descending
-  cluster-link-score order under forest constraints.
-- greedy_gs: same clusters, but each edge is chosen to maximize the sum of
-  cluster-to-ancestor link scores of the whole forest built so far.
+- greedy and greedy_gs: one loop. Agglomerative clustering, then, while a
+  cluster edge whose mean link exceeds tau still fits the forest, add the
+  most valuable one. greedy values an edge by its own link, greedy_gs by
+  the whole forest's cluster-to-ancestor links with the edge added.
 """
 
 from __future__ import annotations
@@ -96,15 +96,27 @@ def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     ids = s.kp_ids
     comps, reduced = _condense(s.values > tau)
     clusters = [frozenset(ids[i] for i in comp) for comp in comps]
+    members = [sorted(comp, key=ids.__getitem__) for comp in comps]
+    rows = s.values.tolist()
 
     parent: dict[int, int] = {}
-    for c, members in enumerate(clusters):
+    for c, mem in enumerate(members):
         cands = np.flatnonzero(reduced[c]).tolist()
         if cands:
             parent[c] = min(cands, key=lambda p: (-len(clusters[p]),
-                                                 -cluster_link_score(members, clusters[p], s),
+                                                 -_mean_link(rows, mem, members[p]),
                                                  sorted(clusters[p])))
     return canonical_hierarchy(s.summary_id, clusters, parent)
+
+
+def _mean_link(rows: list[list[float]], xs: Sequence[int], ys: Sequence[int]) -> float:
+    """Mean of rows[x][y] over xs x ys, added in order; callers list members by sorted id."""
+    total = 0.0
+    for x in xs:
+        row = rows[x]
+        for y in ys:
+            total += row[y]
+    return total / (len(xs) * len(ys))
 
 
 def cluster_link_score(c1: frozenset[str] | set[str], c2: frozenset[str] | set[str],
@@ -114,11 +126,12 @@ def cluster_link_score(c1: frozenset[str] | set[str], c2: frozenset[str] | set[s
         raise ValueError("cluster_link_score requires nonempty clusters")
     if set(c1) & set(c2):
         raise ValueError(f"clusters overlap on {sorted(set(c1) & set(c2))}")
-    total = 0.0
-    for i in sorted(c1):
-        for j in sorted(c2):
-            total += s.score(i, j)
-    return total / (len(c1) * len(c2))
+    xs, ys = sorted(c1), sorted(c2)
+    pos = {x: i for i, x in enumerate(s.kp_ids)}
+    unknown = next(((x, y) for x in xs for y in ys if x not in pos or y not in pos), None)
+    if unknown:
+        s.score(*unknown)  # raises the DataError naming the first pair without a score
+    return _mean_link(s.values.tolist(), [pos[x] for x in xs], [pos[y] for y in ys])
 
 
 def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
@@ -155,71 +168,59 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
 
 def _walks_through(parent: Mapping[int, int], start: int, target: int) -> bool:
     """True if target lies on start's ancestor chain (start included)."""
-    cur = start
     for _ in range(len(parent) + 1):
-        if cur == target:
-            return True
-        if cur not in parent:
-            return False
-        cur = parent[cur]
+        if start == target or start not in parent:
+            return start == target
+        start = parent[start]
     raise HierarchyError("parent map has a cycle")
 
 
-def build_greedy(s: ScoreMatrix, tau: float) -> Hierarchy:
-    """Add the highest-scoring cluster edges first, keeping a forest."""
+def _build_greedy(s: ScoreMatrix, tau: float, value: Callable) -> Hierarchy:
+    """Cluster, then add cluster edges (a, b) with link[a][b] > tau while one is legal.
+
+    Legal means a has no parent and b is outside a's subtree; an edge that
+    stops being legal never becomes legal again. Each step adds the legal
+    edge of highest value(link, parent, a, b), ties to the first in (a, b) order.
+    """
     clusters = agglomerative_cluster(s, tau)
-    m = len(clusters)
-    link = {(a, b): cluster_link_score(clusters[a], clusters[b], s)
-            for a in range(m) for b in range(m) if a != b}
-    cands = sorted(link.items(), key=lambda kv: (-kv[1], kv[0]))
+    pos = {x: i for i, x in enumerate(s.kp_ids)}
+    members = [[pos[x] for x in sorted(c)] for c in clusters]
+    rows = s.values.tolist()
+    link = [[_mean_link(rows, xs, ys) for ys in members] for xs in members]
+    candidates = [(a, b) for a, row in enumerate(link) for b, v in enumerate(row)
+                  if a != b and v > tau]
     parent: dict[int, int] = {}
-    for (a, b), v in cands:
-        if v <= tau:
+    while True:
+        candidates = [(a, b) for a, b in candidates
+                      if a not in parent and not _walks_through(parent, b, a)]
+        if not candidates:
             break
-        if a in parent:
-            continue
-        if _walks_through(parent, b, a):
-            continue
+        a, b = max(candidates, key=lambda e: value(link, parent, *e))
         parent[a] = b
     return canonical_hierarchy(s.summary_id, clusters, parent)
+
+
+def _ancestor_sum(link: list[list[float]], parent: Mapping[int, int]) -> float:
+    """Sum of link[c][a] over every cluster c and each of its ancestors a."""
+    total = 0.0
+    for c in range(len(link)):
+        cur = c
+        while cur in parent:
+            cur = parent[cur]
+            total += link[c][cur]
+    return total
+
+
+def build_greedy(s: ScoreMatrix, tau: float) -> Hierarchy:
+    """Add the highest-linked cluster edges first, keeping a forest."""
+    return _build_greedy(s, tau, lambda link, parent, a, b: link[a][b])
 
 
 def build_greedy_gs(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Like build_greedy, but each added edge maximizes the global sum of
     cluster-to-ancestor link scores, so an edge that sits under a strong
     chain can beat one with a higher direct score."""
-    clusters = agglomerative_cluster(s, tau)
-    m = len(clusters)
-    link = {(a, b): cluster_link_score(clusters[a], clusters[b], s)
-            for a in range(m) for b in range(m) if a != b}
-    candidates = sorted(pair for pair, v in link.items() if v > tau)
-
-    def ancestor_sum(parent: Mapping[int, int]) -> float:
-        total = 0.0
-        for c in range(m):
-            cur = c
-            for _ in range(m):
-                if cur not in parent:
-                    break
-                cur = parent[cur]
-                total += link[(c, cur)]
-        return total
-
-    parent: dict[int, int] = {}
-    while True:
-        best_val = None
-        best_pair = None
-        for (a, b) in candidates:
-            if a in parent or _walks_through(parent, b, a):
-                continue
-            val = ancestor_sum({**parent, a: b})
-            if best_val is None or val > best_val:
-                best_val = val
-                best_pair = (a, b)
-        if best_pair is None:
-            break
-        parent[best_pair[0]] = best_pair[1]
-    return canonical_hierarchy(s.summary_id, clusters, parent)
+    return _build_greedy(s, tau, lambda link, parent, a, b: _ancestor_sum(link, {**parent, a: b}))
 
 
 State = tuple[list[frozenset[str]], dict[int, int]]

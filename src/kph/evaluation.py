@@ -9,21 +9,17 @@ within a domain so a summary's own gold never influences its tau.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Hierarchy, canonical_hierarchy, derive_relations
-from .construction import objective_value
+from .core import Hierarchy, derive_relations
 from .errors import DataError
 from .scoring import ScoreMatrix
 
 DEFAULT_MIN_RECALL = 0.1
 DEFAULT_TAU_GRID = tuple(round(0.01 * k, 2) for k in range(101))
-
-BRUTE_FORCE_MAX_KPS = 7
 
 
 class DomainMetrics(NamedTuple):
@@ -346,100 +342,3 @@ def loo_threshold_tuning(
                     "builder": getattr(builder, "__name__", "custom")},
     )
     return chosen, report, final
-
-
-# Forest shapes over m clusters, keyed by m: (parent items, ancestor pairs).
-_FOREST_CACHE: dict[int, list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]] = {}
-
-
-def _forest_structures(m: int):
-    if m not in _FOREST_CACHE:
-        shapes = []
-        options = [[-1] + [j for j in range(m) if j != i] for i in range(m)]
-        for pvec in itertools.product(*options):
-            parent = {i: p for i, p in enumerate(pvec) if p != -1}
-            anc_pairs = []
-            ok = True
-            for c in range(m):
-                cur = c
-                hops = 0
-                while cur in parent:
-                    cur = parent[cur]
-                    hops += 1
-                    if hops > m:
-                        ok = False
-                        break
-                    anc_pairs.append((c, cur))
-                if not ok:
-                    break
-            if ok:
-                shapes.append((tuple(sorted(parent.items())), tuple(anc_pairs)))
-        _FOREST_CACHE[m] = shapes
-    return _FOREST_CACHE[m]
-
-
-def _set_partitions(items: list):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def brute_force_optimal_kph(s: ScoreMatrix, tau: float) -> tuple[Hierarchy, float]:
-    """Exhaustively best hierarchy by objective value; tiny inputs only.
-
-    Enumerates every partition of the key points into clusters and every
-    forest over the clusters. Ties are broken by the hierarchy's canonical
-    serialization, so the result is deterministic.
-    """
-    n = len(s.kp_ids)
-    if n > BRUTE_FORCE_MAX_KPS:
-        raise ValueError(
-            f"brute force is limited to {BRUTE_FORCE_MAX_KPS} key points, got {n}")
-    ids = sorted(s.kp_ids)
-    if not ids:
-        return Hierarchy(summary_id=s.summary_id, clusters=(), parent={}), 0.0
-    pos = {x: i for i, x in enumerate(ids)}
-    w = (s.restrict(ids).values - tau).tolist()
-
-    best_obj = None
-    best_struct = None  # (blocks, parent dict)
-    best_key = None
-
-    def struct_key(blocks, parent):
-        return canonical_hierarchy(s.summary_id, blocks, parent).canonical_form()
-
-    for blocks in _set_partitions(ids):
-        rows = [[pos[x] for x in b] for b in blocks]
-        m = len(blocks)
-        W = [[0.0] * m for _ in range(m)]
-        intra = 0.0
-        for bi in range(m):
-            for bj in range(m):
-                if bi == bj:
-                    W[bi][bi] = sum(w[x][y] for x in rows[bi] for y in rows[bi] if x != y)
-                    intra += W[bi][bi]
-                else:
-                    W[bi][bj] = sum(w[x][y] for x in rows[bi] for y in rows[bj])
-        for parent_items, anc_pairs in _forest_structures(m):
-            obj = intra
-            for c, a in anc_pairs:
-                obj += W[c][a]
-            if best_obj is None or obj > best_obj + 1e-12:
-                best_obj = obj
-                best_struct = (blocks, dict(parent_items))
-                best_key = None
-            elif obj >= best_obj - 1e-12:
-                if best_key is None:
-                    best_key = struct_key(*best_struct)
-                key = struct_key(blocks, dict(parent_items))
-                if key < best_key:
-                    best_struct = (blocks, dict(parent_items))
-                    best_key = key
-
-    h = canonical_hierarchy(s.summary_id, *best_struct)
-    return h, objective_value(h, s, tau)

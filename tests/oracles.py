@@ -6,8 +6,9 @@ key point pair instead of one array kernel per matrix, one float() call per
 match-matrix cell instead of one array pass over fixed-width cells, one json
 call per score-file line instead of one pass over all lines, one set of
 summary-tagged relations per relation F1 instead of summed per-summary
-counts) so that agreement between the two is meaningful evidence of
-correctness.
+counts, two greedy loops over link dicts instead of one loop on a link
+table, every partition and forest enumerated instead of a search) so that
+agreement between the two is meaningful evidence of correctness.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from kph import (DataError, DomainMetrics, FormatError, Hierarchy, HierarchyError, MatchMatrix,
-                 ScoreMatrix, Violation, build_reduced_forest, canonical_hierarchy,
-                 derive_relations)
+                 ScoreMatrix, Violation, agglomerative_cluster, build_reduced_forest,
+                 canonical_hierarchy, derive_relations, objective_value)
 from kph import io as kio
 from kph.evaluation import (DEFAULT_TAU_GRID, EvalReport, _by_summary, _check_known_kps,
                             _check_same_summaries, _prf_counts)
@@ -549,6 +550,82 @@ def tncf_reference(s: ScoreMatrix, tau: float, max_passes: int = 100) -> Hierarc
     return canonical_hierarchy(s.summary_id, clusters, parent)
 
 
+# -- greedy builders (a sort-and-scan and an argmax loop) ---------------
+# The two greedy builders as two separate loops over a dict of cluster
+# links, each link summed through ScoreMatrix.score. The package runs both
+# as one loop on one link table and must pick the same edges.
+
+def cluster_link_score_reference(c1: frozenset[str] | set[str], c2: frozenset[str] | set[str],
+                                 s: ScoreMatrix) -> float:
+    """Mean directional score from members of c1 to members of c2."""
+    if not c1 or not c2:
+        raise ValueError("cluster_link_score requires nonempty clusters")
+    if set(c1) & set(c2):
+        raise ValueError(f"clusters overlap on {sorted(set(c1) & set(c2))}")
+    total = 0.0
+    for i in sorted(c1):
+        for j in sorted(c2):
+            total += s.score(i, j)
+    return total / (len(c1) * len(c2))
+
+
+def greedy_reference(s: ScoreMatrix, tau: float) -> Hierarchy:
+    """Add the highest-scoring cluster edges first, keeping a forest."""
+    clusters = agglomerative_cluster(s, tau)
+    m = len(clusters)
+    link = {(a, b): cluster_link_score_reference(clusters[a], clusters[b], s)
+            for a in range(m) for b in range(m) if a != b}
+    cands = sorted(link.items(), key=lambda kv: (-kv[1], kv[0]))
+    parent: dict[int, int] = {}
+    for (a, b), v in cands:
+        if v <= tau:
+            break
+        if a in parent:
+            continue
+        if _walks_through(parent, b, a):
+            continue
+        parent[a] = b
+    return canonical_hierarchy(s.summary_id, clusters, parent)
+
+
+def greedy_gs_reference(s: ScoreMatrix, tau: float) -> Hierarchy:
+    """Like greedy_reference, but each added edge maximizes the global sum of
+    cluster-to-ancestor link scores, so an edge that sits under a strong
+    chain can beat one with a higher direct score."""
+    clusters = agglomerative_cluster(s, tau)
+    m = len(clusters)
+    link = {(a, b): cluster_link_score_reference(clusters[a], clusters[b], s)
+            for a in range(m) for b in range(m) if a != b}
+    candidates = sorted(pair for pair, v in link.items() if v > tau)
+
+    def ancestor_sum(parent: Mapping[int, int]) -> float:
+        total = 0.0
+        for c in range(m):
+            cur = c
+            for _ in range(m):
+                if cur not in parent:
+                    break
+                cur = parent[cur]
+                total += link[(c, cur)]
+        return total
+
+    parent: dict[int, int] = {}
+    while True:
+        best_val = None
+        best_pair = None
+        for (a, b) in candidates:
+            if a in parent or _walks_through(parent, b, a):
+                continue
+            val = ancestor_sum({**parent, a: b})
+            if best_val is None or val > best_val:
+                best_val = val
+                best_pair = (a, b)
+        if best_pair is None:
+            break
+        parent[best_pair[0]] = best_pair[1]
+    return canonical_hierarchy(s.summary_id, clusters, parent)
+
+
 # -- relation F1 (one set of summary-tagged relations per side) ----------
 
 def _prf(pred: frozenset, gold: frozenset) -> DomainMetrics:
@@ -644,3 +721,105 @@ def loo_threshold_tuning_reference(
                     "builder": getattr(builder, "__name__", "custom")},
     )
     return chosen, report, final
+
+
+# -- exhaustive optimum (every partition, every forest) ------------------
+
+BRUTE_FORCE_MAX_KPS = 7
+
+
+# Forest shapes over m clusters, keyed by m: (parent items, ancestor pairs).
+_FOREST_CACHE: dict[int, list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]] = {}
+
+
+def _forest_structures(m: int):
+    if m not in _FOREST_CACHE:
+        shapes = []
+        options = [[-1] + [j for j in range(m) if j != i] for i in range(m)]
+        for pvec in itertools.product(*options):
+            parent = {i: p for i, p in enumerate(pvec) if p != -1}
+            anc_pairs = []
+            ok = True
+            for c in range(m):
+                cur = c
+                hops = 0
+                while cur in parent:
+                    cur = parent[cur]
+                    hops += 1
+                    if hops > m:
+                        ok = False
+                        break
+                    anc_pairs.append((c, cur))
+                if not ok:
+                    break
+            if ok:
+                shapes.append((tuple(sorted(parent.items())), tuple(anc_pairs)))
+        _FOREST_CACHE[m] = shapes
+    return _FOREST_CACHE[m]
+
+
+def _set_partitions(items: list):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def brute_force_optimal_kph(s: ScoreMatrix, tau: float) -> tuple[Hierarchy, float]:
+    """Exhaustively best hierarchy by objective value; tiny inputs only.
+
+    Enumerates every partition of the key points into clusters and every
+    forest over the clusters. Ties are broken by the hierarchy's canonical
+    serialization, so the result is deterministic.
+    """
+    n = len(s.kp_ids)
+    if n > BRUTE_FORCE_MAX_KPS:
+        raise ValueError(
+            f"brute force is limited to {BRUTE_FORCE_MAX_KPS} key points, got {n}")
+    ids = sorted(s.kp_ids)
+    if not ids:
+        return Hierarchy(summary_id=s.summary_id, clusters=(), parent={}), 0.0
+    pos = {x: i for i, x in enumerate(ids)}
+    w = (s.restrict(ids).values - tau).tolist()
+
+    best_obj = None
+    best_struct = None  # (blocks, parent dict)
+    best_key = None
+
+    def struct_key(blocks, parent):
+        return canonical_hierarchy(s.summary_id, blocks, parent).canonical_form()
+
+    for blocks in _set_partitions(ids):
+        rows = [[pos[x] for x in b] for b in blocks]
+        m = len(blocks)
+        W = [[0.0] * m for _ in range(m)]
+        intra = 0.0
+        for bi in range(m):
+            for bj in range(m):
+                if bi == bj:
+                    W[bi][bi] = sum(w[x][y] for x in rows[bi] for y in rows[bi] if x != y)
+                    intra += W[bi][bi]
+                else:
+                    W[bi][bj] = sum(w[x][y] for x in rows[bi] for y in rows[bj])
+        for parent_items, anc_pairs in _forest_structures(m):
+            obj = intra
+            for c, a in anc_pairs:
+                obj += W[c][a]
+            if best_obj is None or obj > best_obj + 1e-12:
+                best_obj = obj
+                best_struct = (blocks, dict(parent_items))
+                best_key = None
+            elif obj >= best_obj - 1e-12:
+                if best_key is None:
+                    best_key = struct_key(*best_struct)
+                key = struct_key(blocks, dict(parent_items))
+                if key < best_key:
+                    best_struct = (blocks, dict(parent_items))
+                    best_key = key
+
+    h = canonical_hierarchy(s.summary_id, *best_struct)
+    return h, objective_value(h, s, tau)

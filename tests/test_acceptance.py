@@ -25,7 +25,6 @@ from kph import (
     ScoreMatrix,
     SCORERS,
     auc_at_min_recall,
-    brute_force_optimal_kph,
     build_greedy,
     build_greedy_gs,
     build_hierarchy,
@@ -49,6 +48,7 @@ from helpers import edge_set, pair_score, random_digraph, random_hierarchy, rand
 from oracles import (
     apinc_ref,
     bininc_ref,
+    brute_force_optimal_kph,
     clarkede_ref,
     condensation_edges,
     is_transitive_reduction_of,

@@ -114,6 +114,24 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["out_dir", "output", "manifest"])
+    def test_unwritable_output_exits_2(self, dataset, tmp_path, capsys, blocked):
+        # A file where the output directory should be, or a directory where
+        # an output's or the manifest's temporary file should be.
+        out = tmp_path / "o"
+        target = {"out_dir": out / "h1" / "scores_bininc.jsonl",
+                  "output": out / "h1" / "scores_bininc.jsonl",
+                  "manifest": out / "manifest_score.json"}[blocked]
+        if blocked == "out_dir":
+            out.write_text("not a directory\n")
+        else:
+            (target.parent / f".{target.name}.tmp").mkdir(parents=True)
+        code = run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"kph: cannot write {target}: ")
+        assert "Traceback" not in err and "internal" not in err
+
     def test_repeated_meta_entry_is_data_error(self, dataset, tmp_path, capsys):
         p = dataset / "h1" / kio.MATCH_MATRIX_FILE
         meta, rest = p.read_text().split("\n", 1)

@@ -34,8 +34,11 @@ from helpers import (
     same_structure,
 )
 from oracles import (
+    cluster_link_score_reference,
     condensation_edges,
     fw_closure,
+    greedy_gs_reference,
+    greedy_reference,
     is_transitive_reduction_of,
     relations_by_closure,
     scc_partition,
@@ -50,6 +53,19 @@ def sm(ids, pairs, default=0.05, summary_id="s"):
     scores = {(a, b): default for a in ids for b in ids if a != b}
     scores.update(pairs)
     return ScoreMatrix.from_pairs(summary_id=summary_id, kp_ids=tuple(ids), scores=scores)
+
+
+def shuffled_matrix(rng: random.Random, n: int, step: float) -> ScoreMatrix:
+    """Random scores over ids listed out of sorted order, on a grid of step (0: none)."""
+    ids = [f"k{i:02d}" for i in range(n)]
+    rng.shuffle(ids)
+    scores = {}
+    for a in ids:
+        for b in ids:
+            if a != b:
+                v = rng.random()
+                scores[(a, b)] = round(v / step) * step if step else v
+    return ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids, scores=scores)
 
 
 def edge_pairs(h: Hierarchy) -> set[tuple[frozenset, frozenset]]:
@@ -307,6 +323,31 @@ class TestClusterLinkScore:
         with pytest.raises(ValueError):
             cluster_link_score(c(), c("a"), self._m())
 
+    @pytest.mark.parametrize("c1, c2", [
+        (c("a"), c("zz")),
+        (c("zz"), c("a")),
+        (c("a", "zz"), c("x")),
+        (c("a", "b"), c("x", "zz", "y")),
+        (c("a", "qq"), c("x", "zz")),
+    ])
+    def test_unknown_key_point_is_data_error(self, c1, c2):
+        # The error names the first pair, in sorted member order, that has no score.
+        with pytest.raises(DataError) as want:
+            cluster_link_score_reference(c1, c2, self._m())
+        with pytest.raises(DataError, match="no score for pair") as got:
+            cluster_link_score(c1, c2, self._m())
+        assert str(got.value) == str(want.value)
+
+    def test_matches_reference(self):
+        rng = random.Random(40)
+        for _ in range(100):
+            m = shuffled_matrix(rng, rng.randrange(2, 9), (0.0, 0.25)[rng.randrange(2)])
+            ids = list(m.kp_ids)
+            rng.shuffle(ids)
+            k = rng.randrange(1, len(ids))
+            c1, c2 = frozenset(ids[:k]), frozenset(ids[k:rng.randrange(k + 1, len(ids) + 1)])
+            assert cluster_link_score(c1, c2, m) == cluster_link_score_reference(c1, c2, m)
+
 
 class TestAgglomerativeCluster:
     def test_single_merge_then_stop(self):
@@ -438,6 +479,32 @@ class TestGreedyGs:
             m = random_score_matrix(rng, rng.randrange(1, 9))
             h = build_greedy_gs(m, 0.5)  # building checks the forest
             assert h.kp_ids == frozenset(m.kp_ids)
+
+
+class TestGreedyMatchesReference:
+    """build_greedy and build_greedy_gs against the two loops they replaced:
+    a sort-and-scan and an argmax over whole-forest re-sums."""
+
+    @staticmethod
+    def check(m: ScoreMatrix, tau: float):
+        for got, want in ((build_greedy(m, tau), greedy_reference(m, tau)),
+                          (build_greedy_gs(m, tau), greedy_gs_reference(m, tau))):
+            assert (got.clusters, got.parent) == (want.clusters, want.parent)
+
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.0])
+    def test_seeded_instances(self, step):
+        # Ids listed out of sorted order; scores on a grid of the given step
+        # (0: unquantised), so that links and ancestor sums tie exactly.
+        rng = random.Random(1008 + int(100 * step))
+        for k in range(300):
+            m = shuffled_matrix(rng, rng.randrange(2, 14), step)
+            tau = (0.0, 0.5, 1.0, rng.random())[k % 4]
+            self.check(m, tau)
+
+    def test_acceptance_4_instances(self):
+        rng = random.Random(1004)
+        for k in range(100):
+            self.check(random_score_matrix(rng, rng.randrange(2, 7)), (0.3, 0.5, 0.7)[k % 3])
 
 
 class TestTncf:

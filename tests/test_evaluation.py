@@ -17,7 +17,6 @@ from kph import (
     PRPoint,
     ScoreMatrix,
     auc_at_min_recall,
-    brute_force_optimal_kph,
     build_greedy,
     build_greedy_gs,
     build_reduced_forest,
@@ -32,7 +31,8 @@ from kph import (
     spearman_correlation,
 )
 from helpers import random_hierarchy, random_score_matrix
-from oracles import loo_threshold_tuning_reference, pr_points_ref, relation_f1_reference
+from oracles import (brute_force_optimal_kph, loo_threshold_tuning_reference, pr_points_ref,
+                     relation_f1_reference)
 
 
 def c(*ids):

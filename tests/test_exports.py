@@ -26,3 +26,15 @@ def test_per_pair_scoring_layer_is_gone(name):
     assert name not in kph.__all__
     assert not hasattr(kph, name)
     assert not hasattr(kph.scoring, name)
+
+
+
+@pytest.mark.parametrize("name", [
+    "brute_force_optimal_kph", "BRUTE_FORCE_MAX_KPS", "_forest_structures", "_set_partitions",
+    "_FOREST_CACHE",
+])
+def test_brute_force_oracle_is_gone(name):
+    # The exhaustive optimum lives on as a test oracle in tests/oracles.py.
+    assert name not in kph.__all__
+    assert not hasattr(kph, name)
+    assert not hasattr(kph.evaluation, name)
