@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -203,18 +204,20 @@ def _read_config(path: str, parser: _Parser, command: str) -> dict[str, object]:
 
 
 def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
-    """Each option from its flag, else the config file, else its default; unset or empty exits 1."""
+    """Each option from its flag, else the config, else its default; unset, empty or NUL exits 1."""
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a subcommand is required")
     sub = parser.commands[args.command]
-    if args.config:
+    if args.config and "\0" not in args.config:  # a NUL is refused below, before any read
         sub.set_defaults(**_read_config(args.config, parser, args.command))
         args = parser.parse_args(argv)  # flags win over the config's defaults
     for dest, action in _options(sub).items():
         value = getattr(args, dest)
         if value == "":
             parser.error(f"{action.option_strings[0]} must not be empty")
+        if isinstance(value, str) and "\0" in value:
+            parser.error(f"{action.option_strings[0]} must not hold a NUL byte")
         if value is None and dest != "config":
             parser.error(f"{action.option_strings[0]} is required")
     return args
@@ -274,6 +277,8 @@ def cmd_score(args, parser: _Parser) -> int:
 
 
 def cmd_combine(args, parser: _Parser) -> int:
+    if any(sep in args.name for sep in ("/", os.sep, os.altsep) if sep):
+        parser.error(f"--name must be a file name, not a path: {args.name!r}")
     run = _Manifest(args, parser)
     results = [(d, combine_average(files[args.a], files[args.b]))
                for _, d, files in kio.load_summaries(

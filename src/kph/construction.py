@@ -24,8 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hierarchy, canonical_hierarchy
-from .errors import HierarchyError
+from .core import Hierarchy, ancestor_chains, canonical_hierarchy
 from .scoring import ScoreMatrix
 
 ALGORITHMS = ("reduced_forest", "tncf", "greedy", "greedy_gs")
@@ -166,21 +165,12 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
                   key=lambda c: tuple(sorted(c)))
 
 
-def _walks_through(parent: Mapping[int, int], start: int, target: int) -> bool:
-    """True if target lies on start's ancestor chain (start included)."""
-    for _ in range(len(parent) + 1):
-        if start == target or start not in parent:
-            return start == target
-        start = parent[start]
-    raise HierarchyError("parent map has a cycle")
-
-
 def _build_greedy(s: ScoreMatrix, tau: float, value: Callable) -> Hierarchy:
     """Cluster, then add cluster edges (a, b) with link[a][b] > tau while one is legal.
 
-    Legal means a has no parent and b is outside a's subtree; an edge that
-    stops being legal never becomes legal again. Each step adds the legal
-    edge of highest value(link, parent, a, b), ties to the first in (a, b) order.
+    Legal means a has no parent and is not on b's ancestor chain; an edge
+    that stops being legal never becomes legal again. Each step adds the
+    legal edge of highest value(link, chains, a, b), ties to the first in (a, b) order.
     """
     clusters = agglomerative_cluster(s, tau)
     pos = {x: i for i, x in enumerate(s.kp_ids)}
@@ -191,36 +181,42 @@ def _build_greedy(s: ScoreMatrix, tau: float, value: Callable) -> Hierarchy:
                   if a != b and v > tau]
     parent: dict[int, int] = {}
     while True:
-        candidates = [(a, b) for a, b in candidates
-                      if a not in parent and not _walks_through(parent, b, a)]
+        chains = ancestor_chains(parent, len(clusters))
+        candidates = [(a, b) for a, b in candidates if a not in parent and a not in chains[b]]
         if not candidates:
             break
-        a, b = max(candidates, key=lambda e: value(link, parent, *e))
+        a, b = max(candidates, key=lambda e: value(link, chains, *e))
         parent[a] = b
     return canonical_hierarchy(s.summary_id, clusters, parent)
 
 
-def _ancestor_sum(link: list[list[float]], parent: Mapping[int, int]) -> float:
-    """Sum of link[c][a] over every cluster c and each of its ancestors a."""
+def _ancestor_sum(link: list[list[float]], chains: Sequence[tuple[int, ...]],
+                  a: int, b: int) -> float:
+    """Sum of link[c][x] over each cluster c and each ancestor x once root a goes under b,
+    in the order walking the new parent map adds them: c by index, x nearest first."""
     total = 0.0
-    for c in range(len(link)):
-        cur = c
-        while cur in parent:
-            cur = parent[cur]
-            total += link[c][cur]
+    for c, chain in enumerate(chains):
+        if chain or c == a:  # every other root adds nothing
+            row = link[c]
+            for x in chain:
+                total += row[x]
+            if c == a or chain[-1] == a:
+                total += row[b]
+                for x in chains[b]:
+                    total += row[x]
     return total
 
 
 def build_greedy(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Add the highest-linked cluster edges first, keeping a forest."""
-    return _build_greedy(s, tau, lambda link, parent, a, b: link[a][b])
+    return _build_greedy(s, tau, lambda link, chains, a, b: link[a][b])
 
 
 def build_greedy_gs(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Like build_greedy, but each added edge maximizes the global sum of
     cluster-to-ancestor link scores, so an edge that sits under a strong
     chain can beat one with a higher direct score."""
-    return _build_greedy(s, tau, lambda link, parent, a, b: _ancestor_sum(link, {**parent, a: b}))
+    return _build_greedy(s, tau, _ancestor_sum)
 
 
 State = tuple[list[frozenset[str]], dict[int, int]]
@@ -230,23 +226,16 @@ def _state_objective(clusters: Sequence[frozenset[str]], parent: Mapping[int, in
                      w: list[list[float]], pos: Mapping[str, int]) -> float:
     """Sum of w[pos[x]][pos[y]] over the induced pairs, members in sorted id order."""
     total = 0.0
-    m = len(clusters)
     rows = [[pos[x] for x in sorted(c)] for c in clusters]
-    for i, mem in enumerate(rows):
+    for mem, chain in zip(rows, ancestor_chains(parent, len(clusters))):
         for x in mem:
             for y in mem:
                 if x != y:
                     total += w[x][y]
-        cur = i
-        for _ in range(m):
-            if cur not in parent:
-                break
-            cur = parent[cur]
+        for a in chain:
             for x in mem:
-                for y in rows[cur]:
+                for y in rows[a]:
                     total += w[x][y]
-        else:
-            raise HierarchyError("parent map has a cycle")
     return total
 
 
@@ -333,12 +322,9 @@ def _move_gains(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
         idx = [pos[x] for x in c]
         member[idx, k] = 1.0
         home[idx] = k
-    up = np.zeros((m, m), dtype=bool)  # up[c, a]: a is c or an ancestor of c
-    for c in range(m):
-        a = c
-        up[c, a] = True
-        while a in parent:
-            a = parent[a]
+    up = np.eye(m, dtype=bool)  # up[c, a]: a is c or an ancestor of c
+    for c, chain in enumerate(ancestor_chains(parent, m)):
+        for a in chain:
             up[c, a] = True
     upf = up.astype(float)
 

@@ -4,8 +4,8 @@ A hierarchy is a directed forest over clusters of key points: every cluster
 has at most one parent, edges point from the more specific cluster to the
 more general one, and the set of key point relations it induces is the
 co-cluster pairs plus every (member of cluster, member of ancestor) pair.
-A Hierarchy is checked to be such a forest when it is built, and derives
-its relations once, on first use.
+A Hierarchy is checked to be such a forest when it is built, derives its
+ancestor chains once, then and there, and its relations once, on first use.
 
 All types are immutable after construction and the functions here are pure,
 so everything is safe to share across threads.
@@ -97,6 +97,23 @@ def _invalid(kind: str, detail: str) -> NoReturn:
     raise HierarchyError(f"invalid hierarchy: {kind}: {detail}")
 
 
+def ancestor_chains(parent: Mapping[int, int], m: int) -> tuple[tuple[int, ...], ...]:
+    """The ancestors of each of clusters 0..m-1, nearest first: the one walk up a parent map.
+
+    Raises HierarchyError naming the first cluster whose walk never reaches a root.
+    """
+    chains = []
+    for i in range(m):
+        chain, c = [], i
+        while c in parent:
+            c = parent[c]
+            chain.append(c)
+            if len(chain) == m:  # a root is at most m - 1 steps up
+                _invalid("cycle", f"cluster {i} lies on a parent cycle")
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
 @dataclass(frozen=True)
 class Hierarchy:
     """A directed forest of key point clusters, valid by construction.
@@ -106,13 +123,14 @@ class Hierarchy:
     the map are roots) and is read-only. Building a hierarchy whose parent
     map leaves the index range, or whose clusters are empty, overlap or lie
     on a parent cycle, raises HierarchyError, so every consumer can rely on
-    a forest.
+    a forest. ``chains[c]`` lists c's ancestors, nearest first.
     """
 
     summary_id: str
     clusters: tuple[frozenset[str], ...]
     parent: Mapping[int, int] = field(default_factory=dict)
     domain: str = "other"
+    chains: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clusters = tuple(frozenset(c) for c in self.clusters)
@@ -132,14 +150,7 @@ class Hierarchy:
                     _invalid("duplicate-membership",
                              f"key point {x!r} appears in clusters {seen[x]} and {i}")
                 seen[x] = i
-        for i in range(m):
-            cur = i
-            for _ in range(m):  # a root is at most m - 1 steps up
-                if cur not in parent:
-                    break
-                cur = parent[cur]
-            else:
-                _invalid("cycle", f"cluster {i} lies on a parent cycle")
+        object.__setattr__(self, "chains", ancestor_chains(parent, m))
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "parent", MappingProxyType(dict(sorted(parent.items()))))
 
@@ -166,7 +177,7 @@ class Hierarchy:
                 for y in members:
                     if x != y:
                         relations.add((x, y))
-            for a in ancestors(self, i):
+            for a in self.chains[i]:
                 for x in members:
                     for y in self.clusters[a]:
                         relations.add((x, y))
@@ -222,11 +233,7 @@ def ancestors(h: Hierarchy, c: int) -> list[int]:
     """
     if not 0 <= c < len(h.clusters):
         raise IndexError(f"cluster index {c} out of range 0..{len(h.clusters) - 1}")
-    path: list[int] = []
-    while c in h.parent:
-        c = h.parent[c]
-        path.append(c)
-    return path
+    return list(h.chains[c])
 
 
 def derive_relations(h: Hierarchy) -> RelationSet:

@@ -599,7 +599,8 @@ def discover_summaries(root: str | Path, filename: str = KEY_POINTS_FILE) -> lis
     """Summary directories under root, identified by holding filename."""
     root = Path(root)
     if not root.is_dir():
-        raise DataError(f"input directory {root} does not exist")
+        raise DataError(f"input directory {root} "
+                        + ("is not a directory" if root.exists() else "does not exist"))
     return sorted(p.parent for p in root.glob(f"*/{glob.escape(filename)}"))
 
 

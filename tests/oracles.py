@@ -7,7 +7,10 @@ match-matrix cell instead of one array pass over fixed-width cells, one json
 call per score-file line instead of one pass over all lines, one set of
 summary-tagged relations per relation F1 instead of summed per-summary
 counts, two greedy loops over link dicts instead of one loop on a link
-table, every partition and forest enumerated instead of a search) so that
+table, a forest re-walked with each greedy_gs edge added instead of read
+off the chains of the forest without it, a walk per cluster that stops at
+a revisit instead of one that counts its steps, every partition and forest
+enumerated instead of a search) so that
 agreement between the two is meaningful evidence of correctness.
 """
 
@@ -97,6 +100,19 @@ def relations_by_closure(clusters, parent: dict) -> frozenset[tuple[str, str]]:
                     edges.add((x, y))
     closure = fw_closure(nodes, edges)
     return frozenset((x, y) for x in nodes for y in closure[x] if x != y)
+
+
+def ancestor_walk_reference(parent: Mapping[int, int], c: int) -> list[int] | None:
+    """c's ancestors, nearest first, or None once the walk comes back to a cluster it passed."""
+    path: list[int] = []
+    seen = {c}
+    while c in parent:
+        c = parent[c]
+        if c in seen:
+            return None
+        seen.add(c)
+        path.append(c)
+    return path
 
 
 def structure_violations_reference(clusters, parent: dict) -> list[Violation]:
@@ -586,6 +602,22 @@ def greedy_reference(s: ScoreMatrix, tau: float) -> Hierarchy:
             continue
         parent[a] = b
     return canonical_hierarchy(s.summary_id, clusters, parent)
+
+
+# greedy_gs's value of edge (a, b) as the package once computed it: the
+# forest walked again, cluster by cluster, with a: b added to its parent map.
+# The package reads it off the chains of the forest without the edge, and
+# must add the same terms in the same order.
+
+def _ancestor_sum(link: list[list[float]], parent: Mapping[int, int]) -> float:
+    """Sum of link[c][a] over every cluster c and each of its ancestors a."""
+    total = 0.0
+    for c in range(len(link)):
+        cur = c
+        while cur in parent:
+            cur = parent[cur]
+            total += link[c][cur]
+    return total
 
 
 def greedy_gs_reference(s: ScoreMatrix, tau: float) -> Hierarchy:

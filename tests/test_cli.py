@@ -107,6 +107,18 @@ class TestExitCodes:
         assert code == 2
         assert "no summaries" in capsys.readouterr().err
 
+    def test_input_dir_that_is_a_file_is_data_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        for in_dir, says in ((afile, "is not a directory"),
+                             (tmp_path / "absent", "does not exist")):
+            code = run("score", "--in-dir", in_dir, "--out-dir", tmp_path / "o",
+                       "--scorer", "bininc")
+            assert code == 2
+            assert capsys.readouterr().err == \
+                f"kph: invalid input: input directory {in_dir} {says}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt_input_is_data_error(self, dataset, tmp_path, capsys):
         (dataset / "h1" / kio.MATCH_MATRIX_FILE).write_text("broken\n")
         code = run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
@@ -249,6 +261,30 @@ class TestCombine:
                    "--a", "scores_weedsprec.jsonl", "--b", "scores_rev.jsonl") == 0
         lines = (cr / "correlations.csv").read_text().splitlines()
         assert lines[1:] == [f"{sid},1.000000" for sid in ("h1", "h2", "r1", "r2", "MEAN")]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["../../../../outside", "sub/x", "/abs"])
+    def test_name_holding_a_path_is_usage_error(self, dataset, tmp_path, monkeypatch, capsys,
+                                                name, how):
+        out = tmp_path / "o"
+        run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc")
+        cwd = tmp_path / "cwd"  # o/h1/scores_../../../../outside.jsonl is cwd/outside.jsonl
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+
+        def refuse(path):
+            raise AssertionError(f"{path} read before the options were checked")
+        monkeypatch.setattr(kio, "load_external_scores", refuse)
+        flags = ["--in-dir", out, "--out-dir", "o",
+                 "--a", "scores_bininc.jsonl", "--b", "scores_bininc.jsonl"]
+        if how == "flag":
+            flags += ["--name", name]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"name": name}))
+            flags += ["--config", tmp_path / "cfg.json"]
+        assert run("combine", *flags) == 1
+        assert f"--name must be a file name, not a path: {name!r}" in capsys.readouterr().err
+        assert not any(cwd.iterdir())
 
 
 class TestBuildAndEval:
@@ -787,6 +823,18 @@ def test_empty_string_is_usage_error(tmp_path, monkeypatch, capsys, command, opt
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     assert not any(cwd.iterdir())
+    if how == "config" or option.dest == "config":  # a NUL byte, where a file can give one
+        if option.dest == "config":
+            flags[name] = "cfg\0.json"
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({option.dest: "a\0b"}))
+        assert run(command, *(f"{k}={v}" for k, v in flags.items())) == 1
+        err = capsys.readouterr().err
+        assert "\0" not in err
+        assert (f"{name} must not hold a NUL byte" if option.choices is None
+                else f"config key {option.dest!r}: invalid value 'a\\x00b'") in err
+        assert not (tmp_path / "o").exists()
+        assert not any(cwd.iterdir())
 
 
 @pytest.mark.parametrize("command", list(kph.cli._build_parser().commands))

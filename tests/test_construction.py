@@ -22,7 +22,9 @@ from kph import (
     derive_relations,
     objective_value,
 )
-from kph.construction import _apply_move, _condense, _move_gains, _rounding_margin
+from kph.construction import (_ancestor_sum, _apply_move, _condense, _move_gains,
+                              _rounding_margin)
+from kph.core import ancestor_chains
 from helpers import (
     adjacency,
     edge_set,
@@ -44,6 +46,7 @@ from oracles import (
     scc_partition,
     tncf_reference,
 )
+from oracles import _ancestor_sum as ancestor_sum_reference
 from oracles import _candidate_states as tncf_candidate_states
 from oracles import _state_objective as tncf_state_objective
 
@@ -505,6 +508,33 @@ class TestGreedyMatchesReference:
         rng = random.Random(1004)
         for k in range(100):
             self.check(random_score_matrix(rng, rng.randrange(2, 7)), (0.3, 0.5, 0.7)[k % 3])
+
+
+class TestAncestorSumMatchesReference:
+    """greedy_gs's edge value, read off the chains of the forest without the
+    edge, against re-walking the forest with the edge added."""
+
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.0])
+    def test_every_legal_edge_of_seeded_forests(self, step):
+        # Links on a grid of the given step (0: unquantised, where the order
+        # of the terms shows in the float sum).
+        rng = random.Random(1809 + int(100 * step))
+        checked = 0
+        for _ in range(300):
+            m = rng.randrange(1, 10)
+            order = rng.sample(range(m), m)
+            parent = {c: order[rng.randrange(k)] for k, c in enumerate(order)
+                      if k and rng.random() < 0.6}
+            link = [[round(rng.random() / step) * step if step else rng.random()
+                     for _ in range(m)] for _ in range(m)]
+            chains = ancestor_chains(parent, m)
+            for a in range(m):
+                for b in range(m):
+                    if a != b and a not in parent and a not in chains[b]:
+                        assert _ancestor_sum(link, chains, a, b) == \
+                            ancestor_sum_reference(link, {**parent, a: b}), (parent, a, b)
+                        checked += 1
+        assert checked > 1000
 
 
 class TestTncf:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -15,8 +16,9 @@ from kph import (
     derive_relations,
     validate_hierarchy,
 )
+from kph.core import ancestor_chains
 from helpers import random_hierarchy, same_structure
-from oracles import relations_by_closure, structure_violations_reference
+from oracles import ancestor_walk_reference, relations_by_closure, structure_violations_reference
 
 
 def kp(i, match_count=3, filtered=False, polarity="positive"):
@@ -98,6 +100,28 @@ class TestHierarchy:
                       parent={2: 1, 1: 0})
         assert ancestors(h, 2) == [1, 0]
         assert ancestors(h, 0) == []
+
+    def test_chains_are_the_naive_walks(self):
+        rng = random.Random(1810)
+        for _ in range(200):
+            h = random_hierarchy(rng, rng.randrange(1, 10))
+            assert [list(chain) for chain in h.chains] == \
+                [ancestor_walk_reference(h.parent, c) for c in range(h.num_clusters)]
+
+    def test_chains_stay_out_of_repr_equality_and_replace(self):
+        h = Hierarchy(summary_id="s",
+                      clusters=(frozenset({"a"}), frozenset({"b"}), frozenset({"c"})),
+                      parent={2: 1, 1: 0})
+        assert "chains" not in repr(h)
+        assert repr(h) == ("Hierarchy(summary_id='s', clusters=(frozenset({'a'}), "
+                           "frozenset({'b'}), frozenset({'c'})), "
+                           "parent=mappingproxy({1: 0, 2: 1}), domain='other')")
+        moved = dataclasses.replace(h, parent={2: 0, 1: 0})
+        assert moved.chains == ((), (0,), (0,))
+        assert dataclasses.replace(h, domain="hotels").chains == h.chains == ((), (0,), (1, 0))
+        assert dataclasses.replace(h) == h != moved
+        with pytest.raises(ValueError):
+            dataclasses.replace(h, chains=((), (), ()))
 
     def test_ancestors_bad_index(self):
         h = Hierarchy(summary_id="s", clusters=(frozenset({"a"}),), parent={})
@@ -235,6 +259,55 @@ def _random_structure(rng: random.Random) -> tuple[tuple[frozenset, ...], dict[i
             if kind == "tail":
                 parent[ring[-1]] = ring[0]
     return tuple(frozenset(b) for b in blocks), parent
+
+
+def _broken_parent_map(rng: random.Random, kind: str) -> tuple[int, dict[int, int]]:
+    """m and a random forest's parent map over m clusters, with a self-loop, a
+    2- or 3-cycle, or a tail of edges into a cycle put in (kind "forest": none)."""
+    length = {"forest": 0, "self": 1, "cycle": rng.choice([2, 3]),
+              "tail": rng.choice([1, 2, 3])}[kind]
+    ring_size = length + (kind == "tail")
+    m = rng.randrange(max(1, ring_size), 9)
+    order = rng.sample(range(m), m)
+    parent = {c: order[rng.randrange(k)] for k, c in enumerate(order)
+              if k and rng.random() < 0.6}
+    ring = rng.sample(range(m), ring_size)
+    for a, b in zip(ring[:length], ring[1:length] + ring[:1]):
+        parent[a] = b
+    if kind == "tail":
+        parent[ring[-1]] = ring[0]
+    return m, parent
+
+
+class TestAncestorChains:
+    """ancestor_chains, the one walk up a parent map, against a walk that
+    stops at a revisit and against the structure reference's first cycle."""
+
+    @pytest.mark.parametrize("kind", ["forest", "self", "cycle", "tail"])
+    def test_matches_naive_walk(self, kind):
+        rng = random.Random(f"chains-{kind}")
+        off_cycle = 0
+        for _ in range(500):
+            m, parent = _broken_parent_map(rng, kind)
+            walks = [ancestor_walk_reference(parent, c) for c in range(m)]
+            clusters = tuple(frozenset({f"k{c}"}) for c in range(m))
+            violations = structure_violations_reference(clusters, parent)
+            if kind == "forest":
+                assert violations == []
+                assert ancestor_chains(parent, m) == tuple(tuple(w) for w in walks)
+                continue
+            first = walks.index(None)
+            assert str(violations[0]) == f"cycle: cluster {first} lies on a parent cycle"
+            with pytest.raises(HierarchyError,
+                               match=f"^invalid hierarchy: {re.escape(str(violations[0]))}$"):
+                ancestor_chains(parent, m)
+            passed, cur = [], parent[first]
+            while cur not in passed:  # every cluster on first's walk has a parent
+                passed.append(cur)
+                cur = parent[cur]
+            off_cycle += first not in passed
+        if kind == "tail":
+            assert off_cycle > 0  # the first cluster reported is sometimes a tail's
 
 
 class TestStructureMatchesReference:
