@@ -154,6 +154,10 @@ class Hierarchy:
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "parent", MappingProxyType(dict(sorted(parent.items()))))
 
+    def __reduce__(self):
+        # Pickles and deep copies are rebuilt through the constructor, and so checked again.
+        return type(self), (self.summary_id, self.clusters, dict(self.parent), self.domain)
+
     @property
     def num_clusters(self) -> int:
         return len(self.clusters)

@@ -183,6 +183,10 @@ class ScoreMatrix:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "params", dict(self.params))
 
+    def __reduce__(self):
+        # Pickles and deep copies are rebuilt through the constructor, and so checked again.
+        return type(self), (self.summary_id, self.kp_ids, self.values, self.scorer, self.params)
+
     @classmethod
     def from_pairs(cls, summary_id: str, kp_ids: Sequence[str],
                    scores: Mapping[tuple[str, str], float], scorer: str = "",

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,8 @@ from kph import io as kio
 from kph.evaluation import DEFAULT_TAU_GRID
 import kph.cli
 from kph.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # match weights planted so that bininc at theta 0.5 yields the tree
 # k01 -> k00 <- k02 with k03 isolated:
@@ -962,3 +967,85 @@ def test_benchmark_wraps_only_existing_functions(monkeypatch):
     from tracing import absent_targets
 
     assert absent_targets() == set()
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+ENTRIES = {
+    "python -m kph": ["-m", "kph"],
+    "kph.__main__.main": ["-c", "import sys; from kph.__main__ import main; "
+                                "sys.exit(main(sys.argv[1:]))"],
+}
+
+
+class TestBlasThreadDefault:
+    """The command line runs on one OpenBLAS thread unless the user chose a count."""
+
+    @staticmethod
+    def _env(tmp_path, **blas):
+        """The environment minus every BLAS thread variable, plus ``blas``.
+
+        A sitecustomize module on the path records the variables as numpy
+        is first imported, which is when OpenBLAS reads them, and reports
+        them at exit.
+        """
+        hook = tmp_path / "hook"
+        hook.mkdir(exist_ok=True)
+        (hook / "sitecustomize.py").write_text(
+            "import atexit, json, os, sys\n"
+            f"names = {BLAS_THREAD_VARIABLES!r}\n"
+            "seen = {}\n"
+            "class NumpyProbe:\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.update({n: os.environ.get(n) for n in names})\n"
+            "sys.meta_path.insert(0, NumpyProbe)\n"
+            "atexit.register(lambda: print('BLAS ' + json.dumps(seen), file=sys.stderr))\n")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(hook), str(SRC), env.get("PYTHONPATH")) if p)
+        return {**env, **blas}
+
+    @staticmethod
+    def _kph(entry, env, *argv):
+        done = subprocess.run([sys.executable, *ENTRIES[entry], *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("given, openblas", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"OMP_NUM_THREADS": "2"}, None),
+        ({"GOTO_NUM_THREADS": "2"}, None),
+    ], ids=["unset", "openblas", "omp", "goto"])
+    def test_default_applies_only_when_no_variable_is_set(self, tmp_path, entry, given, openblas):
+        done = self._kph(entry, self._env(tmp_path, **given), "--version")
+        seen = json.loads(done.stderr.splitlines()[-1].removeprefix("BLAS "))
+        assert seen == {**dict.fromkeys(BLAS_THREAD_VARIABLES), **given,
+                        "OPENBLAS_NUM_THREADS": openblas}
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, dataset, tmp_path):
+        def pipeline(root, threads):
+            env = self._env(tmp_path, OPENBLAS_NUM_THREADS=threads)
+            for scorer in ("bininc", "apinc"):
+                self._kph("python -m kph", env, "score", "--in-dir", dataset,
+                          "--out-dir", root / "scored", "--scorer", scorer)
+            self._kph("python -m kph", env, "combine", "--in-dir", root / "scored",
+                      "--out-dir", root / "combined", "--a", "scores_bininc.jsonl",
+                      "--b", "scores_apinc.jsonl", "--name", "mean")
+            self._kph("python -m kph", env, "build", "--in-dir", root / "combined",
+                      "--out-dir", root / "built", "--scores", "scores_mean.jsonl",
+                      "--algorithm", "tncf", "--tau", "0.5")
+            for sid in ["h1", "h2", "r1", "r2"]:
+                (root / "evalin" / sid).mkdir(parents=True)
+                shutil.copy(dataset / sid / kio.GOLD_FILE, root / "evalin" / sid)
+                shutil.copy(root / "built" / sid / "hierarchy_tncf.jsonl", root / "evalin" / sid)
+            self._kph("python -m kph", env, "eval", "--in-dir", root / "evalin",
+                      "--out-dir", root / "evaled", "--pred", "hierarchy_tncf.jsonl")
+            return tree_bytes(root)
+
+        one, two = pipeline(tmp_path / "one", "1"), pipeline(tmp_path / "two", "2")
+        assert one == two
+        assert {"scored/manifest_score.json", "combined/manifest_combine.json",
+                "built/manifest_build.json", "evaled/manifest_eval.json"} <= set(one)

@@ -1,8 +1,11 @@
 """Data model: key points, hierarchies, relation derivation, validation."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
+from types import MappingProxyType
 
 import pytest
 
@@ -122,6 +125,19 @@ class TestHierarchy:
         assert dataclasses.replace(h) == h != moved
         with pytest.raises(ValueError):
             dataclasses.replace(h, chains=((), (), ()))
+
+    @pytest.mark.parametrize("copy_of", [lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy_rebuild_an_equal_forest(self, copy_of):
+        rng = random.Random(1910)
+        for _ in range(50):
+            h = random_hierarchy(rng, rng.randrange(1, 9))
+            h.relations  # a cached value must not stop the copy
+            g = copy_of(h)
+            assert g == h and g is not h
+            assert (g.clusters, g.parent, g.chains, g.relations) == \
+                (h.clusters, h.parent, h.chains, h.relations)
+            assert isinstance(g.parent, MappingProxyType)
 
     def test_ancestors_bad_index(self):
         h = Hierarchy(summary_id="s", clusters=(frozenset({"a"}),), parent={})

@@ -1,6 +1,8 @@
 """Distributional scorers, score matrices, and weak-label export."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -214,6 +216,21 @@ class TestScoreMatrix:
 
     def test_score_lookup(self):
         assert self._m().score("a", "b") == 0.3
+
+    @pytest.mark.parametrize("copy_of", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy_rebuild_an_equal_matrix(self, copy_of):
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=("b", "a", "c"),
+                                   scores={("a", "b"): 0.3, ("b", "a"): 0.7, ("a", "c"): 0.1,
+                                           ("c", "a"): 0.0, ("b", "c"): 1.0, ("c", "b"): 0.5},
+                                   scorer="bininc", params={"theta_match": 0.5})
+        m.scores  # a cached value must not stop the copy
+        g = copy_of(m)
+        assert (g.summary_id, g.kp_ids, g.scorer, g.params) == \
+            (m.summary_id, m.kp_ids, m.scorer, m.params)
+        assert g.values is not m.values and np.array_equal(g.values, m.values)
+        assert not g.values.flags.writeable
+        assert g.scores == m.scores
 
     def test_missing_pair_raises(self):
         with pytest.raises(DataError, match=r"scores 's': missing pairs \('b', 'a'\)$"):
