@@ -19,23 +19,48 @@ import math
 import os
 import sys
 import traceback
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from . import __version__
 from . import io as kio
-from .construction import ALGORITHMS, DEFAULT_MAX_PASSES, ConstructionConfig, build_hierarchy
-from .core import Hierarchy
+from .core import (ALGORITHMS, DEFAULT_MAX_PASSES, DEFAULT_MIN_RECALL, DEFAULT_NEG_RATIO,
+                   DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED, DEFAULT_WEAK_LABEL_THRESHOLD,
+                   SCORER_NAMES, Hierarchy)
 from .errors import DataError, KphError
-from .evaluation import (DEFAULT_MIN_RECALL, EvalReport, auc_at_min_recall, evaluate_hierarchies,
-                         loo_threshold_tuning, pr_curve, spearman_correlation)
-from .scoring import (DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED,
-                      DEFAULT_WEAK_LABEL_THRESHOLD, SCORERS, compute_score_matrix,
-                      combine_average, export_weak_labels)
 
 T = TypeVar("T")
+
+# The names the commands call from scoring and construction, which load
+# numpy, and from evaluation, which only some commands need, by home module.
+# main imports the running command's modules and binds their names as module
+# globals, so `kph eval`, --help and --version load no numpy. A name already
+# set when main runs, such as a wrapper around the original, stays in place.
+# Each name is bound once, on first use, as if it were imported at the top:
+# one deleted after that stays deleted.
+_DEFERRED = {
+    "scoring": ("combine_average", "compute_score_matrix", "export_weak_labels"),
+    "construction": ("ConstructionConfig", "build_hierarchy"),
+    "evaluation": ("EvalReport", "auc_at_min_recall", "evaluate_hierarchies",
+                   "loo_threshold_tuning", "pr_curve", "spearman_correlation"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+# The modules each command calls into.
+_USES = {"score": ("scoring",), "combine": ("scoring",), "weaklabel": ("scoring",),
+         "build": ("construction",), "tune": ("construction", "evaluation"),
+         "eval": ("evaluation",), "prcurve": ("evaluation",), "correlate": ("evaluation",),
+         "validate": ()}
+_bound: set[str] = set()  # the names __getattr__ has bound
+
+
+def __getattr__(name: str):
+    if name not in _HOME or name in _bound:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __package__), name)
+    _bound.add(name)
+    globals()[name] = value
+    return value
 
 
 class _Manifest:
@@ -103,7 +128,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("score", parents=[common],
                        help="compute distributional scores from match matrices")
-    p.add_argument("--scorer", choices=sorted(SCORERS))
+    p.add_argument("--scorer", choices=SCORER_NAMES)
     p.add_argument("--theta-match", type=float, default=DEFAULT_THETA_MATCH,
                    help="match threshold for support sets (default %(default)s)")
     p.set_defaults(func=cmd_score)
@@ -322,7 +347,7 @@ def cmd_build(args, parser: _Parser) -> int:
     def builder(s, tau: float) -> Hierarchy:
         config = ConstructionConfig(tau=tau, algorithm=algorithm, max_passes=max_passes)
         if algorithm == "reduced_forest":
-            key = (s.summary_id, np.packbits(s.values > tau).tobytes())
+            key = (s.summary_id, (s.values > tau).tobytes())
             if key not in forests:
                 forests[key] = build_hierarchy(s, config)
             return forests[key]
@@ -449,6 +474,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = _parse(parser, argv)
+        for module in _USES[args.command]:
+            for name in _DEFERRED[module]:
+                if name not in globals():
+                    __getattr__(name)
         return args.func(args, parser)
     except SystemExit as e:
         return int(e.code or 0)
@@ -467,5 +496,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # through the package entry, which sets the BLAS thread default
+    from .__main__ import main as entry
+    sys.exit(entry())

@@ -24,12 +24,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Hierarchy, ancestor_chains, canonical_hierarchy
+from .core import ALGORITHMS, DEFAULT_MAX_PASSES, Hierarchy, ancestor_chains, canonical_hierarchy
 from .scoring import ScoreMatrix
-
-ALGORITHMS = ("reduced_forest", "tncf", "greedy", "greedy_gs")
-
-DEFAULT_MAX_PASSES = 100
 
 # Minimum gain for a TNCF move to count as an improvement; guards against
 # accepting float noise and oscillating forever.

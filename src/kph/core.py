@@ -22,6 +22,21 @@ from .errors import HierarchyError
 
 POLARITIES = ("positive", "negative")
 
+# The scorer and algorithm names and the defaults that the command line's
+# parser shows. They live here, beside no numpy, so that building the parser
+# loads none of the numeric modules; scoring, construction and evaluation
+# import them from here.
+SCORER_NAMES = ("apinc", "bininc", "clarkede", "weedsprec")
+ALGORITHMS = ("reduced_forest", "tncf", "greedy", "greedy_gs")
+DEFAULT_THETA_MATCH = 0.5
+# Weak-label export: the entail threshold, negatives kept per positive, and
+# the seed that samples the negatives.
+DEFAULT_WEAK_LABEL_THRESHOLD = 0.5
+DEFAULT_NEG_RATIO = 5.0
+DEFAULT_WEAK_LABEL_SEED = 0
+DEFAULT_MAX_PASSES = 100
+DEFAULT_MIN_RECALL = 0.1
+
 #: Ordered (specific, general) key point id pairs induced by a hierarchy.
 RelationSet = frozenset[tuple[str, str]]
 

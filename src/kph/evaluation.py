@@ -10,15 +10,18 @@ within a domain so a summary's own gold never influences its tau.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .core import Hierarchy, derive_relations
+from .core import DEFAULT_MIN_RECALL, Hierarchy, derive_relations
 from .errors import DataError
-from .scoring import ScoreMatrix
 
-DEFAULT_MIN_RECALL = 0.1
+# numpy, and scoring with it, load only where they run, so that relation F1
+# (kph eval) loads neither.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .scoring import ScoreMatrix
+
 DEFAULT_TAU_GRID = tuple(round(0.01 * k, 2) for k in range(101))
 
 
@@ -117,7 +120,7 @@ def _by_summary(items, noun: str) -> dict:
 
     ``noun`` names the items in the error for a summary listed twice.
     """
-    if isinstance(items, (Hierarchy, ScoreMatrix)):
+    if hasattr(items, "summary_id"):
         items = [items]
     out = {}
     for x in items:
@@ -232,6 +235,8 @@ def auc_at_min_recall(curve: PRCurve, min_recall: float = DEFAULT_MIN_RECALL) ->
     The polyline is linearly interpolated at min_recall when a segment
     crosses it; a curve that never reaches min_recall has area 0.
     """
+    import numpy as np
+
     pts = [(p.recall, p.precision) for p in curve.points]
     if not pts or pts[-1][0] <= min_recall:
         return 0.0
@@ -256,6 +261,8 @@ def local_relations_baseline(s: ScoreMatrix, tau: float) -> frozenset[tuple[str,
 
 def spearman_correlation(a: ScoreMatrix, b: ScoreMatrix) -> float:
     """Spearman rank correlation of two scorers, pairing scores by key point id."""
+    import numpy as np
+
     if set(a.kp_ids) != set(b.kp_ids):
         raise DataError(
             f"scores {a.summary_id!r}: pair universes differ; "
@@ -274,6 +281,8 @@ def spearman_correlation(a: ScoreMatrix, b: ScoreMatrix) -> float:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of x, with tied values sharing the mean of their ranks."""
+    import numpy as np
+
     order = np.argsort(x, kind="stable")
     sorted_x = x[order]
     starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])

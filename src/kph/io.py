@@ -15,15 +15,20 @@ import io as _io
 import json
 import os
 import re
+import sys
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .core import Hierarchy, KeyPoint, KeyPointSet, derive_relations, validate_hierarchy
 from .errors import DataError, FormatError, HierarchyError
-from .evaluation import EvalReport, PRCurve
-from .scoring import MatchMatrix, ScoreMatrix, WeakLabelRecord, WeakLabelSet
+
+# numpy and scoring load only in the readers of numeric files, so that
+# reading and writing hierarchies and reports (kph eval) loads neither.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .evaluation import EvalReport, PRCurve
+    from .scoring import MatchMatrix, ScoreMatrix, WeakLabelSet
 
 KEY_POINTS_FILE = "key_points.jsonl"
 MATCH_MATRIX_FILE = "match_matrix.csv"
@@ -54,6 +59,11 @@ def dumps6(obj, indent: int | None = None, sort_keys: bool = False) -> str:
         outer = " " * (indent * depth)
         return opener + "\n" + ",\n".join(inner + p for p in parts) + "\n" + outer + closer
 
+    # numpy scalars count as numbers; none can exist unless numpy is loaded
+    np = sys.modules.get("numpy")
+    ints = (int, np.integer) if np else int
+    floats = (float, np.floating) if np else float
+
     def emit(o, depth: int) -> str:
         if isinstance(o, bool):
             return "true" if o else "false"
@@ -61,9 +71,9 @@ def dumps6(obj, indent: int | None = None, sort_keys: bool = False) -> str:
             return "null"
         if isinstance(o, str):
             return json.dumps(o, ensure_ascii=False)
-        if isinstance(o, (int, np.integer)):
+        if isinstance(o, ints):
             return str(int(o))
-        if isinstance(o, (float, np.floating)):
+        if isinstance(o, floats):
             return fmt6(o)
         if isinstance(o, Mapping):
             keys = sorted(o, key=str) if sort_keys else list(o)
@@ -236,6 +246,8 @@ def _parse_meta_comment(path, line: str) -> dict[str, str]:
 
 
 def load_match_matrix(path: str | Path) -> MatchMatrix:
+    from .scoring import MatchMatrix
+
     lines = _read_lines(path)
     if len(lines) < 2:
         raise FormatError("match matrix needs a meta line and a header row", path=path)
@@ -258,6 +270,8 @@ def load_match_matrix(path: str | Path) -> MatchMatrix:
 
 def _csv_rows(path, lines: list[str]) -> tuple[tuple[str, ...], list[str], np.ndarray]:
     """The key point ids, sentence ids and values of a header and data rows, read row by row."""
+    import numpy as np
+
     reader = csv.reader(lines)
     rows = []
     try:
@@ -293,7 +307,7 @@ def _csv_rows(path, lines: list[str]) -> tuple[tuple[str, ...], list[str], np.nd
 # which is 9 characters with the digits at these offsets.
 _CELL_WIDTH = 9
 _CELL_DIGITS = [1, 3, 4, 5, 6, 7, 8]
-_DIGIT_WEIGHTS = np.array([10**6, 10**5, 10**4, 10**3, 10**2, 10, 1], dtype=np.int32)
+_DIGIT_WEIGHTS = (10**6, 10**5, 10**4, 10**3, 10**2, 10, 1)
 
 
 def _writer_form_rows(lines: list[str]) -> tuple[tuple[str, ...], list[str], np.ndarray] | None:
@@ -305,6 +319,8 @@ def _writer_form_rows(lines: list[str]) -> tuple[tuple[str, ...], list[str], np.
     commas and nowhere else. None sends the caller to _csv_rows, which reads
     any CSV and names the first bad record.
     """
+    import numpy as np
+
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -335,7 +351,7 @@ def _writer_form_rows(lines: list[str]) -> tuple[tuple[str, ...], list[str], np.
     # digits read as one integer. n and 10**6 are exact in float64 and IEEE
     # division rounds to nearest, so n / 1e6 is that float. Integer weights
     # keep the product out of BLAS.
-    n = np.einsum("ij,j->i", digits, _DIGIT_WEIGHTS)
+    n = np.einsum("ij,j->i", digits, np.array(_DIGIT_WEIGHTS, dtype=np.int32))
     return tuple(header[1:]), sentence_ids, (n / 1e6).reshape(len(data), k)
 
 
@@ -354,6 +370,8 @@ def write_scores(path: str | Path, s: ScoreMatrix) -> None:
 
 def load_external_scores(path: str | Path) -> ScoreMatrix:
     """Load a score file; it must score every ordered pair of its key points once."""
+    from .scoring import ScoreMatrix
+
     lines = _read_lines(path)
     if not lines:
         raise FormatError("empty score file", path=path)
@@ -404,6 +422,8 @@ def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> np.ndarray |
     + "]") would lose line boundaries and accept a line holding two objects
     beside an object split over two lines, which that loop rejects.
     """
+    import numpy as np
+
     n = len(kp_ids)
     pos = {x: i for i, x in enumerate(kp_ids)}
     if len(pos) != n or len(lines) != n * (n - 1):
@@ -507,6 +527,8 @@ def write_weak_labels(path: str | Path, wls: WeakLabelSet) -> None:
 
 
 def load_weak_labels(path: str | Path) -> WeakLabelSet:
+    from .scoring import WeakLabelRecord, WeakLabelSet
+
     lines = _read_lines(path)
     if not lines:
         raise FormatError("empty weak label file", path=path)

@@ -20,16 +20,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import KeyPointSet
+from .core import (DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED,
+                   DEFAULT_WEAK_LABEL_THRESHOLD, KeyPointSet)
 from .errors import DataError
-
-DEFAULT_THETA_MATCH = 0.5
-
-# Weak-label export: the entail threshold, negatives kept per positive, and
-# the seed that samples the negatives.
-DEFAULT_WEAK_LABEL_THRESHOLD = 0.5
-DEFAULT_NEG_RATIO = 5.0
-DEFAULT_WEAK_LABEL_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +135,7 @@ def _apinc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 # Each scorer maps the match values and the support mask (values >=
 # theta_match), both sentences x key points, to the n x n scores s(i, j).
+# Its keys are core.SCORER_NAMES, the command line's --scorer choices.
 SCORERS = {
     "bininc": _bininc,
     "weedsprec": _weedsprec,

@@ -851,6 +851,18 @@ def test_help_shows_every_default(capsys, command):
             assert str(a.default) in text, a.dest
 
 
+def test_parser_choices_are_the_scorers_and_algorithms():
+    import kph.construction
+    import kph.scoring
+
+    commands = kph.cli._build_parser().commands
+    assert list(commands["score"]._option_string_actions["--scorer"].choices) == sorted(
+        kph.scoring.SCORERS)
+    for command in ("build", "tune"):
+        choices = commands[command]._option_string_actions["--algorithm"].choices
+        assert choices is kph.construction.ALGORITHMS
+
+
 def test_readme_command_lines_use_existing_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Command line\n.*?```text\n(.*?)```", readme, re.S).group(1)
@@ -969,11 +981,83 @@ def test_benchmark_wraps_only_existing_functions(monkeypatch):
     assert absent_targets() == set()
 
 
+class TestPatchContract:
+    """The names the benchmark's tracer replaces on kph.cli are what each command calls.
+
+    The tracer wraps them before main runs; main imports a command's modules
+    as it dispatches and must leave a name that is already set in place.
+    """
+
+    # name -> (home module, the command that calls it)
+    NAMES = {
+        "compute_score_matrix": ("scoring", "score"),
+        "combine_average": ("scoring", "combine"),
+        "export_weak_labels": ("scoring", "weaklabel"),
+        "build_hierarchy": ("construction", "build"),
+        "loo_threshold_tuning": ("evaluation", "tune"),
+        "evaluate_hierarchies": ("evaluation", "eval"),
+        "pr_curve": ("evaluation", "prcurve"),
+        "spearman_correlation": ("evaluation", "correlate"),
+    }
+
+    def test_names_are_the_benchmarks_cli_targets(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from tracing import TARGETS
+
+        assert {attr for module, attr, *_ in TARGETS if module == "kph.cli"} == set(self.NAMES)
+
+    def test_names_resolve_to_their_home_objects_before_any_command(self):
+        code = ("import importlib, sys\n"
+                "import kph.cli\n"
+                "assert 'numpy' not in sys.modules\n"
+                f"for name, (home, _) in {self.NAMES!r}.items():\n"
+                "    obj = getattr(kph.cli, name)\n"
+                "    assert obj is getattr(importlib.import_module('kph.' + home), name), name\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_replacement_set_before_main_is_called(self, dataset, tmp_path, monkeypatch, name):
+        scored = scored_copy(dataset, tmp_path)
+        bininc = "scores_bininc.jsonl"
+        assert run("build", "--in-dir", scored, "--out-dir", scored, "--scores", bininc,
+                   "--algorithm", "tncf", "--tau", "0.5") == 0
+        command = self.NAMES[name][1]
+        in_dir, *flags = {
+            "score": (dataset, "--scorer", "bininc"),
+            "combine": (scored, "--a", bininc, "--b", bininc),
+            "weaklabel": (scored, "--scores", bininc),
+            "build": (scored, "--scores", bininc, "--algorithm", "tncf", "--tau", "0.5"),
+            "tune": (scored, "--scores", bininc, "--algorithm", "reduced_forest",
+                     "--grid", "0.2,0.5"),
+            "eval": (scored, "--pred", "hierarchy_tncf.jsonl"),
+            "prcurve": (scored, "--scores", bininc),
+            "correlate": (scored, "--a", bininc, "--b", bininc),
+        }[command]
+        assert run(command, "--in-dir", in_dir, "--out-dir", tmp_path / "plain", *flags) == 0
+        calls = []
+        real = getattr(kph.cli, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kph.cli, name, spy)
+        assert run(command, "--in-dir", in_dir, "--out-dir", tmp_path / "spied", *flags) == 0
+        assert calls
+        assert getattr(kph.cli, name) is spy
+        assert tree_bytes(tmp_path / "spied") == tree_bytes(tmp_path / "plain")
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ENTRIES = {
     "python -m kph": ["-m", "kph"],
     "kph.__main__.main": ["-c", "import sys; from kph.__main__ import main; "
                                 "sys.exit(main(sys.argv[1:]))"],
+    "python -m kph.cli": ["-m", "kph.cli"],
 }
 
 
@@ -1019,8 +1103,11 @@ class TestBlasThreadDefault:
         ({"OMP_NUM_THREADS": "2"}, None),
         ({"GOTO_NUM_THREADS": "2"}, None),
     ], ids=["unset", "openblas", "omp", "goto"])
-    def test_default_applies_only_when_no_variable_is_set(self, tmp_path, entry, given, openblas):
-        done = self._kph(entry, self._env(tmp_path, **given), "--version")
+    def test_default_applies_only_when_no_variable_is_set(self, dataset, tmp_path, entry, given,
+                                                          openblas):
+        # score loads numpy; --version no longer does
+        done = self._kph(entry, self._env(tmp_path, **given), "score", "--in-dir", dataset,
+                         "--out-dir", tmp_path / "o", "--scorer", "bininc")
         seen = json.loads(done.stderr.splitlines()[-1].removeprefix("BLAS "))
         assert seen == {**dict.fromkeys(BLAS_THREAD_VARIABLES), **given,
                         "OPENBLAS_NUM_THREADS": openblas}

@@ -47,6 +47,10 @@ class TestFixedDecimals:
         assert "0.100000" in out
         assert '"d": true' in out and '"e": null' in out
 
+    def test_dumps6_writes_numpy_scalars_as_python_numbers(self):
+        assert (kio.dumps6({"f": np.float64(0.5), "g": np.float32(0.25), "i": np.int64(3)})
+                == kio.dumps6({"f": 0.5, "g": 0.25, "i": 3}))
+
     def test_dumps6_round_trips_through_json(self):
         obj = {"scores": [0.123456789, 1.0], "n": 7, "name": "kéy"}
         parsed = json.loads(kio.dumps6(obj))
