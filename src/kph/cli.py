@@ -2,9 +2,11 @@
 
 Inputs are addressed by a summary-set directory: one subdirectory per
 summary holding its key point, match matrix, score, gold, and output
-files. Every command writes a run manifest (inputs, resolved options,
-outputs, all digested) next to its outputs; identical inputs and options,
-as flags or from a config file, reproduce every output byte for byte.
+files. Each command computes its outputs; ``main`` writes them, then a run
+manifest (inputs, resolved options, outputs, all digested) next to them.
+A failed run leaves the files in the output directory as they were, or no
+manifest if it failed while committing. Identical inputs and options, as
+flags or from a config file, reproduce every output byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data or an output
 that cannot be written, 3 internal invariant breach.
@@ -13,6 +15,7 @@ that cannot be written, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -31,6 +34,8 @@ from .core import (ALGORITHMS, DEFAULT_MAX_PASSES, DEFAULT_MIN_RECALL, DEFAULT_N
 from .errors import DataError, KphError
 
 T = TypeVar("T")
+# A command's outputs: path inside --out-dir -> (writer, object), in write order.
+_Outputs = dict[str, tuple[Callable, object]]
 
 # The names the commands call from scoring and construction, which load
 # numpy, and from evaluation, which only some commands need, by home module.
@@ -70,7 +75,9 @@ class _Manifest:
     files the command read, keyed ``<summary dir>/<file>``. Outputs are keyed
     by their path inside the output directory. The config is every resolved
     option of the subcommand but ``--config``, ``--in-dir`` and ``--out-dir``.
-    ``save`` comes last, once every output is written.
+    ``write`` stages an output at its sibling ``.<name>.tmp``; ``save`` commits
+    the run (old manifest removed, staged files renamed over their outputs in
+    write order, new manifest last); ``discard`` removes what is still staged.
     """
 
     def __init__(self, args: argparse.Namespace, parser: _Parser):
@@ -80,6 +87,7 @@ class _Manifest:
                        if dest not in ("config", "in_dir", "out_dir")}
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
+        self.staged: dict[Path, Path] = {}  # staged file -> its output path
 
     def load(self, path: Path, loader: Callable[[Path], T]) -> T:
         """loader(path), with path recorded as an input."""
@@ -88,21 +96,35 @@ class _Manifest:
         return obj
 
     def write(self, rel: str, writer: Callable, obj) -> None:
-        _write(self.out_dir / rel, writer, obj)
-        self.outputs[rel] = kio.file_digest(self.out_dir / rel)
+        path = self.out_dir / rel
+        stage = path.with_name(f".{path.name}.tmp")
+        _write(path, writer, stage, obj)
+        self.staged[stage] = path
+        self.outputs[rel] = kio.file_digest(stage)
 
     def save(self) -> None:
-        _write(self.out_dir / f"manifest_{self.command}.json", kio.write_manifest, self.command,
-               __version__, self.config, self.inputs, self.outputs)
+        manifest = self.out_dir / f"manifest_{self.command}.json"
+        _write(manifest, manifest.unlink, missing_ok=True)
+        for stage, path in self.staged.items():
+            _write(path, os.replace, stage, path)
+        self.staged.clear()
+        _write(manifest, kio.write_manifest, manifest, self.command, __version__, self.config,
+               self.inputs, self.outputs)
+
+    def discard(self) -> None:
+        for stage in self.staged:
+            with contextlib.suppress(OSError):  # committed already, or beyond repair
+                stage.unlink()
 
 
 class _WriteError(Exception):
     """An output file could not be written (exit code 2, like bad input)."""
 
 
-def _write(path: Path, writer: Callable, *args) -> None:
+def _write(path: Path, fn: Callable, *args, **kwargs) -> None:
+    """fn(*args, **kwargs), an OSError reported as a failed write of path."""
     try:
-        writer(path, *args)
+        fn(*args, **kwargs)
     except OSError as e:
         raise _WriteError(f"cannot write {path}: {e.strerror or e}") from e
 
@@ -286,36 +308,28 @@ def _unfiltered_scores(files: dict, scores_name: str):
     return s.restrict([x for x in s.kp_ids if x in unfiltered]), kps.domain
 
 
-def cmd_score(args, parser: _Parser) -> int:
+def cmd_score(args, parser: _Parser, run: _Manifest) -> _Outputs:
     if not 0.0 <= args.theta_match <= 1.0:
         parser.error(f"--theta-match must lie in [0, 1], got {args.theta_match}")
-    run = _Manifest(args, parser)
     # popped, so that no matrix is held while the next one is read
-    results = [(d, compute_score_matrix(files.pop(kio.MATCH_MATRIX_FILE), args.scorer,
-                                        args.theta_match))
-               for _, d, files in kio.load_summaries(
-                   args.in_dir, (kio.MATCH_MATRIX_FILE, kio.load_match_matrix), load=run.load)]
-    for d, sm in results:
-        run.write(f"{d.name}/scores_{args.scorer}.jsonl", kio.write_scores, sm)
-    run.save()
-    return 0
+    return {f"{d.name}/scores_{args.scorer}.jsonl":
+            (kio.write_scores, compute_score_matrix(files.pop(kio.MATCH_MATRIX_FILE),
+                                                    args.scorer, args.theta_match))
+            for _, d, files in kio.load_summaries(
+                args.in_dir, (kio.MATCH_MATRIX_FILE, kio.load_match_matrix), load=run.load)}
 
 
-def cmd_combine(args, parser: _Parser) -> int:
+def cmd_combine(args, parser: _Parser, run: _Manifest) -> _Outputs:
     if any(sep in args.name for sep in ("/", os.sep, os.altsep) if sep):
         parser.error(f"--name must be a file name, not a path: {args.name!r}")
-    run = _Manifest(args, parser)
-    results = [(d, combine_average(files[args.a], files[args.b]))
-               for _, d, files in kio.load_summaries(
-                   args.in_dir, (args.a, kio.load_external_scores),
-                   (args.b, kio.load_external_scores), load=run.load)]
-    for d, sm in results:
-        run.write(f"{d.name}/scores_{args.name}.jsonl", kio.write_scores, sm)
-    run.save()
-    return 0
+    return {f"{d.name}/scores_{args.name}.jsonl":
+            (kio.write_scores, combine_average(files[args.a], files[args.b]))
+            for _, d, files in kio.load_summaries(
+                args.in_dir, (args.a, kio.load_external_scores),
+                (args.b, kio.load_external_scores), load=run.load)}
 
 
-def cmd_build(args, parser: _Parser) -> int:
+def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
     scores_name, algorithm, max_passes = args.scores, args.algorithm, args.max_passes
     if max_passes < 1:
         parser.error(f"--max-passes must be >= 1, got {max_passes}")
@@ -325,7 +339,6 @@ def cmd_build(args, parser: _Parser) -> int:
     elif not 0.0 <= args.tau <= 1.0:
         parser.error(f"--tau must lie in [0, 1], got {args.tau}")
 
-    run = _Manifest(args, parser)
     needed = [(scores_name, kio.load_external_scores)]
     if tuning:
         needed.append((args.gold, kio.load_hierarchy))
@@ -357,7 +370,6 @@ def cmd_build(args, parser: _Parser) -> int:
             unconverged.setdefault(s.summary_id, set()).add(tau)
         return h
 
-    report = None
     if tuning:
         taus, report, built = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
         run.config.update(grid=grid, chosen_tau=taus)
@@ -368,32 +380,27 @@ def cmd_build(args, parser: _Parser) -> int:
         print(f"kph: warning: summary {sid!r}: tncf stopped at max_passes={max_passes} "
               f"before converging (tau {', '.join(f'{t:g}' for t in sorted(stopped))})",
               file=sys.stderr)
-    for sid, h in sorted(built.items()):
-        run.write(f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl", kio.write_hierarchy,
-                  dataclasses.replace(h, domain=domain_by_sid[sid]))
-    if report is not None:
-        run.write("report_loo.json", kio.write_report, report)
-    run.save()
-    return 0
+    outputs = {f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl":
+               (kio.write_hierarchy, dataclasses.replace(h, domain=domain_by_sid[sid]))
+               for sid, h in sorted(built.items())}
+    if tuning:
+        outputs["report_loo.json"] = (kio.write_report, report)
+    return outputs
 
 
-def cmd_eval(args, parser: _Parser) -> int:
-    run = _Manifest(args, parser)
+def cmd_eval(args, parser: _Parser, run: _Manifest) -> _Outputs:
     summaries = [files for _, _, files in kio.load_summaries(
         args.in_dir, (args.pred, kio.load_hierarchy), (args.gold, kio.load_hierarchy),
         load=run.load)]
     report = evaluate_hierarchies([f[args.pred] for f in summaries],
                                   [f[args.gold] for f in summaries])
-    run.write("report_eval.json", kio.write_report, report)
-    run.write("metrics.csv", kio.write_metrics_csv, report)
-    run.save()
-    return 0
+    return {"report_eval.json": (kio.write_report, report),
+            "metrics.csv": (kio.write_metrics_csv, report)}
 
 
-def cmd_prcurve(args, parser: _Parser) -> int:
+def cmd_prcurve(args, parser: _Parser, run: _Manifest) -> _Outputs:
     if not 0.0 <= args.min_recall < 1.0:
         parser.error(f"--min-recall must lie in [0, 1), got {args.min_recall}")
-    run = _Manifest(args, parser)
     by_domain: dict[str, tuple[list, list]] = {}
     for _, _, files in kio.load_summaries(
             args.in_dir, (args.scores, kio.load_external_scores), (args.gold, kio.load_hierarchy),
@@ -406,43 +413,33 @@ def cmd_prcurve(args, parser: _Parser) -> int:
     aucs = {dom: auc_at_min_recall(c, args.min_recall) for dom, c in curves.items()}
     report = EvalReport(per_domain={}, per_domain_auc=aucs,
                         provenance={"scores": args.scores, "min_recall": args.min_recall})
-    run.write("report_prcurve.json", kio.write_report, report)
-    run.write("pr_curves.csv", kio.write_pr_curves, curves)
-    run.save()
-    return 0
+    return {"report_prcurve.json": (kio.write_report, report),
+            "pr_curves.csv": (kio.write_pr_curves, curves)}
 
 
-def cmd_weaklabel(args, parser: _Parser) -> int:
+def cmd_weaklabel(args, parser: _Parser, run: _Manifest) -> _Outputs:
     if not 0.0 < args.threshold < 1.0:
         parser.error(f"--threshold must lie in (0, 1), got {args.threshold}")
     if not (math.isfinite(args.ratio) and args.ratio >= 1):
         parser.error(f"--ratio must be a finite number >= 1, got {args.ratio}")
-    run = _Manifest(args, parser)
-    results = [(d, export_weak_labels(files[args.scores], files[kio.KEY_POINTS_FILE],
-                                      threshold=args.threshold, neg_ratio=args.ratio,
-                                      seed=args.seed))
-               for _, d, files in kio.load_summaries(
-                   args.in_dir, (args.scores, kio.load_external_scores),
-                   (kio.KEY_POINTS_FILE, kio.load_key_points), load=run.load)]
-    for d, wls in results:
-        run.write(f"{d.name}/weak_labels.jsonl", kio.write_weak_labels, wls)
-    run.save()
-    return 0
+    return {f"{d.name}/weak_labels.jsonl":
+            (kio.write_weak_labels, export_weak_labels(
+                files[args.scores], files[kio.KEY_POINTS_FILE], threshold=args.threshold,
+                neg_ratio=args.ratio, seed=args.seed))
+            for _, d, files in kio.load_summaries(
+                args.in_dir, (args.scores, kio.load_external_scores),
+                (kio.KEY_POINTS_FILE, kio.load_key_points), load=run.load)}
 
 
-def cmd_correlate(args, parser: _Parser) -> int:
-    run = _Manifest(args, parser)
+def cmd_correlate(args, parser: _Parser, run: _Manifest) -> _Outputs:
     rows = {sid: spearman_correlation(files[args.a], files[args.b])
             for sid, _, files in kio.load_summaries(
                 args.in_dir, (args.a, kio.load_external_scores),
                 (args.b, kio.load_external_scores), load=run.load)}
-    run.write("correlations.csv", kio.write_correlations, rows)
-    run.save()
-    return 0
+    return {"correlations.csv": (kio.write_correlations, rows)}
 
 
-def cmd_validate(args, parser: _Parser) -> int:
-    run = _Manifest(args, parser)
+def cmd_validate(args, parser: _Parser, run: _Manifest) -> _Outputs:
     # every score file name any summary directory holds, read where present
     score_names = sorted({p.name for p in Path(args.in_dir).glob("*/scores_*.jsonl")})
     kp_sets, golds = {}, {}
@@ -465,20 +462,23 @@ def cmd_validate(args, parser: _Parser) -> int:
     stats = kio.dataset_stats(kp_sets, golds)
     doc = json.dumps(stats, indent=2, sort_keys=True)
     print(doc)
-    run.write("validation_report.json", kio.write_text, doc + "\n")
-    run.save()
-    return 0
+    return {"validation_report.json": (kio.write_text, doc + "\n")}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    run = None
     try:
         args = _parse(parser, argv)
         for module in _USES[args.command]:
             for name in _DEFERRED[module]:
                 if name not in globals():
                     __getattr__(name)
-        return args.func(args, parser)
+        run = _Manifest(args, parser)
+        for rel, (writer, obj) in args.func(args, parser, run).items():
+            run.write(rel, writer, obj)
+        run.save()
+        return 0
     except SystemExit as e:
         return int(e.code or 0)
     except DataError as e:
@@ -494,6 +494,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         print("kph: internal invariant breach (unexpected exception)", file=sys.stderr)
         return 3
+    finally:
+        if run is not None:
+            run.discard()
 
 
 if __name__ == "__main__":  # through the package entry, which sets the BLAS thread default

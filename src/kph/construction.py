@@ -105,7 +105,7 @@ def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
 
 
 def _mean_link(rows: list[list[float]], xs: Sequence[int], ys: Sequence[int]) -> float:
-    """Mean of rows[x][y] over xs x ys, added in order; callers list members by sorted id."""
+    """Mean of rows[x][y] over xs x ys, added in the order the members are given."""
     total = 0.0
     for x in xs:
         row = rows[x]
@@ -144,11 +144,7 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
         best_ij = None
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                total = 0.0
-                for x in clusters[i]:
-                    for y in clusters[j]:
-                        total += dist[x][y]
-                avg = total / (len(clusters[i]) * len(clusters[j]))
+                avg = _mean_link(dist, clusters[i], clusters[j])
                 if best_d is None or avg < best_d:
                     best_d = avg
                     best_ij = (i, j)

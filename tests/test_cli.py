@@ -974,6 +974,103 @@ class TestManifests:
                 == (b / "manifest_score.json").read_text())
 
 
+BININC, WEEDSPREC = "scores_bininc.jsonl", "scores_weedsprec.jsonl"
+# Each command's flags for a first run, then for a rerun whose outputs or
+# manifest differ from the first's (validate has no option to vary), and the
+# output it writes last.
+RERUNS = {
+    "score": (("--scorer", "bininc"), ("--scorer", "bininc", "--theta-match", "0.9"),
+              "r2/scores_bininc.jsonl"),
+    "combine": (("--a", BININC, "--b", BININC), ("--a", BININC, "--b", WEEDSPREC),
+                "r2/scores_combined.jsonl"),
+    "build": (("--scores", BININC, "--algorithm", "greedy", "--tau", "0.5"),
+              ("--scores", BININC, "--algorithm", "greedy", "--tau", "0.9"),
+              "r2/hierarchy_greedy.jsonl"),
+    "tune": (("--scores", BININC, "--algorithm", "reduced_forest", "--grid", "0.5"),
+             ("--scores", BININC, "--algorithm", "reduced_forest", "--grid", "0.2"),
+             "report_loo.json"),
+    "eval": (("--pred", "hierarchy_tncf.jsonl"), ("--pred", "hierarchy_reduced_forest.jsonl"),
+             "metrics.csv"),
+    "prcurve": (("--scores", BININC), ("--scores", WEEDSPREC, "--min-recall", "0.5"),
+                "pr_curves.csv"),
+    "weaklabel": (("--scores", BININC), ("--scores", BININC, "--seed", "1"),
+                  "r2/weak_labels.jsonl"),
+    "correlate": (("--a", BININC, "--b", BININC), ("--a", BININC, "--b", WEEDSPREC),
+                  "correlations.csv"),
+    "validate": ((), (), "validation_report.json"),
+}
+
+
+@pytest.fixture
+def piped(dataset):
+    """The dataset with its bininc and weedsprec scores and two builds beside its inputs."""
+    for scorer in ("bininc", "weedsprec"):
+        assert run("score", "--in-dir", dataset, "--out-dir", dataset, "--scorer", scorer) == 0
+    for algorithm, tau in (("tncf", "0.5"), ("reduced_forest", "0.2")):
+        assert run("build", "--in-dir", dataset, "--out-dir", dataset, "--scores", BININC,
+                   "--algorithm", algorithm, "--tau", tau) == 0
+    return dataset
+
+
+def test_commands_are_the_rerun_table():
+    assert list(RERUNS) == list(kph.cli._build_parser().commands)
+
+
+class TestRunCommit:
+    """main writes a run's outputs, then its manifest, or leaves every file as it was."""
+
+    @pytest.mark.parametrize("command", RERUNS)
+    def test_out_dir_holds_the_outputs_and_the_manifest_only(self, piped, tmp_path, command):
+        out = tmp_path / "o"
+        assert run(command, "--in-dir", piped, "--out-dir", out, *RERUNS[command][0]) == 0
+        manifest = f"manifest_{command}.json"
+        outputs = json.loads((out / manifest).read_text())["outputs"]
+        assert set(tree_bytes(out)) == {*outputs, manifest}
+        for rel, digest in outputs.items():
+            assert kio.file_digest(out / rel) == digest, rel
+
+    @pytest.mark.parametrize("command", RERUNS)
+    def test_failed_rerun_leaves_the_old_run(self, piped, tmp_path, capsys, command):
+        # A directory planted where the rerun stages its last output fails
+        # that write after the others are staged.
+        out = tmp_path / "o"
+        first, rerun, last = RERUNS[command]
+        assert run(command, "--in-dir", piped, "--out-dir", out, *first) == 0
+        old = tree_bytes(out)
+        last = out / last
+        planted = last.with_name(f".{last.name}.tmp")
+        planted.mkdir()
+        capsys.readouterr()
+        assert run(command, "--in-dir", piped, "--out-dir", out, *rerun) == 2
+        assert capsys.readouterr().err.startswith(f"kph: cannot write {last}: ")
+        assert tree_bytes(out) == old
+        assert list(out.rglob("*.tmp")) == [planted]
+
+    @pytest.mark.parametrize("command", RERUNS)
+    def test_out_dir_naming_a_file_exits_2(self, piped, tmp_path, capsys, command):
+        out = tmp_path / "afile"
+        out.write_bytes(b"not a directory\n")
+        assert run(command, "--in-dir", piped, "--out-dir", out, *RERUNS[command][0]) == 2
+        assert capsys.readouterr().err.startswith("kph: cannot write ")
+        assert out.read_bytes() == b"not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "data"]
+
+    def test_failed_commit_leaves_no_manifest(self, piped, tmp_path):
+        out = tmp_path / "o"
+        assert run("eval", "--in-dir", piped, "--out-dir", out, "--pred", kio.GOLD_FILE) == 0
+        (out / ".manifest_eval.json.tmp").mkdir()
+        assert run("eval", "--in-dir", piped, "--out-dir", out,
+                   "--pred", "hierarchy_tncf.jsonl") == 2
+        assert not (out / "manifest_eval.json").exists()
+        assert list(out.rglob("*.tmp")) == [out / ".manifest_eval.json.tmp"]
+
+
+def test_ci_smoke_step_runs_every_command():
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    loop = re.search(r"^\s*for cmd in (.*); do$", workflow.read_text(encoding="utf-8"), re.M)
+    assert loop.group(1).split() == list(kph.cli._build_parser().commands)
+
+
 def test_benchmark_wraps_only_existing_functions(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from tracing import absent_targets
