@@ -289,7 +289,9 @@ def _parse_grid(text: str, parser: _Parser) -> tuple[float, ...]:
             values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
         parser.error(f"bad --grid {text!r}: {e}")
-    if not values or any(not 0.0 <= v <= 1.0 for v in values):
+    if not values:
+        parser.error(f"--grid holds no tau, got {text!r}")
+    if any(not 0.0 <= v <= 1.0 for v in values):
         parser.error(f"--grid values must lie in [0, 1], got {text!r}")
     return tuple(values)
 

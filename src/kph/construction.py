@@ -20,7 +20,7 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,8 @@ def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
     """
     ids = sorted(h.kp_ids)
     w = (s.restrict(ids).values - tau).tolist()
-    return _state_objective(h.clusters, h.parent, w, {x: i for i, x in enumerate(ids)})
+    row = {x: i for i, x in enumerate(ids)}
+    return _state_objective([[row[x] for x in c] for c in h.clusters], h.parent, w)
 
 
 def _condense(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
@@ -211,14 +212,15 @@ def build_greedy_gs(s: ScoreMatrix, tau: float) -> Hierarchy:
     return _build_greedy(s, tau, _ancestor_sum)
 
 
-State = tuple[list[frozenset[str]], dict[int, int]]
+# tncf's search state: clusters of rows of an id-sorted score matrix, and a parent map.
+State = tuple[list[frozenset[int]], dict[int, int]]
 
 
-def _state_objective(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                     w: list[list[float]], pos: Mapping[str, int]) -> float:
-    """Sum of w[pos[x]][pos[y]] over the induced pairs, members in sorted id order."""
+def _state_objective(clusters: Sequence[Collection[int]], parent: Mapping[int, int],
+                     w: list[list[float]]) -> float:
+    """Sum of w[x][y] over the induced pairs, each cluster's rows in ascending order."""
     total = 0.0
-    rows = [[pos[x] for x in sorted(c)] for c in clusters]
+    rows = [sorted(c) for c in clusters]
     for mem, chain in zip(rows, ancestor_chains(parent, len(clusters))):
         for x in mem:
             for y in mem:
@@ -232,11 +234,11 @@ def _state_objective(clusters: Sequence[frozenset[str]], parent: Mapping[int, in
 
 
 # Move kinds, in the order one pass scans them: first every key point's
-# node moves (key points in sorted order), then every cluster's moves.
+# node moves (rows in ascending order), then every cluster's moves.
 _INSERT, _LEAF, _ROOT, _REATTACH, _DETACH, _MERGE = range(6)
 
 
-def _remove_cluster(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
+def _remove_cluster(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
                     ci: int, heir: int | None) -> State:
     """Drop cluster ci; its children move to cluster heir (become roots if None)."""
     def shift(k: int) -> int:
@@ -253,11 +255,11 @@ def _remove_cluster(clusters: Sequence[frozenset[str]], parent: Mapping[int, int
     return [cl for k, cl in enumerate(clusters) if k != ci], out_parent
 
 
-def _apply_move(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                kind: int, a, d: int) -> State:
-    """The state one move leads to; a is a key point id or a cluster index.
+def _apply_move(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
+                kind: int, a: int, d: int) -> State:
+    """The state one move leads to; a is a key point's row or a cluster index.
 
-    Node moves first take key point a out of its cluster (a singleton
+    Node moves first take row a out of its cluster (a singleton
     cluster is dropped and its children go to its parent), then put it into
     cluster d (_INSERT), into a new singleton under d (_LEAF) or a new root
     (_ROOT); d indexes ``clusters``. Cluster moves re-attach cluster a under
@@ -284,13 +286,13 @@ def _apply_move(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
     return base + [frozenset([a])], base_parent
 
 
-def _move_gains(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
-                wm: np.ndarray, ids: Sequence[str]) -> tuple[np.ndarray, Callable]:
+def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
+                wm: np.ndarray) -> tuple[np.ndarray, Callable]:
     """The objective gain of every legal move, in scan order, and the moves.
 
-    ``wm`` is the dense s - tau matrix over ``ids`` with a zero diagonal,
-    so a sum over a cluster that still holds x adds nothing for x. Returns
-    the gains and a function mapping a position in them to the
+    ``wm`` is the dense s - tau matrix over the state's rows with a zero
+    diagonal, so a sum over a cluster that still holds x adds nothing for
+    x. Returns the gains and a function mapping a position in them to the
     (kind, a, d) that :func:`_apply_move` takes. Nothing is materialised:
     every gain is read off per-cluster sums.
 
@@ -307,11 +309,10 @@ def _move_gains(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
       descendants outside c's subtree into c.
     """
     n, m = len(wm), len(clusters)
-    pos = {x: i for i, x in enumerate(ids)}
     member = np.zeros((n, m))
     home = np.zeros(n, dtype=int)
     for k, c in enumerate(clusters):
-        idx = [pos[x] for x in c]
+        idx = list(c)
         member[idx, k] = 1.0
         home[idx] = k
     up = np.eye(m, dtype=bool)  # up[c, a]: a is c or an ancestor of c
@@ -329,8 +330,7 @@ def _move_gains(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
     node_gain = np.hstack([out + inn - own[:, None], out - own[:, None], -own[:, None]])
     node_ok = np.hstack([cols != home[:, None], ~(lone[:, None] & (cols == home[:, None])),
                          np.ones((n, 1), dtype=bool)])
-    order = np.array(sorted(range(n), key=ids.__getitem__), dtype=int)
-    node_cells = np.flatnonzero(node_ok[order])
+    node_cells = np.flatnonzero(node_ok)
 
     pair = member.T @ wm @ member  # pair[k, l]: members of k -> members of l
     sub = upf.T @ pair  # sub[c, l]: members of c's subtree -> members of l
@@ -346,14 +346,13 @@ def _move_gains(clusters: Sequence[frozenset[str]], parent: Mapping[int, int],
     cluster_ok = np.hstack([free & (cols != par[:, None]), rooted[:, None], free])
     cluster_cells = np.flatnonzero(cluster_ok)
 
-    gains = np.concatenate([node_gain[order].ravel()[node_cells],
-                            cluster_gain.ravel()[cluster_cells]])
+    gains = np.concatenate([node_gain[node_ok], cluster_gain[cluster_ok]])
 
     def move(i: int) -> tuple:
         if i < len(node_cells):
-            row, col = divmod(int(node_cells[i]), 2 * m + 1)
+            x, col = divmod(int(node_cells[i]), 2 * m + 1)
             kind, d = divmod(col, m) if col < 2 * m else (_ROOT, 0)  # _INSERT, _LEAF
-            return kind, ids[order[row]], d
+            return kind, x, d
         c, col = divmod(int(cluster_cells[i - len(node_cells)]), 2 * m + 1)
         if col < m:
             return _REATTACH, c, col
@@ -399,45 +398,42 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     :func:`_rounding_margin` cannot win and is skipped; every other move is
     materialised and its exact objective decides. The scan therefore picks
     the same move, with the same float tie-breaking, as recomputing the
-    objective of every candidate in the same order.
+    objective of every candidate in the same order. The search runs on the
+    scores' rows in key point id order, so exact sums add members by id.
 
     If ``stats`` is given, it receives ``passes``, ``candidates`` (moves
     scored), ``exact_checks`` (moves materialised and summed exactly),
     ``accepted`` (moves applied) and ``converged`` (False when the search
     stopped at max_passes with a move still improving).
     """
+    s = s.restrict(sorted(s.kp_ids))
+    row = {x: i for i, x in enumerate(s.kp_ids)}
     init = build_reduced_forest(s, tau)
-    clusters: list[frozenset[str]] = list(init.clusters)
+    clusters = [frozenset(row[x] for x in c) for c in init.clusters]
     parent: dict[int, int] = dict(init.parent)
-    ids = s.kp_ids
-    pos = {x: i for i, x in enumerate(ids)}
     wm = s.values - tau
     np.fill_diagonal(wm, 0.0)
     w = wm.tolist()
     margin = _rounding_margin(wm)
-    cur = _state_objective(clusters, parent, w, pos)
+    cur = _state_objective(clusters, parent, w)
     counts = {"passes": 0, "candidates": 0, "exact_checks": 0, "accepted": 0,
               "converged": False}
     for _ in range(max_passes):
         counts["passes"] += 1
-        gains, move = _move_gains(clusters, parent, wm, ids)
+        gains, move = _move_gains(clusters, parent, wm)
         counts["candidates"] += len(gains)
         estimate = cur + gains
         best_obj = cur
         best_state = None
-        i = 0
-        while True:
-            contenders = np.flatnonzero(estimate[i:] > best_obj + _EPS - margin)
-            if not contenders.size:
-                break
-            i += int(contenders[0])
-            state = _apply_move(clusters, parent, *move(i))
-            counts["exact_checks"] += 1
-            obj = _state_objective(*state, w, pos)
-            if obj > best_obj + _EPS:
-                best_obj = obj
-                best_state = state
-            i += 1
+        # The running best only rises, so every later contender is among these.
+        for i in np.flatnonzero(estimate > cur + _EPS - margin).tolist():
+            if estimate[i] > best_obj + _EPS - margin:
+                state = _apply_move(clusters, parent, *move(i))
+                counts["exact_checks"] += 1
+                obj = _state_objective(*state, w)
+                if obj > best_obj + _EPS:
+                    best_obj = obj
+                    best_state = state
         if best_state is None:
             counts["converged"] = True
             break
@@ -446,7 +442,7 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
         counts["accepted"] += 1
     if stats is not None:
         stats.update(counts)
-    return canonical_hierarchy(s.summary_id, clusters, parent)
+    return canonical_hierarchy(s.summary_id, [[s.kp_ids[x] for x in c] for c in clusters], parent)
 
 
 def build_hierarchy(s: ScoreMatrix, config: ConstructionConfig,

@@ -471,6 +471,16 @@ class TestGrid:
         assert "--grid" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("grid", ["0.9:0.1:0.1", ","])
+    def test_empty_grid_is_usage_error(self, dataset, tmp_path, capsys, grid):
+        out = scored_copy(dataset, tmp_path)
+        capsys.readouterr()
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "t", *self.TUNE,
+                   f"--grid={grid}") == 1
+        err = capsys.readouterr().err
+        assert f"--grid holds no tau, got {grid!r}" in err
+        assert "[0, 1]" not in err
+
     def test_unbounded_step_grid_from_config_is_usage_error(self, dataset, tmp_path, capsys):
         out = scored_copy(dataset, tmp_path)
         cfg = tmp_path / "cfg.json"

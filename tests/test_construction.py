@@ -629,30 +629,48 @@ class TestTncfMatchesReference:
         assert (got.clusters, got.parent) == (want.clusters, want.parent)
 
     def test_every_move_matches_reference_candidate(self):
-        # Random forests (multi-member clusters, deep chains) over key
-        # points listed in shuffled order: move i must build the reference's
-        # candidate i, and current objective plus gain i must stay within
-        # the rounding margin of that candidate's exact objective.
+        # Random forests (multi-member clusters, deep chains) held as row
+        # indices over sorted key points: move i, mapped back to ids, must
+        # build the reference's candidate i, and current objective plus
+        # gain i must stay within the rounding margin of that candidate's
+        # exact objective.
         rng = random.Random(1007)
         for k in range(60):
             n = rng.randrange(1, 11)
             h = random_hierarchy(rng, n)
             base = random_score_matrix(rng, n)
-            ids = tuple(rng.sample(base.kp_ids, n))
+            ids = tuple(sorted(base.kp_ids))
             tau = (0.3, 0.5, 0.7)[k % 3]
             w = {pair: v - tau for pair, v in base.scores.items()}
             wm = np.array([[w[(a, b)] if a != b else 0.0 for b in ids] for a in ids]
                           ).reshape(n, n)
+            row = {x: i for i, x in enumerate(ids)}
+            rows = [frozenset(row[x] for x in c) for c in h.clusters]
             clusters, parent = list(h.clusters), dict(h.parent)
-            gains, move = _move_gains(clusters, parent, wm, ids)
+            gains, move = _move_gains(rows, parent, wm)
             want = list(tncf_candidate_states(clusters, parent))
             assert len(gains) == len(want)
             cur = tncf_state_objective(clusters, parent, w)
             margin = _rounding_margin(wm)
             for i, state in enumerate(want):
-                assert _apply_move(clusters, parent, *move(i)) == state
+                got, got_parent = _apply_move(rows, parent, *move(i))
+                assert ([frozenset(ids[x] for x in c) for c in got], got_parent) == state
                 exact = tncf_state_objective(*state, w)
                 assert abs(cur + gains[i] - exact) <= margin
+
+    def test_key_points_out_of_id_order(self):
+        # Scores that list key points out of id order build the reference's
+        # forest, and give every hierarchy the same objective bits as the
+        # scores in id order.
+        rng = random.Random(1008)
+        for k in range(80):
+            n = rng.randrange(2, 13)
+            base = random_score_matrix(rng, n)
+            m = base.restrict(rng.sample(base.kp_ids, n))
+            tau = (0.3, 0.5, 0.7)[k % 3]
+            self.check(m, tau)
+            for h in (build_tncf(m, tau), random_hierarchy(rng, n)):
+                assert objective_value(h, m, tau).hex() == objective_value(h, base, tau).hex()
 
     def test_acceptance_4_instances(self):
         rng = random.Random(1004)
