@@ -5,7 +5,9 @@ summary holding its key point, match matrix, score, gold, and output
 files. Each command computes its outputs; ``main`` writes them, then a run
 manifest (inputs, resolved options, outputs, all digested) next to them.
 A failed run leaves the files in the output directory as they were, or no
-manifest if it failed while committing. Identical inputs and options, as
+manifest if it failed while committing, and removes the directories it
+created. Every float option is used as its manifest records it, at 6
+decimals: a finer value exits 1. Identical inputs and options, as
 flags or from a config file, reproduce every output byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data or an output
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -77,7 +80,8 @@ class _Manifest:
     option of the subcommand but ``--config``, ``--in-dir`` and ``--out-dir``.
     ``write`` stages an output at its sibling ``.<name>.tmp``; ``save`` commits
     the run (old manifest removed, staged files renamed over their outputs in
-    write order, new manifest last); ``discard`` removes what is still staged.
+    write order, new manifest last); ``discard`` removes what is still staged
+    and then, if the run did not commit, the directories ``write`` created.
     """
 
     def __init__(self, args: argparse.Namespace, parser: _Parser):
@@ -88,6 +92,7 @@ class _Manifest:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.staged: dict[Path, Path] = {}  # staged file -> its output path
+        self.made: list[Path] = []  # directories this run created, outermost first
 
     def load(self, path: Path, loader: Callable[[Path], T]) -> T:
         """loader(path), with path recorded as an input."""
@@ -98,6 +103,7 @@ class _Manifest:
     def write(self, rel: str, writer: Callable, obj) -> None:
         path = self.out_dir / rel
         stage = path.with_name(f".{path.name}.tmp")
+        self.made += reversed(list(itertools.takewhile(lambda d: not d.exists(), path.parents)))
         _write(path, writer, stage, obj)
         self.staged[stage] = path
         self.outputs[rel] = kio.file_digest(stage)
@@ -108,6 +114,7 @@ class _Manifest:
         for stage, path in self.staged.items():
             _write(path, os.replace, stage, path)
         self.staged.clear()
+        self.made.clear()
         _write(manifest, kio.write_manifest, manifest, self.command, __version__, self.config,
                self.inputs, self.outputs)
 
@@ -115,6 +122,9 @@ class _Manifest:
         for stage in self.staged:
             with contextlib.suppress(OSError):  # committed already, or beyond repair
                 stage.unlink()
+        for d in reversed(self.made):
+            with contextlib.suppress(OSError):  # not empty, or beyond repair
+                d.rmdir()
 
 
 class _WriteError(Exception):
@@ -250,8 +260,17 @@ def _read_config(path: str, parser: _Parser, command: str) -> dict[str, object]:
     return values
 
 
+def _finer_than_recorded(v: float) -> bool:
+    """True when finite v does not survive its 6-decimal record (io.fmt6)."""
+    return math.isfinite(v) and float(kio.fmt6(v)) != v
+
+
 def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
-    """Each option from its flag, else the config, else its default; unset, empty or NUL exits 1."""
+    """Each option from its flag, else the config, else its default.
+
+    An unset or empty option, a NUL byte or a float finer than its 6-decimal
+    record exits 1.
+    """
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a subcommand is required")
@@ -267,6 +286,9 @@ def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
             parser.error(f"{action.option_strings[0]} must not hold a NUL byte")
         if value is None and dest != "config":
             parser.error(f"{action.option_strings[0]} is required")
+        if isinstance(value, float) and _finer_than_recorded(value):
+            parser.error(f"{action.option_strings[0]} must have at most 6 decimals, the 1e-06 "
+                         f"resolution it is recorded at, got {value!r}")
     return args
 
 
@@ -293,6 +315,10 @@ def _parse_grid(text: str, parser: _Parser) -> tuple[float, ...]:
         parser.error(f"--grid holds no tau, got {text!r}")
     if any(not 0.0 <= v <= 1.0 for v in values):
         parser.error(f"--grid values must lie in [0, 1], got {text!r}")
+    finer = next((v for v in values if _finer_than_recorded(v)), None)
+    if finer is not None:
+        parser.error(f"--grid values must have at most 6 decimals, the 1e-06 resolution they "
+                     f"are recorded at, got {finer!r} from {text!r}")
     return tuple(values)
 
 

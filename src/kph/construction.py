@@ -8,9 +8,9 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
   the transitive reduction, then heuristically keep one parent per cluster.
 - tncf: local search that starts from the reduced forest and re-attaches
   one node or one whole cluster at a time while the objective improves.
-  Each move is scored by its gain, read off per-cluster sums of s - tau;
-  only moves whose estimate comes within float rounding of the best so far
-  are materialised, and the exact objective decides between them.
+  Its objective counts millionths, the resolution scores and tau are
+  written at, so every sum it forms is an exact integer and each move's
+  gain, read off per-cluster sums, is that move's exact objective change.
 - greedy and greedy_gs: one loop. Agglomerative clustering, then, while a
   cluster edge whose mean link exceeds tau still fits the forest, add the
   most valuable one. greedy values an edge by its own link, greedy_gs by
@@ -19,28 +19,35 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import ALGORITHMS, DEFAULT_MAX_PASSES, Hierarchy, ancestor_chains, canonical_hierarchy
 from .scoring import ScoreMatrix
 
-# Minimum gain for a TNCF move to count as an improvement; guards against
-# accepting float noise and oscillating forever.
-_EPS = 1e-12
+
+def _check_tau(tau: float) -> None:
+    """Refuse a tau outside [0, 1] or finer than the 6 decimals it is written at."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    if float(f"{tau:.6f}") != tau:
+        raise ValueError(f"tau must have at most 6 decimals, the resolution it is written at, "
+                         f"got {tau!r}")
 
 
 @dataclass(frozen=True)
 class ConstructionConfig:
+    """A builder and its tau; tau lies in [0, 1] on the 6-decimal grid (tncf counts millionths)."""
+
     tau: float
     algorithm: str = "tncf"
     max_passes: int = DEFAULT_MAX_PASSES
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
+        _check_tau(self.tau)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.max_passes < 1:
@@ -50,12 +57,14 @@ class ConstructionConfig:
 def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
     """Sum of s(x, y) - tau over all relations induced by the hierarchy.
 
-    Raises DataError when the hierarchy holds a key point the scores lack.
+    The terms are added with ``math.fsum``, so the value is correctly rounded
+    and does not depend on the order of key points or relations. Raises
+    DataError when the hierarchy holds a key point the scores lack.
     """
     ids = sorted(h.kp_ids)
-    w = (s.restrict(ids).values - tau).tolist()
+    w = s.restrict(ids).values - tau
     row = {x: i for i, x in enumerate(ids)}
-    return _state_objective([[row[x] for x in c] for c in h.clusters], h.parent, w)
+    return math.fsum(w[row[x], row[y]] for x, y in h.relations)
 
 
 def _condense(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
@@ -216,23 +225,6 @@ def build_greedy_gs(s: ScoreMatrix, tau: float) -> Hierarchy:
 State = tuple[list[frozenset[int]], dict[int, int]]
 
 
-def _state_objective(clusters: Sequence[Collection[int]], parent: Mapping[int, int],
-                     w: list[list[float]]) -> float:
-    """Sum of w[x][y] over the induced pairs, each cluster's rows in ascending order."""
-    total = 0.0
-    rows = [sorted(c) for c in clusters]
-    for mem, chain in zip(rows, ancestor_chains(parent, len(clusters))):
-        for x in mem:
-            for y in mem:
-                if x != y:
-                    total += w[x][y]
-        for a in chain:
-            for x in mem:
-                for y in rows[a]:
-                    total += w[x][y]
-    return total
-
-
 # Move kinds, in the order one pass scans them: first every key point's
 # node moves (rows in ascending order), then every cluster's moves.
 _INSERT, _LEAF, _ROOT, _REATTACH, _DETACH, _MERGE = range(6)
@@ -290,11 +282,11 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
                 wm: np.ndarray) -> tuple[np.ndarray, Callable]:
     """The objective gain of every legal move, in scan order, and the moves.
 
-    ``wm`` is the dense s - tau matrix over the state's rows with a zero
-    diagonal, so a sum over a cluster that still holds x adds nothing for
-    x. Returns the gains and a function mapping a position in them to the
-    (kind, a, d) that :func:`_apply_move` takes. Nothing is materialised:
-    every gain is read off per-cluster sums.
+    ``wm`` is the dense s - tau matrix over the state's rows, in millionths
+    (see :func:`build_tncf`), with a zero diagonal, so a sum over a cluster
+    that still holds x adds nothing for x. Returns the gains and a function
+    mapping a position in them to the (kind, a, d) that :func:`_apply_move`
+    takes. Nothing is materialised: every gain is read off per-cluster sums.
 
     - A key point x takes its pairs with co-members, with members of its
       ancestors (out) and with members of its descendants (in). Taking x
@@ -361,26 +353,6 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
     return gains, move
 
 
-def _rounding_margin(wm: np.ndarray) -> float:
-    """An upper bound on |(cur + gain) - exact objective of the candidate|.
-
-    Every objective, exact or estimated, sums distinct pairs of ``wm``, so
-    the absolute values of its terms total at most S = sum |wm|. Adding k
-    terms in any order errs by at most (k - 1) u S to first order, with
-    u = 2**-53 (Higham, "Accuracy and Stability of Numerical Algorithms",
-    4.2). ``cur`` and the candidate's exact objective each add at most
-    N = n(n - 1) terms one by one: N u S each. A gain combines at most four
-    matrix-product sums of at most S each, every term passing at most
-    2n + 2m <= 4n additions deep, plus three additions of at most 4S:
-    (16n + 12) u S. Forming cur + gain (at most 5S) and best + _EPS - margin
-    adds 7 u S. All together this is under (2N + 16n + 19) u S, which
-    4 (N + 8n) u S exceeds for every n >= 2 with room for the second-order
-    terms; at n <= 1 there are no pairs and S = 0.
-    """
-    n = len(wm)
-    return 4.0 * (n * (n - 1) + 8 * n) * 2.0 ** -53 * float(np.abs(wm).sum())
-
-
 def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
                stats: dict | None = None) -> Hierarchy:
     """Local search over node and cluster re-attachments.
@@ -389,56 +361,38 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     (insert a node into a cluster, re-attach a node or a whole cluster
     under any cluster or as a root, merge a cluster into another; removing
     a singleton hands its children to their grandparent) and applies the
-    single best one if it improves the objective by more than _EPS. Stops
-    at a pass with no improvement or after max_passes.
+    first move of highest gain if that gain is positive. Stops at a pass
+    with no improvement or after max_passes.
 
-    Each move's gain comes from per-cluster sums (:func:`_move_gains`).
-    A move whose estimate, current objective plus gain, stays below the
-    best so far plus _EPS by at least the rounding bound of
-    :func:`_rounding_margin` cannot win and is skipped; every other move is
-    materialised and its exact objective decides. The scan therefore picks
-    the same move, with the same float tie-breaking, as recomputing the
-    objective of every candidate in the same order. The search runs on the
-    scores' rows in key point id order, so exact sums add members by id.
+    The objective counts millionths: the sum of round(s * 1e6) - tau * 1e6
+    over the induced relations. Scores and tau are written at 6 decimals,
+    so on them this is the sum of s - tau scaled by 1e6; tau must lie on
+    that grid (ValueError otherwise), and finer scores are rounded to it.
+    Every sum is then an integer that float64 holds exactly, so each gain
+    from :func:`_move_gains` is its move's exact objective change, in any
+    summation order, and a move that rebuilds the current forest gains 0.
 
     If ``stats`` is given, it receives ``passes``, ``candidates`` (moves
-    scored), ``exact_checks`` (moves materialised and summed exactly),
-    ``accepted`` (moves applied) and ``converged`` (False when the search
-    stopped at max_passes with a move still improving).
+    scored), ``accepted`` (moves applied) and ``converged`` (False when the
+    search stopped at max_passes with a move still improving).
     """
+    _check_tau(tau)
     s = s.restrict(sorted(s.kp_ids))
     row = {x: i for i, x in enumerate(s.kp_ids)}
     init = build_reduced_forest(s, tau)
     clusters = [frozenset(row[x] for x in c) for c in init.clusters]
     parent: dict[int, int] = dict(init.parent)
-    wm = s.values - tau
+    wm = np.rint(s.values * 1e6) - round(tau * 1e6)
     np.fill_diagonal(wm, 0.0)
-    w = wm.tolist()
-    margin = _rounding_margin(wm)
-    cur = _state_objective(clusters, parent, w)
-    counts = {"passes": 0, "candidates": 0, "exact_checks": 0, "accepted": 0,
-              "converged": False}
+    counts = {"passes": 0, "candidates": 0, "accepted": 0, "converged": False}
     for _ in range(max_passes):
         counts["passes"] += 1
         gains, move = _move_gains(clusters, parent, wm)
         counts["candidates"] += len(gains)
-        estimate = cur + gains
-        best_obj = cur
-        best_state = None
-        # The running best only rises, so every later contender is among these.
-        for i in np.flatnonzero(estimate > cur + _EPS - margin).tolist():
-            if estimate[i] > best_obj + _EPS - margin:
-                state = _apply_move(clusters, parent, *move(i))
-                counts["exact_checks"] += 1
-                obj = _state_objective(*state, w)
-                if obj > best_obj + _EPS:
-                    best_obj = obj
-                    best_state = state
-        if best_state is None:
+        if not len(gains) or gains.max() <= 0:
             counts["converged"] = True
             break
-        clusters, parent = best_state
-        cur = best_obj
+        clusters, parent = _apply_move(clusters, parent, *move(int(np.argmax(gains))))
         counts["accepted"] += 1
     if stats is not None:
         stats.update(counts)

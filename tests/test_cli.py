@@ -481,6 +481,24 @@ class TestGrid:
         assert f"--grid holds no tau, got {grid!r}" in err
         assert "[0, 1]" not in err
 
+    # 0:1:0.0000015 passes the step check, yet its second tau is off the grid.
+    @pytest.mark.parametrize("grid", ["0:1:0.0000015", "0.0000005:1:0.5", "0.5,0.4999996"])
+    def test_grid_finer_than_recorded_is_usage_error(self, dataset, tmp_path, capsys, grid):
+        out = scored_copy(dataset, tmp_path)
+        capsys.readouterr()
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "t", *self.TUNE,
+                   f"--grid={grid}") == 1
+        err = capsys.readouterr().err
+        assert "--grid values must have at most 6 decimals, the 1e-06 resolution" in err
+        assert not (tmp_path / "t").exists()
+
+    def test_grid_on_the_recorded_resolution_runs(self, dataset, tmp_path):
+        out = scored_copy(dataset, tmp_path)
+        assert run("tune", "--in-dir", out, "--out-dir", tmp_path / "t", *self.TUNE,
+                   "--grid", "0.15,0.07,0.000001") == 0
+        manifest = json.loads((tmp_path / "t" / "manifest_tune.json").read_text())
+        assert manifest["config"]["grid"] == [0.15, 0.07, 0.000001]
+
     def test_unbounded_step_grid_from_config_is_usage_error(self, dataset, tmp_path, capsys):
         out = scored_copy(dataset, tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -1026,6 +1044,47 @@ def test_commands_are_the_rerun_table():
     assert list(RERUNS) == list(kph.cli._build_parser().commands)
 
 
+# Each float option, the command that takes it and the other flags the command needs.
+FLOAT_OPTIONS = {
+    "--theta-match": ("score", ("--scorer", "bininc")),
+    "--tau": ("build", ("--scores", BININC, "--algorithm", "reduced_forest")),
+    "--min-recall": ("prcurve", ("--scores", BININC)),
+    "--threshold": ("weaklabel", ("--scores", BININC)),
+    "--ratio": ("weaklabel", ("--scores", BININC)),
+}
+
+
+class TestFloatResolution:
+    """A float option must survive its 6-decimal record, or two values would share one."""
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("option", FLOAT_OPTIONS)
+    def test_value_finer_than_recorded_is_usage_error(self, piped, tmp_path, capsys, option,
+                                                       how):
+        command, flags = FLOAT_OPTIONS[option]
+        value = 5.0000001 if option == "--ratio" else 0.4999996
+        if how == "flag":
+            given = (option, str(value))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option[2:].replace("-", "_"): value}))
+            given = ("--config", cfg)
+        capsys.readouterr()
+        assert run(command, "--in-dir", piped, "--out-dir", tmp_path / "o", *flags, *given) == 1
+        assert (f"{option} must have at most 6 decimals, the 1e-06 resolution it is recorded "
+                f"at, got {value!r}") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0.15", "0.07", "0.000001"])
+    @pytest.mark.parametrize("option", FLOAT_OPTIONS)
+    def test_value_on_the_recorded_resolution_runs(self, piped, tmp_path, option, value):
+        command, flags = FLOAT_OPTIONS[option]
+        if option == "--ratio":
+            value = f"1{value[1:]}"
+        assert run(command, "--in-dir", piped, "--out-dir", tmp_path / "o", *flags,
+                   option, value) == 0
+
+
 class TestRunCommit:
     """main writes a run's outputs, then its manifest, or leaves every file as it was."""
 
@@ -1073,6 +1132,36 @@ class TestRunCommit:
                    "--pred", "hierarchy_tncf.jsonl") == 2
         assert not (out / "manifest_eval.json").exists()
         assert list(out.rglob("*.tmp")) == [out / ".manifest_eval.json.tmp"]
+
+
+class TestFailedRunDirectories:
+    """A run that fails at write time removes the directories it created, and no others."""
+
+    @staticmethod
+    def fail_at(monkeypatch, sid):
+        # write_scores raises for summary sid, after the summaries before it are staged.
+        write_scores = kio.write_scores
+
+        def failing(path, s):
+            if Path(path).parent.name == sid:
+                raise OSError(28, "No space left on device")
+            write_scores(path, s)
+
+        monkeypatch.setattr(kio, "write_scores", failing)
+
+    def test_directories_the_run_created_are_removed(self, dataset, tmp_path, monkeypatch):
+        self.fail_at(monkeypatch, "r2")
+        out = tmp_path / "new" / "o"
+        assert run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+    def test_directories_that_existed_stay(self, dataset, tmp_path, monkeypatch):
+        self.fail_at(monkeypatch, "r2")
+        out = tmp_path / "o"
+        for d in ("h1", "other"):
+            (out / d).mkdir(parents=True)
+        assert run("score", "--in-dir", dataset, "--out-dir", out, "--scorer", "bininc") == 2
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["h1", "other"]
 
 
 def test_ci_smoke_step_runs_every_command():

@@ -22,8 +22,7 @@ from kph import (
     derive_relations,
     objective_value,
 )
-from kph.construction import (_ancestor_sum, _apply_move, _condense, _move_gains,
-                              _rounding_margin)
+from kph.construction import _ancestor_sum, _apply_move, _condense, _move_gains
 from kph.core import ancestor_chains
 from helpers import (
     adjacency,
@@ -589,26 +588,18 @@ class TestTncf:
         stats = {}
         build_hierarchy(m, ConstructionConfig(tau=0.5, algorithm="tncf"), stats=stats)
         assert (stats["passes"], stats["accepted"], stats["converged"]) == (2, 1, True)
-        assert stats["candidates"] > stats["exact_checks"] >= stats["accepted"]
+        assert stats["candidates"] > stats["accepted"]
 
-    def test_exact_recompute_is_rare(self):
+    def test_planted_optimum_converges_in_one_pass(self):
         # The planted forest is already optimal, so one pass accepts
-        # nothing. Apart from the running best, the only moves left for the
-        # exact objective are those that rebuild the current forest: a
-        # childless singleton put back where it was has gain 0, and only
-        # its exact objective, the same terms summed in another order, can
-        # show whether rounding lifts it past _EPS. At 40 key points the
-        # rounding bound exceeds _EPS, so each such move is checked.
+        # nothing, not even a move that rebuilds it (a childless singleton
+        # put back where it was), whose gain is exactly 0.
         rng = random.Random(43)
         planted = random_hierarchy(rng, 40)
         m = forest_matrix(rng, planted)
         stats = {}
         assert same_structure(build_tncf(m, 0.5, stats=stats), planted)
-        rebuilds = sum(1 for k, members in enumerate(planted.clusters)
-                       if len(members) == 1 and k not in planted.parent.values())
         assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 0, True)
-        assert stats["exact_checks"] <= stats["passes"] + stats["accepted"] + rebuilds
-        assert stats["candidates"] > 100 * stats["exact_checks"]
 
 
 def quantised_matrix(rng: random.Random, n: int, step: float) -> ScoreMatrix:
@@ -630,18 +621,18 @@ class TestTncfMatchesReference:
 
     def test_every_move_matches_reference_candidate(self):
         # Random forests (multi-member clusters, deep chains) held as row
-        # indices over sorted key points: move i, mapped back to ids, must
-        # build the reference's candidate i, and current objective plus
-        # gain i must stay within the rounding margin of that candidate's
-        # exact objective.
+        # indices over sorted key points, on 6-decimal scores: move i,
+        # mapped back to ids, must build the reference's candidate i, and
+        # current objective plus gain i must equal that candidate's
+        # objective exactly, in millionths.
         rng = random.Random(1007)
         for k in range(60):
             n = rng.randrange(1, 11)
             h = random_hierarchy(rng, n)
-            base = random_score_matrix(rng, n)
+            base = random_score_matrix(rng, n, quantize=True)
             ids = tuple(sorted(base.kp_ids))
             tau = (0.3, 0.5, 0.7)[k % 3]
-            w = {pair: v - tau for pair, v in base.scores.items()}
+            w = {pair: round(v * 1e6) - round(tau * 1e6) for pair, v in base.scores.items()}
             wm = np.array([[w[(a, b)] if a != b else 0.0 for b in ids] for a in ids]
                           ).reshape(n, n)
             row = {x: i for i, x in enumerate(ids)}
@@ -651,12 +642,10 @@ class TestTncfMatchesReference:
             want = list(tncf_candidate_states(clusters, parent))
             assert len(gains) == len(want)
             cur = tncf_state_objective(clusters, parent, w)
-            margin = _rounding_margin(wm)
             for i, state in enumerate(want):
                 got, got_parent = _apply_move(rows, parent, *move(i))
                 assert ([frozenset(ids[x] for x in c) for c in got], got_parent) == state
-                exact = tncf_state_objective(*state, w)
-                assert abs(cur + gains[i] - exact) <= margin
+                assert cur + gains[i] == tncf_state_objective(*state, w)
 
     def test_key_points_out_of_id_order(self):
         # Scores that list key points out of id order build the reference's
@@ -691,18 +680,24 @@ class TestTncfMatchesReference:
             m = random_score_matrix(rng, rng.randrange(6, 13))
             self.check(m, (0.3, 0.5)[k % 2], max_passes=1 + k % 3)
 
-    def test_gains_within_rounding_of_eps(self):
-        # One move gains 1e-12 +- 60e-15 (s(d, a) = 0.48 - gain); a
-        # 10-point clique lifts the objective to about 36, where one ulp is
-        # 7e-15, so the estimate and the exact objective can round to
-        # opposite sides of best + _EPS, and only the exact one may decide.
+    def test_one_millionth_gain_decides(self):
+        # The fixture of test_escapes_bad_parent_choice with s(d, a) =
+        # 0.48 - k millionths, so moving d from under b to under cc gains
+        # exactly k millionths, beside a 10-point clique that lifts the
+        # objective to about 36. Only the move's sign decides: it is taken
+        # at k = 1 and not at k = 0 or -1.
         clique = [f"f{i}" for i in range(10)]
         ids = ["a", "b", "cc", "d", "e"] + clique
-        for k in range(-60, 61):
+        for k in (-1, 0, 1):
             pairs = {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78,
-                     ("d", "a"): 0.48 - (1e-12 + k * 1e-15)}
+                     ("d", "a"): round(0.48 - k * 1e-6, 6)}
             pairs.update({(x, y): 0.9 for x in clique for y in clique if x != y})
-            self.check(sm(ids, pairs), 0.5)
+            m = sm(ids, pairs)
+            self.check(m, 0.5)
+            stats = {}
+            h = build_tncf(m, 0.5, stats=stats)
+            assert stats["accepted"] == (k == 1)
+            assert (c("d"), c("cc") if k == 1 else c("b")) in edge_pairs(h)
 
 
 class TestBuildHierarchy:
@@ -721,6 +716,15 @@ class TestBuildHierarchy:
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             ConstructionConfig(tau=1.5)
+
+    @pytest.mark.parametrize("tau", [0.4999996, 0.1 + 0.2, 1e-7])
+    def test_rejects_tau_finer_than_6_decimals(self, tau):
+        # tncf counts millionths, so a tau between two of them has no objective.
+        m = random_score_matrix(random.Random(44), 4)
+        for build in (lambda: ConstructionConfig(tau=tau), lambda: build_tncf(m, tau)):
+            with pytest.raises(ValueError, match=r"^tau must have at most 6 decimals"):
+                build()
+        assert build_tncf(m, round(tau, 6)).kp_ids == frozenset(m.kp_ids)
 
     def test_deterministic_across_runs(self):
         rng = random.Random(40)
