@@ -6,7 +6,8 @@ files. Each command computes its outputs; ``main`` writes them, then a run
 manifest (inputs, resolved options, outputs, all digested) next to them.
 A failed run leaves the files in the output directory as they were, or no
 manifest if it failed while committing, and removes the directories it
-created. Every float option is used as its manifest records it, at 6
+created. A run whose output would replace one of its inputs exits 1
+before writing anything. Every float option is used as its manifest records it, at 6
 decimals: a finer value exits 1. Identical inputs and options, as
 flags or from a config file, reproduce every output byte for byte.
 
@@ -17,6 +18,7 @@ that cannot be written, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import dataclasses
 import itertools
@@ -40,10 +42,10 @@ T = TypeVar("T")
 # A command's outputs: path inside --out-dir -> (writer, object), in write order.
 _Outputs = dict[str, tuple[Callable, object]]
 
-# The names the commands call from scoring and construction, which load
-# numpy, and from evaluation, which only some commands need, by home module.
-# main imports the running command's modules and binds their names as module
-# globals, so `kph eval`, --help and --version load no numpy. A name already
+# The names the commands call from scoring, construction and evaluation, by
+# home module. main imports the running command's modules and binds their
+# names as module globals, so each command loads only the modules it runs
+# (and numpy only where they need it: see README "Command line"). A name already
 # set when main runs, such as a wrapper around the original, stays in place.
 # Each name is bound once, on first use, as if it were imported at the top:
 # one deleted after that stays deleted.
@@ -75,7 +77,8 @@ class _Manifest:
     """Digests of the files one command read and wrote, saved as its run manifest.
 
     Every input is parsed through ``load``, so the inputs are exactly the
-    files the command read, keyed ``<summary dir>/<file>``. Outputs are keyed
+    files the command read, keyed ``<summary dir>/<file>`` (``read`` holds
+    their resolved paths). Outputs are keyed
     by their path inside the output directory. The config is every resolved
     option of the subcommand but ``--config``, ``--in-dir`` and ``--out-dir``.
     ``write`` stages an output at its sibling ``.<name>.tmp``; ``save`` commits
@@ -90,6 +93,7 @@ class _Manifest:
         self.config = {dest: getattr(args, dest) for dest in _options(parser.commands[self.command])
                        if dest not in ("config", "in_dir", "out_dir")}
         self.inputs: dict[str, str] = {}
+        self.read: set[Path] = set()
         self.outputs: dict[str, str] = {}
         self.staged: dict[Path, Path] = {}  # staged file -> its output path
         self.made: list[Path] = []  # directories this run created, outermost first
@@ -98,6 +102,7 @@ class _Manifest:
         """loader(path), with path recorded as an input."""
         obj = loader(path)
         self.inputs[f"{path.parent.name}/{path.name}"] = kio.file_digest(path)
+        self.read.add(path.resolve())
         return obj
 
     def write(self, rel: str, writer: Callable, obj) -> None:
@@ -381,14 +386,18 @@ def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
             domain_by_sid[sid] = golds[sid].domain
 
     unconverged: dict[str, set[float]] = {}  # summary -> taus whose tncf hit max_passes
-    # reduced_forest sees tau only through the threshold graph s.values > tau,
-    # so one build serves every tau with the same graph.
-    forests: dict[tuple[str, bytes], Hierarchy] = {}
+    # reduced_forest sees tau only through the threshold graph (each score > tau),
+    # which changes only where tau passes one of the summary's scores: one build
+    # serves every tau with as many of those scores at or below it.
+    forests: dict[tuple[str, int], Hierarchy] = {}
+    levels: dict[str, list[float]] = {}  # summary -> its distinct scores, ascending
 
     def builder(s, tau: float) -> Hierarchy:
         config = ConstructionConfig(tau=tau, algorithm=algorithm, max_passes=max_passes)
         if algorithm == "reduced_forest":
-            key = (s.summary_id, (s.values > tau).tobytes())
+            if s.summary_id not in levels:
+                levels[s.summary_id] = sorted(set(itertools.chain.from_iterable(s.values)))
+            key = (s.summary_id, bisect.bisect_right(levels[s.summary_id], tau))
             if key not in forests:
                 forests[key] = build_hierarchy(s, config)
             return forests[key]
@@ -503,7 +512,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if name not in globals():
                     __getattr__(name)
         run = _Manifest(args, parser)
-        for rel, (writer, obj) in args.func(args, parser, run).items():
+        outputs = args.func(args, parser, run)
+        for rel in outputs:  # refused before anything is written
+            if (run.out_dir / rel).resolve() in run.read:
+                parser.error(f"output {run.out_dir / rel} is also an input of this run, "
+                             f"which must not replace a file it read")
+        for rel, (writer, obj) in outputs.items():
             run.write(rel, writer, obj)
         run.save()
         return 0

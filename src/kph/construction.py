@@ -3,27 +3,32 @@
 Four builders share a decision threshold tau and the same global objective,
 the sum of s(x, y) - tau over every relation the hierarchy induces:
 
-- reduced_forest: threshold the scores into a boolean reachability matrix,
+- reduced_forest: threshold the scores into a digraph held as bitsets,
   contract its strongly connected (mutually entailing) components, take
   the transitive reduction, then heuristically keep one parent per cluster.
 - tncf: local search that starts from the reduced forest and re-attaches
   one node or one whole cluster at a time while the objective improves.
   Its objective counts millionths, the resolution scores and tau are
-  written at, so every sum it forms is an exact integer and each move's
+  written at, so every sum it forms is a Python int and each move's
   gain, read off per-cluster sums, is that move's exact objective change.
 - greedy and greedy_gs: one loop. Agglomerative clustering, then, while a
   cluster edge whose mean link exceeds tau still fits the forest, add the
   most valuable one. greedy values an edge by its own link, greedy_gs by
   the whole forest's cluster-to-ancestor links with the edge added.
+
+Every builder reads the score matrix's rows of Python floats and none
+loads numpy: at 12 to 44 key points, loops over rows and integer bitsets
+cost less than numpy's import, which every build command would pay.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, gt
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .core import ALGORITHMS, DEFAULT_MAX_PASSES, Hierarchy, ancestor_chains, canonical_hierarchy
 from .scoring import ScoreMatrix
@@ -62,51 +67,74 @@ def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
     DataError when the hierarchy holds a key point the scores lack.
     """
     ids = sorted(h.kp_ids)
-    w = s.restrict(ids).values - tau
+    rows = s.restrict(ids).values
     row = {x: i for i, x in enumerate(ids)}
-    return math.fsum(w[row[x], row[y]] for x, y in h.relations)
+    return math.fsum(rows[row[x]][row[y]] - tau for x, y in h.relations)
 
 
-def _condense(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+def _bits(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _condense(adj: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """Strongly connected components and the reduced condensation of a digraph.
 
-    ``adj`` is an n x n bool adjacency matrix whose diagonal is ignored.
-    Returns the components as sorted node-index lists ordered by smallest
-    member, and the k x k bool adjacency of the transitive reduction of the
-    condensation. Components are the distinct rows of R & R.T for the
-    reflexive closure R (Warshall); on a DAG's closure C the reduction is
-    C minus C @ C (Aho, Garey & Ullman, SIAM J. Comput. 1972).
+    ``adj[i]`` is the bitset of node i's successors (bit j set for an edge
+    i -> j); bit i itself is ignored. Returns the components as sorted
+    node-index lists ordered by smallest member, and the transitive
+    reduction of the condensation as one bitset of component indices per
+    component. Mutually reachable nodes reach the same set, and nodes that
+    reach the same set reach each other, so a component is a class of equal
+    rows of the reflexive closure (Warshall). On a DAG the reduction keeps
+    an edge a -> b unless b is reachable from another successor of a (Aho,
+    Garey & Ullman, SIAM J. Comput. 1972).
     """
-    n = len(adj)
-    r = adj | np.eye(n, dtype=bool)
-    for k in range(n):
-        r |= r[:, k:k + 1] & r[k:k + 1, :]
-    mutual = r & r.T
-    reps = [i for i in range(n) if not mutual[i, :i].any()]
-    comps = [np.flatnonzero(mutual[i]).tolist() for i in reps]
-    closure = r[np.ix_(reps, reps)]
-    np.fill_diagonal(closure, False)
-    return comps, closure & ~(closure @ closure)
+    r = [a | 1 << i for i, a in enumerate(adj)]
+    for k in range(len(r)):  # whatever reaches k reaches what k reaches
+        bit, rk = 1 << k, r[k]
+        r = [ri | rk if ri & bit else ri for ri in r]
+    by_row: dict[int, list[int]] = {}
+    for i, ri in enumerate(r):
+        by_row.setdefault(ri, []).append(i)
+    comps = list(by_row.values())
+    index = {c[0]: a for a, c in enumerate(comps)}  # representative -> component
+    reps = sum(1 << i for i in index)
+    # per component, the representatives it reaches outside itself
+    beyond = [ri & reps & ~(1 << c[0]) for ri, c in zip(by_row, comps)]
+    reduced = []
+    for out in beyond:
+        skip = 0
+        for i in _bits(out):
+            skip |= beyond[index[i]]
+        reduced.append(sum(1 << index[i] for i in _bits(out & ~skip)))
+    return comps, reduced
 
 
 def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Threshold graph -> condensation -> transitive reduction -> one parent.
 
-    The threshold graph is a boolean reachability matrix over ``s.kp_ids``
-    (see :func:`_condense`). When the reduction leaves a cluster with
-    several parents, the larger parent cluster wins; ties fall to the
-    higher mean child-to-parent score, then to the parent that comes first
-    in canonical cluster order.
+    The threshold graph holds an edge i -> j for each score above tau, as
+    one bitset per key point of ``s.kp_ids`` (see :func:`_condense`). When
+    the reduction leaves a cluster with several parents, the larger parent
+    cluster wins; ties fall to the higher mean child-to-parent score, then
+    to the parent that comes first in canonical cluster order.
     """
     ids = s.kp_ids
-    comps, reduced = _condense(s.values > tau)
+    rows = s.values
+    bits = [1 << j for j in range(len(ids))]
+    comps, reduced = _condense([sum(compress(bits, map(gt, row, repeat(tau)))) for row in rows])
     clusters = [frozenset(ids[i] for i in comp) for comp in comps]
     members = [sorted(comp, key=ids.__getitem__) for comp in comps]
-    rows = s.values.tolist()
 
     parent: dict[int, int] = {}
     for c, mem in enumerate(members):
-        cands = np.flatnonzero(reduced[c]).tolist()
+        cands = _bits(reduced[c])
         if cands:
             parent[c] = min(cands, key=lambda p: (-len(clusters[p]),
                                                  -_mean_link(rows, mem, members[p]),
@@ -114,7 +142,7 @@ def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     return canonical_hierarchy(s.summary_id, clusters, parent)
 
 
-def _mean_link(rows: list[list[float]], xs: Sequence[int], ys: Sequence[int]) -> float:
+def _mean_link(rows: Sequence[Sequence[float]], xs: Sequence[int], ys: Sequence[int]) -> float:
     """Mean of rows[x][y] over xs x ys, added in the order the members are given."""
     total = 0.0
     for x in xs:
@@ -136,7 +164,7 @@ def cluster_link_score(c1: frozenset[str] | set[str], c2: frozenset[str] | set[s
     unknown = next(((x, y) for x in xs for y in ys if x not in pos or y not in pos), None)
     if unknown:
         s.score(*unknown)  # raises the DataError naming the first pair without a score
-    return _mean_link(s.values.tolist(), [pos[x] for x in xs], [pos[y] for y in ys])
+    return _mean_link(s.values, [pos[x] for x in xs], [pos[y] for y in ys])
 
 
 def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
@@ -147,7 +175,8 @@ def agglomerative_cluster(s: ScoreMatrix, tau: float) -> list[frozenset[str]]:
     cluster-index pair.
     """
     ids = s.kp_ids
-    dist = (1.0 - np.minimum(s.values, s.values.T)).tolist()
+    rows = s.values
+    dist = [[1.0 - min(v, w) for v, w in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     clusters: list[list[int]] = [[x] for x in range(len(ids))]
     while len(clusters) > 1:
         best_d = None
@@ -177,8 +206,7 @@ def _build_greedy(s: ScoreMatrix, tau: float, value: Callable) -> Hierarchy:
     clusters = agglomerative_cluster(s, tau)
     pos = {x: i for i, x in enumerate(s.kp_ids)}
     members = [[pos[x] for x in sorted(c)] for c in clusters]
-    rows = s.values.tolist()
-    link = [[_mean_link(rows, xs, ys) for ys in members] for xs in members]
+    link = [[_mean_link(s.values, xs, ys) for ys in members] for xs in members]
     candidates = [(a, b) for a, row in enumerate(link) for b, v in enumerate(row)
                   if a != b and v > tau]
     parent: dict[int, int] = {}
@@ -278,15 +306,48 @@ def _apply_move(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
     return base + [frozenset([a])], base_parent
 
 
+def _cluster_sums(rows: Sequence[Sequence[int]], members: Sequence[Sequence[int]]) -> list:
+    """Per cluster, the element-wise sum of its members' rows."""
+    out = []
+    for c in members:
+        total = rows[c[0]]
+        for y in c[1:]:
+            total = list(map(add, total, rows[y]))
+        out.append(total)
+    return out
+
+
+def _up_sums(vecs: Sequence[Sequence[int]], parent: Mapping[int, int],
+             down: Sequence[int]) -> list:
+    """Per cluster, its vector plus its ancestors'; ``down`` lists parents before children."""
+    out = list(vecs)
+    for c in down:
+        if c in parent:
+            out[c] = list(map(add, out[c], out[parent[c]]))
+    return out
+
+
+def _subtree_sums(vecs: Sequence[Sequence[int]], parent: Mapping[int, int],
+                  down: Sequence[int]) -> list:
+    """Per cluster, its vector plus its descendants'; ``down`` as for :func:`_up_sums`."""
+    out = list(vecs)
+    for c in reversed(down):
+        if c in parent:
+            p = parent[c]
+            out[p] = list(map(add, out[p], out[c]))
+    return out
+
+
 def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
-                wm: np.ndarray) -> tuple[np.ndarray, Callable]:
+                wm: Sequence[Sequence[int]]) -> tuple[list[int], Callable]:
     """The objective gain of every legal move, in scan order, and the moves.
 
-    ``wm`` is the dense s - tau matrix over the state's rows, in millionths
-    (see :func:`build_tncf`), with a zero diagonal, so a sum over a cluster
-    that still holds x adds nothing for x. Returns the gains and a function
-    mapping a position in them to the (kind, a, d) that :func:`_apply_move`
-    takes. Nothing is materialised: every gain is read off per-cluster sums.
+    ``wm`` is the s - tau matrix over the state's rows, in millionths (see
+    :func:`build_tncf`): rows of Python ints with a zero diagonal, so a sum
+    over a cluster that still holds x adds nothing for x. Returns the gains
+    and a function mapping a position in them to the (kind, a, d) that
+    :func:`_apply_move` takes. Nothing is materialised: every gain is read
+    off per-cluster sums, each an exact int.
 
     - A key point x takes its pairs with co-members, with members of its
       ancestors (out) and with members of its descendants (in). Taking x
@@ -301,54 +362,64 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
       descendants outside c's subtree into c.
     """
     n, m = len(wm), len(clusters)
-    member = np.zeros((n, m))
-    home = np.zeros(n, dtype=int)
-    for k, c in enumerate(clusters):
-        idx = list(c)
-        member[idx, k] = 1.0
-        home[idx] = k
-    up = np.eye(m, dtype=bool)  # up[c, a]: a is c or an ancestor of c
-    for c, chain in enumerate(ancestor_chains(parent, m)):
+    members = [list(c) for c in clusters]
+    home = [0] * n
+    for k, mem in enumerate(members):
+        for x in mem:
+            home[x] = k
+    chains = ancestor_chains(parent, m)
+    down = sorted(range(m), key=lambda c: len(chains[c]))
+    below = [{c} for c in range(m)]  # below[c]: c and its descendants
+    for c, chain in enumerate(chains):
         for a in chain:
-            up[c, a] = True
-    upf = up.astype(float)
+            below[a].add(c)
 
-    out = (wm @ member) @ upf.T  # out[x, d]: x -> members of d and of d's ancestors
-    inn = (wm.T @ member) @ upf  # inn[x, d]: members of d and of d's descendants -> x
-    rows = np.arange(n)
-    own = out[rows, home] + inn[rows, home]
-    cols = np.arange(m)
-    lone = member.sum(axis=0)[home] == 1
-    node_gain = np.hstack([out + inn - own[:, None], out - own[:, None], -own[:, None]])
-    node_ok = np.hstack([cols != home[:, None], ~(lone[:, None] & (cols == home[:, None])),
-                         np.ones((n, 1), dtype=bool)])
-    node_cells = np.flatnonzero(node_ok)
+    to = _cluster_sums(list(zip(*wm)), members)  # to[k][x]: x -> members of k
+    frm = _cluster_sums(wm, members)  # frm[k][x]: members of k -> x
+    out = list(zip(*_up_sums(to, parent, down)))  # out[x][d]: x -> d and d's ancestors
+    inn = list(zip(*_subtree_sums(frm, parent, down)))  # inn[x][d]: d and its descendants -> x
+    pair = list(zip(*_cluster_sums(list(zip(*frm)), members)))  # pair[k][l]: k -> l
+    sub = _subtree_sums(pair, parent, down)  # sub[c][l]: c's subtree -> l
+    into_sub = list(zip(*sub))  # into_sub[l][c] = sub[c][l]
+    sub_up = list(zip(*_up_sums(into_sub, parent, down)))  # sub_up[c][d]: c's subtree
+    # -> d and d's ancestors
 
-    pair = member.T @ wm @ member  # pair[k, l]: members of k -> members of l
-    sub = upf.T @ pair  # sub[c, l]: members of c's subtree -> members of l
-    sub_up = sub @ upf.T  # sub_up[c, d]: c's subtree -> d and d's ancestors
-    par = np.array([parent.get(c, c) for c in range(m)], dtype=int)
-    rooted = par != cols
-    old = np.where(rooted, sub_up[cols, par], 0.0)
-    reattach = sub_up - old[:, None]
-    strict_up = up & ~np.eye(m, dtype=bool)
-    merge = reattach + sub.T - strict_up * np.diag(sub)[:, None]
-    free = ~up.T  # free[c, d]: d is outside c's subtree
-    cluster_gain = np.hstack([reattach, -old[:, None], merge])
-    cluster_ok = np.hstack([free & (cols != par[:, None]), rooted[:, None], free])
-    cluster_cells = np.flatnonzero(cluster_ok)
+    gains: list[int] = []
+    runs: list[tuple] = []  # (position of its first gain, kind, a, targets d) per run of moves
+    every = range(m)
+    others = [[d for d in every if d != k] for k in every]
+    for x in range(n):
+        h, ox, ix = home[x], out[x], inn[x]
+        own = ox[h] + ix[h]
+        leaf = others[h] if len(members[h]) == 1 else every
+        runs.append((len(gains), _INSERT, x, others[h]))
+        gains += [ox[d] + ix[d] - own for d in others[h]]
+        runs.append((len(gains), _LEAF, x, leaf))
+        gains += [ox[d] - own for d in leaf]
+        runs.append((len(gains), _ROOT, x, (0,)))
+        gains.append(-own)
+    for c in every:
+        su, p = sub_up[c], parent.get(c)
+        old = 0 if p is None else su[p]
+        free = [d for d in every if d not in below[c]]
+        targets = [d for d in free if d != p]
+        runs.append((len(gains), _REATTACH, c, targets))
+        gains += [su[d] - old for d in targets]
+        if p is not None:
+            runs.append((len(gains), _DETACH, c, (0,)))
+            gains.append(-old)
+        merge = list(map(add, su, into_sub[c]))
+        for a in chains[c]:  # c's ancestors already hold c's subtree
+            merge[a] -= sub[c][c]
+        runs.append((len(gains), _MERGE, c, free))
+        gains += [merge[d] - old for d in free]
 
-    gains = np.concatenate([node_gain[node_ok], cluster_gain[cluster_ok]])
+    firsts = [r[0] for r in runs]  # a run of no moves is never the last to start at or
+    # before a position, so bisect_right finds the run holding it
 
     def move(i: int) -> tuple:
-        if i < len(node_cells):
-            x, col = divmod(int(node_cells[i]), 2 * m + 1)
-            kind, d = divmod(col, m) if col < 2 * m else (_ROOT, 0)  # _INSERT, _LEAF
-            return kind, x, d
-        c, col = divmod(int(cluster_cells[i - len(node_cells)]), 2 * m + 1)
-        if col < m:
-            return _REATTACH, c, col
-        return (_DETACH, c, 0) if col == m else (_MERGE, c, col - m - 1)
+        first, kind, a, targets = runs[bisect_right(firsts, i) - 1]
+        return kind, a, targets[i - first]
 
     return gains, move
 
@@ -367,8 +438,8 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     The objective counts millionths: the sum of round(s * 1e6) - tau * 1e6
     over the induced relations. Scores and tau are written at 6 decimals,
     so on them this is the sum of s - tau scaled by 1e6; tau must lie on
-    that grid (ValueError otherwise), and finer scores are rounded to it.
-    Every sum is then an integer that float64 holds exactly, so each gain
+    that grid (ValueError otherwise), and finer scores are rounded to it
+    (round half to even). Every sum is then a Python int, so each gain
     from :func:`_move_gains` is its move's exact objective change, in any
     summation order, and a move that rebuilds the current forest gains 0.
 
@@ -382,17 +453,19 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     init = build_reduced_forest(s, tau)
     clusters = [frozenset(row[x] for x in c) for c in init.clusters]
     parent: dict[int, int] = dict(init.parent)
-    wm = np.rint(s.values * 1e6) - round(tau * 1e6)
-    np.fill_diagonal(wm, 0.0)
+    t = round(tau * 1e6)
+    wm = [[round(v * 1e6) - t if j != i else 0 for j, v in enumerate(r)]
+          for i, r in enumerate(s.values)]
     counts = {"passes": 0, "candidates": 0, "accepted": 0, "converged": False}
     for _ in range(max_passes):
         counts["passes"] += 1
         gains, move = _move_gains(clusters, parent, wm)
         counts["candidates"] += len(gains)
-        if not len(gains) or gains.max() <= 0:
+        best = max(gains, default=0)
+        if best <= 0:
             counts["converged"] = True
             break
-        clusters, parent = _apply_move(clusters, parent, *move(int(np.argmax(gains))))
+        clusters, parent = _apply_move(clusters, parent, *move(gains.index(best)))
         counts["accepted"] += 1
     if stats is not None:
         stats.update(counts)

@@ -146,6 +146,13 @@ def _check_known_kps(sid: str, pred: Hierarchy, gold: Hierarchy) -> None:
             f"{sorted(pred.kp_ids - gold.kp_ids)}")
 
 
+def _counts(sid: str, pred: Hierarchy, gold: Hierarchy) -> tuple[int, int, int]:
+    """(|pred & gold|, |pred|, |gold|) of one summary's induced relations, once checked."""
+    _check_known_kps(sid, pred, gold)
+    p, g = derive_relations(pred), derive_relations(gold)
+    return len(p & g), len(p), len(g)
+
+
 def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
                 gold: Hierarchy | Iterable[Hierarchy]) -> DomainMetrics:
     """Pooled precision/recall/F1 over the summaries' induced relations.
@@ -157,14 +164,16 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
     pred_map = _by_summary(predicted, "predicted hierarchies")
     gold_map = _by_summary(gold, "gold hierarchies")
     _check_same_summaries(pred_map, gold_map)
-    sids = sorted(pred_map)
-    for sid in sids:
-        _check_known_kps(sid, pred_map[sid], gold_map[sid])
-    pred_rel = [derive_relations(pred_map[sid]) for sid in sids]
-    gold_rel = [derive_relations(gold_map[sid]) for sid in sids]
     # Pooled relations are tagged by summary, so the pooled counts are sums.
-    return _prf_counts(sum(len(p & g) for p, g in zip(pred_rel, gold_rel)),
-                       sum(map(len, pred_rel)), sum(map(len, gold_rel)))
+    return _pooled([_counts(sid, pred_map[sid], gold_map[sid]) for sid in sorted(pred_map)])
+
+
+def _pooled(counts: Iterable[tuple[int, int, int]]) -> DomainMetrics:
+    """The metrics of summed per-summary counts."""
+    inter = npred = ngold = 0
+    for i, p, g in counts:
+        inter, npred, ngold = inter + i, npred + p, ngold + g
+    return _prf_counts(inter, npred, ngold)
 
 
 def evaluate_hierarchies(predicted: Iterable[Hierarchy],
@@ -206,7 +215,7 @@ def pr_curve(scores: ScoreMatrix | Iterable[ScoreMatrix],
         positives = derive_relations(gh)
         num_pos += len(positives)
         ids = sorted(gh.kp_ids)
-        rows = score_map[sid].restrict(ids).values.tolist()
+        rows = score_map[sid].restrict(ids).values
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
                 if a != b:
@@ -271,8 +280,8 @@ def spearman_correlation(a: ScoreMatrix, b: ScoreMatrix) -> float:
     if len(ids) < 2:
         raise DataError("rank correlation requires at least 2 pairs")
     off = ~np.eye(len(ids), dtype=bool)
-    xs = a.restrict(ids).values[off]
-    ys = b.restrict(ids).values[off]
+    xs = np.array(a.restrict(ids).values)[off]
+    ys = np.array(b.restrict(ids).values)[off]
     if xs.min() == xs.max() or ys.min() == ys.max():
         raise DataError("rank correlation is undefined for constant scores")
     ranked = np.column_stack((_average_ranks(xs), _average_ranks(ys)))
@@ -305,7 +314,10 @@ def loo_threshold_tuning(
     smallest tau) is then used to build S itself. The report is
     :func:`evaluate_hierarchies` of the held-out predictions against gold,
     plus the chosen taus. Returns the chosen taus, the report and the
-    hierarchies built at them. Each (summary, tau) is built once.
+    hierarchies built at them. Each (summary, tau) is built, checked against
+    gold and counted once, and a peer set's F1 is :func:`relation_f1`'s from
+    the sum of its members' counts, as long as every hierarchy carries the
+    summary id it is keyed by.
     """
     tau_grid = tuple(tau_grid)
     if not tau_grid:
@@ -322,12 +334,19 @@ def loo_threshold_tuning(
                 f"leave-one-out tuning needs at least 2")
 
     built: dict[tuple[str, float], Hierarchy] = {}
+    counted: dict[tuple[str, float], tuple[int, int, int]] = {}
 
     def build(sid: str, tau: float) -> Hierarchy:
         key = (sid, tau)
         if key not in built:
             built[key] = builder(scores[sid], tau)
         return built[key]
+
+    def count(sid: str, tau: float) -> tuple[int, int, int]:
+        key = (sid, tau)
+        if key not in counted:
+            counted[key] = _counts(sid, build(sid, tau), gold[sid])
+        return counted[key]
 
     chosen: dict[str, float] = {}
     for dom in sorted(domains):
@@ -336,8 +355,11 @@ def loo_threshold_tuning(
             best_tau = None
             best_f1 = -1.0
             for tau in tau_grid:
-                f1 = relation_f1([build(p, tau) for p in peers],
-                                 [gold[p] for p in peers]).f1
+                hs = [build(p, tau) for p in peers]
+                if all(h.summary_id == p == gold[p].summary_id for h, p in zip(hs, peers)):
+                    f1 = _pooled([count(p, tau) for p in peers]).f1
+                else:  # pair and check by summary id, as relation_f1 does
+                    f1 = relation_f1(hs, [gold[p] for p in peers]).f1
                 if f1 > best_f1:
                     best_f1 = f1
                     best_tau = tau

@@ -22,8 +22,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 from .core import Hierarchy, KeyPoint, KeyPointSet, derive_relations, validate_hierarchy
 from .errors import DataError, FormatError, HierarchyError
 
-# numpy and scoring load only in the readers of numeric files, so that
-# reading and writing hierarchies and reports (kph eval) loads neither.
+# scoring loads only in the readers of numeric files, so that reading and
+# writing hierarchies and reports (kph eval) loads no more than it needs.
+# numpy loads only in the match-matrix reader: score files are read into
+# Python rows, so every command that reads scores but no match matrix
+# (combine, build, tune, weaklabel) runs without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -413,8 +416,8 @@ _CANONICAL_PAIR = re.compile(
     r'"score": ([0-9]\.[0-9]{6})\}')
 
 
-def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> np.ndarray | None:
-    """The score matrix of pair lines that are all canonical and complete, else None.
+def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> list[list[float]] | None:
+    """The score rows of pair lines that are all canonical and complete, else None.
 
     None sends the caller to the line-by-line loop, which accepts any valid
     JSON object per line and names the first bad record. Lines are matched
@@ -422,8 +425,6 @@ def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> np.ndarray |
     + "]") would lose line boundaries and accept a line holding two objects
     beside an object split over two lines, which that loop rejects.
     """
-    import numpy as np
-
     n = len(kp_ids)
     pos = {x: i for i, x in enumerate(kp_ids)}
     if len(pos) != n or len(lines) != n * (n - 1):
@@ -435,18 +436,19 @@ def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> np.ndarray |
             return None
         matches.append(m)
     try:
-        src = np.array([pos[m[1]] for m in matches], dtype=np.intp)
-        dst = np.array([pos[m[2]] for m in matches], dtype=np.intp)
+        cells = [pos[m[1]] * n + pos[m[2]] for m in matches]  # row-major positions
     except KeyError:  # an id outside kp_ids
         return None
-    scores = np.array([float(m[3]) for m in matches])
-    # every ordered pair of distinct key points exactly once
-    filled = np.bincount(src * n + dst, minlength=n * n).reshape(n, n)
-    if (scores > 1.0).any() or not (filled == 1 - np.eye(n, dtype=np.intp)).all():
+    scores = [float(m[3]) for m in matches]
+    # every ordered pair of distinct key points exactly once: n * (n - 1) distinct
+    # cells, none on the diagonal
+    if (max(scores, default=0.0) > 1.0 or len(set(cells)) != len(cells)
+            or not set(cells).isdisjoint(range(0, n * n, n + 1))):
         return None
-    values = np.zeros((n, n))
-    values[src, dst] = scores
-    return values
+    flat = [0.0] * (n * n)
+    for k, v in zip(cells, scores):
+        flat[k] = v
+    return [flat[i * n:i * n + n] for i in range(n)]
 
 
 # -- hierarchies --------------------------------------------------------

@@ -6,7 +6,10 @@ sentence-match matrix, its support is the set of sentences matched above a
 threshold, and the four scorers measure how well i's support is included
 in j's. Externally computed scores (e.g. from an entailment model) enter
 through the same ScoreMatrix type and can be averaged with local ones.
-A ScoreMatrix is complete: an n x n array over its key points.
+A ScoreMatrix is complete: n rows of n Python floats over its key points.
+numpy loads only where match matrices are held and scored (MatchMatrix and
+the four scorer kernels), so reading, combining and exporting scores, and
+every builder that reads them, run without it.
 """
 
 from __future__ import annotations
@@ -15,14 +18,16 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import (DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED,
                    DEFAULT_WEAK_LABEL_THRESHOLD, KeyPointSet)
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +41,8 @@ class MatchMatrix:
     domain: str = "other"
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "sentence_ids", tuple(self.sentence_ids))
         object.__setattr__(self, "kp_ids", tuple(self.kp_ids))
         values = np.asarray(self.values, dtype=float)
@@ -63,11 +70,15 @@ def _sums_down(a: np.ndarray) -> np.ndarray:
     # Each column's sum, added sentence by sentence from the first: the
     # order of a left-to-right loop over the support, because adding a
     # masked 0.0 is exact. Score bytes depend on this order.
+    import numpy as np
+
     return np.add.accumulate(a, axis=0)[-1]
 
 
 def _per_row(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """num[i, j] / denom[i], and 0.0 for each row i whose denom is 0."""
+    import numpy as np
+
     out = np.zeros(num.shape)
     np.divide(num, denom[:, None], out=out, where=denom[:, None] != 0)
     return out
@@ -77,6 +88,8 @@ def _bininc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Fraction of i's support sentences that are also in j's support."""
     # Integer counts: a float product would go through BLAS, whose worker
     # threads spin after each call and cost more CPU time than they save.
+    import numpy as np
+
     c = s.astype(np.int64)
     shared = c.T @ c
     return _per_row(shared, np.diagonal(shared))
@@ -88,6 +101,8 @@ def _inclusion(w: np.ndarray, s: np.ndarray, shared) -> np.ndarray:
     Only i's support rows can hold a shared term, so the sum runs down
     those rows alone; the terms it skips are 0.0 and change no bit.
     """
+    import numpy as np
+
     num = np.zeros((w.shape[1], w.shape[1]))
     for i in range(w.shape[1]):
         rows = np.flatnonzero(s[:, i])
@@ -103,6 +118,8 @@ def _weedsprec(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _clarkede(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Degree of inclusion: shared mass is capped by j's own weights."""
+    import numpy as np
+
     return _inclusion(w, s, np.minimum)
 
 
@@ -115,6 +132,8 @@ def _apinc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     that decays with the sentence's rank in j; sentences outside j's
     support contribute nothing. The sum is divided by |S_i|.
     """
+    import numpy as np
+
     ranked = []
     rank = np.zeros(w.shape, dtype=np.int64)  # rank[k, j]: k's 1-based rank in j, 0 outside
     for j in range(w.shape[1]):
@@ -134,7 +153,7 @@ def _apinc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 # Each scorer maps the match values and the support mask (values >=
-# theta_match), both sentences x key points, to the n x n scores s(i, j).
+# theta_match), both sentences x key points, to the n x n array of scores s(i, j).
 # Its keys are core.SCORER_NAMES, the command line's --scorer choices.
 SCORERS = {
     "bininc": _bininc,
@@ -148,15 +167,17 @@ SCORERS = {
 class ScoreMatrix:
     """Directional scores s(i, j) over every ordered pair of distinct key points.
 
-    ``values[i, j]`` is s(kp_ids[i], kp_ids[j]): a read-only n x n float
-    array whose diagonal is 0 and whose other entries lie in [0, 1]. A
-    score matrix is therefore complete by construction; pair data enters
-    through :meth:`from_pairs`, which requires every ordered pair.
+    ``values[i][j]`` is s(kp_ids[i], kp_ids[j]): ``values`` is a tuple of n
+    row tuples of n Python floats, whose diagonal is 0 and whose other
+    entries lie in [0, 1]. Any n x n nested sequence of numbers (a numpy
+    array too) is accepted and converted. A score matrix is therefore
+    complete by construction; pair data enters through :meth:`from_pairs`,
+    which requires every ordered pair.
     """
 
     summary_id: str
     kp_ids: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]
     scorer: str = ""
     params: Mapping[str, object] = field(default_factory=dict)
 
@@ -165,15 +186,16 @@ class ScoreMatrix:
         if len(set(self.kp_ids)) != len(self.kp_ids):
             raise DataError(f"scores {self.summary_id!r}: duplicate key point ids")
         n = len(self.kp_ids)
-        values = np.array(self.values, dtype=float)
-        if values.shape != (n, n):
-            raise DataError(f"scores {self.summary_id!r}: values have shape {values.shape}, "
+        rows = list(self.values)
+        shape = _shape(rows)
+        if shape != (n, n):
+            raise DataError(f"scores {self.summary_id!r}: values have shape {shape}, "
                             f"expected ({n}, {n})")
-        if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both
+        values = tuple(tuple(map(float, row)) for row in rows)
+        if not all(0.0 <= v <= 1.0 for v in chain.from_iterable(values)):  # NaN fails too
             raise DataError(f"scores {self.summary_id!r}: values must lie in [0, 1]")
-        if np.diagonal(values).any():
+        if any(row[i] for i, row in enumerate(values)):
             raise DataError(f"scores {self.summary_id!r}: the diagonal must be 0")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "params", dict(self.params))
 
@@ -188,7 +210,7 @@ class ScoreMatrix:
         """The matrix holding one score per ordered pair of distinct ``kp_ids``."""
         kp_ids = tuple(kp_ids)  # duplicates fail in __post_init__ if nothing fails first
         pos = {x: i for i, x in enumerate(kp_ids)}
-        values = np.zeros((len(kp_ids), len(kp_ids)))
+        values = [[0.0] * len(kp_ids) for _ in kp_ids]
         scores = dict(scores)
         for (src, dst), v in scores.items():
             if src == dst:
@@ -202,7 +224,7 @@ class ScoreMatrix:
                 raise DataError(
                     f"scores {summary_id!r}: score {v!r} for pair ({src!r}, {dst!r}) "
                     f"is outside [0, 1]")
-            values[pos[src], pos[dst]] = v
+            values[pos[src]][pos[dst]] = v
         missing = [(a, b) for a in kp_ids for b in kp_ids if a != b and (a, b) not in scores]
         if missing:
             shown = ", ".join(f"({a!r}, {b!r})" for a, b in missing[:5])
@@ -222,14 +244,13 @@ class ScoreMatrix:
     def score(self, src: str, dst: str) -> float:
         if src == dst or src not in self._index or dst not in self._index:
             raise DataError(f"scores {self.summary_id!r}: no score for pair ({src!r}, {dst!r})")
-        return float(self.values[self._index[src], self._index[dst]])
+        return self.values[self._index[src]][self._index[dst]]
 
     def pairs(self) -> Iterator[tuple[str, str, float]]:
         """(src, dst, score) for every ordered pair, sorted by (src, dst)."""
         order = sorted(range(len(self.kp_ids)), key=self.kp_ids.__getitem__)
-        rows = self.values.tolist()
         for i in order:
-            row = rows[i]
+            row = self.values[i]
             for j in order:
                 if i != j:
                     yield self.kp_ids[i], self.kp_ids[j], row[j]
@@ -241,8 +262,17 @@ class ScoreMatrix:
         if unknown:
             raise DataError(f"scores {self.summary_id!r}: unknown key points {unknown}")
         idx = [self._index[x] for x in keep]
-        return ScoreMatrix(self.summary_id, keep, self.values[np.ix_(idx, idx)],
+        rows = self.values
+        return ScoreMatrix(self.summary_id, keep, [[rows[i][j] for j in idx] for i in idx],
                            self.scorer, self.params)
+
+
+def _shape(rows: list) -> tuple[int, ...]:
+    """numpy's shape of a list of rows: (rows, width) when all are sequences of one width."""
+    widths = {len(r) if hasattr(r, "__len__") else None for r in rows}
+    if not rows or (len(widths) == 1 and None not in widths):
+        return (len(rows), *(widths or {0}))
+    return (len(rows),)
 
 
 def compute_score_matrix(m: MatchMatrix, scorer: str,
@@ -258,9 +288,10 @@ def compute_score_matrix(m: MatchMatrix, scorer: str,
         raise ValueError(f"theta_match must lie in [0, 1], got {theta_match}")
     if m.num_sentences == 0 or not m.kp_ids:
         raise DataError(f"match matrix {m.summary_id!r} is empty; nothing to score")
-    values = SCORERS[scorer](m.values, m.values >= theta_match)
-    np.fill_diagonal(values, 0.0)
-    return ScoreMatrix(m.summary_id, m.kp_ids, values, scorer, {"theta_match": theta_match})
+    rows = SCORERS[scorer](m.values, m.values >= theta_match).tolist()
+    for i, row in enumerate(rows):
+        row[i] = 0.0
+    return ScoreMatrix(m.summary_id, m.kp_ids, rows, scorer, {"theta_match": theta_match})
 
 
 def combine_average(a: ScoreMatrix, b: ScoreMatrix) -> ScoreMatrix:
@@ -275,8 +306,10 @@ def combine_average(a: ScoreMatrix, b: ScoreMatrix) -> ScoreMatrix:
             f"{a.scorer or 'first'} and {b.scorer or 'second'} inputs")
     name_a = a.scorer or "a"
     name_b = b.scorer or "b"
-    return ScoreMatrix(a.summary_id, a.kp_ids, (a.values + b.restrict(a.kp_ids).values) / 2.0,
-                       f"average({name_a},{name_b})", {"sources": [name_a, name_b]})
+    mean = [[(x + y) / 2.0 for x, y in zip(ra, rb)]
+            for ra, rb in zip(a.values, b.restrict(a.kp_ids).values)]
+    return ScoreMatrix(a.summary_id, a.kp_ids, mean, f"average({name_a},{name_b})",
+                       {"sources": [name_a, name_b]})
 
 
 @dataclass(frozen=True)

@@ -17,25 +17,27 @@ def pair_score(scorer: str, wi, wj, theta: float = 0.5) -> float:
     return compute_score_matrix(m, scorer, theta).score("i", "j")
 
 
-def random_digraph(rng: random.Random, n: int = 8, p: float = 0.25) -> np.ndarray:
-    """n x n bool adjacency matrix without self-loops."""
-    adj = np.zeros((n, n), dtype=bool)
+def random_digraph(rng: random.Random, n: int = 8, p: float = 0.25) -> list[int]:
+    """n successor bitsets (bit v of adj[u] for an edge u -> v), without self-loops."""
+    adj = [0] * n
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < p:
-                adj[u, v] = True
+                adj[u] |= 1 << v
                 rng.random()  # an unused edge weight; the seeded instances rely on this draw
     return adj
 
 
-def edge_set(adj: np.ndarray) -> set[tuple[int, int]]:
-    return {(int(u), int(v)) for u, v in zip(*np.nonzero(adj))}
+def edge_set(adj: list[int]) -> set[tuple[int, int]]:
+    """The edges (u, v) of successor bitsets."""
+    return {(u, v) for u, a in enumerate(adj) for v in range(a.bit_length()) if a >> v & 1}
 
 
-def adjacency(n: int, edges) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
+def adjacency(n: int, edges) -> list[int]:
+    """n successor bitsets holding the given edges."""
+    adj = [0] * n
     for u, v in edges:
-        adj[u, v] = True
+        adj[u] |= 1 << v
     return adj
 
 

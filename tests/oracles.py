@@ -816,7 +816,7 @@ def brute_force_optimal_kph(s: ScoreMatrix, tau: float) -> tuple[Hierarchy, floa
     if not ids:
         return Hierarchy(summary_id=s.summary_id, clusters=(), parent={}), 0.0
     pos = {x: i for i, x in enumerate(ids)}
-    w = (s.restrict(ids).values - tau).tolist()
+    w = [[v - tau for v in row] for row in s.restrict(ids).values]
 
     best_obj = None
     best_struct = None  # (blocks, parent dict)

@@ -84,6 +84,11 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def threshold_graph(s, tau):
+    """Which scores exceed tau, row by row: a reduced forest's whole input besides ids."""
+    return tuple(v > tau for row in s.values for v in row)
+
+
 class TestExitCodes:
     def test_no_args_is_usage_error(self, capsys):
         assert run() == 1
@@ -404,7 +409,7 @@ class TestTune:
         real = kph.cli.build_hierarchy
 
         def counting(s, config, stats=None):
-            calls.append((s.summary_id, config.tau, np.packbits(s.values > config.tau).tobytes()))
+            calls.append((s.summary_id, config.tau, threshold_graph(s, config.tau)))
             return real(s, config, stats=stats)
 
         monkeypatch.setattr(kph.cli, "build_hierarchy", counting)
@@ -418,8 +423,7 @@ class TestTune:
         graphs = set()
         for sid in ("h1", "h2", "r1", "r2"):
             s = kio.load_external_scores(out / sid / "scores_bininc.jsonl")
-            graphs |= {(sid, np.packbits(s.values > tau).tobytes())
-                       for tau in DEFAULT_TAU_GRID}
+            graphs |= {(sid, threshold_graph(s, tau)) for tau in DEFAULT_TAU_GRID}
         assert len(calls) == len(graphs) < 4 * len(DEFAULT_TAU_GRID)
         assert {(sid, graph) for sid, _, graph in calls} == graphs
 

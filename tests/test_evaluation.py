@@ -514,7 +514,7 @@ def _memoised_reduced_forest():
     forests = {}
 
     def builder(s, tau):
-        key = (s.summary_id, np.packbits(s.values > tau).tobytes())
+        key = (s.summary_id, tuple(v > tau for row in s.values for v in row))
         if key not in forests:
             forests[key] = build_reduced_forest(s, tau)
         return forests[key]

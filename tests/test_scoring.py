@@ -30,6 +30,12 @@ ORACLES = {
 }
 
 
+def assert_read_only_floats(values):
+    """Score rows are tuples of Python floats, so no caller can change them."""
+    assert type(values) is tuple and all(type(row) is tuple for row in values)
+    assert all(type(v) is float for row in values for v in row)
+
+
 class TestMatchMatrix:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DataError):
@@ -228,8 +234,8 @@ class TestScoreMatrix:
         g = copy_of(m)
         assert (g.summary_id, g.kp_ids, g.scorer, g.params) == \
             (m.summary_id, m.kp_ids, m.scorer, m.params)
-        assert g.values is not m.values and np.array_equal(g.values, m.values)
-        assert not g.values.flags.writeable
+        assert g.values is not m.values and g.values == m.values
+        assert_read_only_floats(g.values)
         assert g.scores == m.scores
 
     def test_missing_pair_raises(self):
@@ -274,8 +280,8 @@ class TestScoreMatrix:
         m = ScoreMatrix(summary_id="s", kp_ids=("a", "b"), values=raw)
         raw[0, 1] = 0.9
         assert m.score("a", "b") == 0.3
-        with pytest.raises(ValueError):
-            m.values[0, 1] = 0.9
+        with pytest.raises(TypeError):
+            m.values[0][1] = 0.9
 
     @pytest.mark.parametrize("src,dst", [("a", "a"), ("a", "x"), ("x", "b")])
     def test_score_rejects_unknown_or_equal_ids(self, src, dst):
@@ -315,8 +321,8 @@ class TestComputeScoreMatrix:
                         values=np.array([[0.9, 0.6], [0.2, 0.8]]))
         sm = compute_score_matrix(m, "bininc")
         assert sm.kp_ids == ("a", "b")
-        assert sm.values.tolist() == [[0.0, 1.0], [0.5, 0.0]]
-        assert not sm.values.flags.writeable
+        assert sm.values == ((0.0, 1.0), (0.5, 0.0))
+        assert_read_only_floats(sm.values)
         assert sm.scorer == "bininc"
         assert sm.params.get("theta_match") == 0.5
         # support(a) = {0}, support(b) = {0, 1}: a's one feature is shared.
