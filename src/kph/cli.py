@@ -6,9 +6,9 @@ files. Each command computes its outputs; ``main`` writes them, then a run
 manifest (inputs, resolved options, outputs, all digested) next to them.
 A failed run leaves the files in the output directory as they were, or no
 manifest if it failed while committing, and removes the directories it
-created. A run whose output would replace one of its inputs exits 1
-before writing anything. Every float option is used as its manifest records it, at 6
-decimals: a finer value exits 1. Identical inputs and options, as
+created. A run whose output would replace one of its inputs exits 1 before
+writing anything. Every float option is used as its manifest records it,
+at 6 decimals: a finer value exits 1. Identical inputs and options, as
 flags or from a config file, reproduce every output byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data or an output
@@ -44,8 +44,8 @@ _Outputs = dict[str, tuple[Callable, object]]
 
 # The names the commands call from scoring, construction and evaluation, by
 # home module. main imports the running command's modules and binds their
-# names as module globals, so each command loads only the modules it runs
-# (and numpy only where they need it: see README "Command line"). A name already
+# names as module globals, so each command loads only the modules it runs,
+# and numpy only where they need it (README, "Command line"). A name already
 # set when main runs, such as a wrapper around the original, stays in place.
 # Each name is bound once, on first use, as if it were imported at the top:
 # one deleted after that stays deleted.
@@ -78,8 +78,8 @@ class _Manifest:
 
     Every input is parsed through ``load``, so the inputs are exactly the
     files the command read, keyed ``<summary dir>/<file>`` (``read`` holds
-    their resolved paths). Outputs are keyed
-    by their path inside the output directory. The config is every resolved
+    their resolved paths). Outputs are keyed by their path inside the output
+    directory. The config is every resolved
     option of the subcommand but ``--config``, ``--in-dir`` and ``--out-dir``.
     ``write`` stages an output at its sibling ``.<name>.tmp``; ``save`` commits
     the run (old manifest removed, staged files renamed over their outputs in

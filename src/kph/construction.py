@@ -127,8 +127,8 @@ def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     """
     ids = s.kp_ids
     rows = s.values
-    bits = [1 << j for j in range(len(ids))]
-    comps, reduced = _condense([sum(compress(bits, map(gt, row, repeat(tau)))) for row in rows])
+    masks = [1 << j for j in range(len(ids))]
+    comps, reduced = _condense([sum(compress(masks, map(gt, row, repeat(tau)))) for row in rows])
     clusters = [frozenset(ids[i] for i in comp) for comp in comps]
     members = [sorted(comp, key=ids.__getitem__) for comp in comps]
 
@@ -346,8 +346,8 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
     :func:`build_tncf`): rows of Python ints with a zero diagonal, so a sum
     over a cluster that still holds x adds nothing for x. Returns the gains
     and a function mapping a position in them to the (kind, a, d) that
-    :func:`_apply_move` takes. Nothing is materialised: every gain is read
-    off per-cluster sums, each an exact int.
+    :func:`_apply_move` takes. No candidate state is built: every gain is
+    read off per-cluster sums, each an exact int.
 
     - A key point x takes its pairs with co-members, with members of its
       ancestors (out) and with members of its descendants (in). Taking x
@@ -368,7 +368,7 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
         for x in mem:
             home[x] = k
     chains = ancestor_chains(parent, m)
-    down = sorted(range(m), key=lambda c: len(chains[c]))
+    down = sorted(range(m), key=lambda c: len(chains[c]))  # parents before children
     below = [{c} for c in range(m)]  # below[c]: c and its descendants
     for c, chain in enumerate(chains):
         for a in chain:
@@ -381,8 +381,8 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
     pair = list(zip(*_cluster_sums(list(zip(*frm)), members)))  # pair[k][l]: k -> l
     sub = _subtree_sums(pair, parent, down)  # sub[c][l]: c's subtree -> l
     into_sub = list(zip(*sub))  # into_sub[l][c] = sub[c][l]
-    sub_up = list(zip(*_up_sums(into_sub, parent, down)))  # sub_up[c][d]: c's subtree
-    # -> d and d's ancestors
+    # sub_up[c][d]: c's subtree -> d and d's ancestors
+    sub_up = list(zip(*_up_sums(into_sub, parent, down)))
 
     gains: list[int] = []
     runs: list[tuple] = []  # (position of its first gain, kind, a, targets d) per run of moves
@@ -409,7 +409,7 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
             runs.append((len(gains), _DETACH, c, (0,)))
             gains.append(-old)
         merge = list(map(add, su, into_sub[c]))
-        for a in chains[c]:  # c's ancestors already hold c's subtree
+        for a in chains[c]:  # an ancestor's subtree holds c's, whose pairs into c count already
             merge[a] -= sub[c][c]
         runs.append((len(gains), _MERGE, c, free))
         gains += [merge[d] - old for d in free]

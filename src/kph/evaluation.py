@@ -153,6 +153,14 @@ def _counts(sid: str, pred: Hierarchy, gold: Hierarchy) -> tuple[int, int, int]:
     return len(p & g), len(p), len(g)
 
 
+def _pooled(counts: Iterable[tuple[int, int, int]]) -> DomainMetrics:
+    """The metrics of summed per-summary counts."""
+    inter = npred = ngold = 0
+    for i, p, g in counts:
+        inter, npred, ngold = inter + i, npred + p, ngold + g
+    return _prf_counts(inter, npred, ngold)
+
+
 def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
                 gold: Hierarchy | Iterable[Hierarchy]) -> DomainMetrics:
     """Pooled precision/recall/F1 over the summaries' induced relations.
@@ -166,14 +174,6 @@ def relation_f1(predicted: Hierarchy | Iterable[Hierarchy],
     _check_same_summaries(pred_map, gold_map)
     # Pooled relations are tagged by summary, so the pooled counts are sums.
     return _pooled([_counts(sid, pred_map[sid], gold_map[sid]) for sid in sorted(pred_map)])
-
-
-def _pooled(counts: Iterable[tuple[int, int, int]]) -> DomainMetrics:
-    """The metrics of summed per-summary counts."""
-    inter = npred = ngold = 0
-    for i, p, g in counts:
-        inter, npred, ngold = inter + i, npred + p, ngold + g
-    return _prf_counts(inter, npred, ngold)
 
 
 def evaluate_hierarchies(predicted: Iterable[Hierarchy],

@@ -442,8 +442,9 @@ def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> list[list[fl
     scores = [float(m[3]) for m in matches]
     # every ordered pair of distinct key points exactly once: n * (n - 1) distinct
     # cells, none on the diagonal
-    if (max(scores, default=0.0) > 1.0 or len(set(cells)) != len(cells)
-            or not set(cells).isdisjoint(range(0, n * n, n + 1))):
+    distinct = set(cells)
+    if (max(scores, default=0.0) > 1.0 or len(distinct) != len(cells)
+            or not distinct.isdisjoint(range(0, n * n, n + 1))):
         return None
     flat = [0.0] * (n * n)
     for k, v in zip(cells, scores):

@@ -1168,6 +1168,30 @@ class TestFailedRunDirectories:
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["h1", "other"]
 
 
+class TestOutputOverInput:
+    """A run whose output would replace a file it read exits 1 and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ("combine", "--a", "scores_bininc.jsonl", "--b", "scores_weedsprec.jsonl",
+         "--name", "bininc"),
+        ("tune", "--scores", "scores_bininc.jsonl", "--algorithm", "greedy",
+         "--gold", "hierarchy_greedy.jsonl", "--grid", "0.5"),
+    ], ids=["combine", "tune"])
+    def test_refused_before_anything_is_written(self, dataset, tmp_path, capsys, argv):
+        scored = scored_copy(dataset, tmp_path)
+        assert run("score", "--in-dir", dataset, "--out-dir", scored, "--scorer", "weedsprec") == 0
+        for d in scored.iterdir():
+            if d.is_dir():
+                shutil.copy(d / kio.GOLD_FILE, d / "hierarchy_greedy.jsonl")
+        before = tree_bytes(scored)
+        capsys.readouterr()
+        assert run(argv[0], "--in-dir", scored, "--out-dir", scored, *argv[1:]) == 1
+        output = scored / "h1" / ("scores_bininc.jsonl" if argv[0] == "combine"
+                                  else "hierarchy_greedy.jsonl")
+        assert f"output {output} is also an input of this run" in capsys.readouterr().err
+        assert tree_bytes(scored) == before
+
+
 def test_ci_smoke_step_runs_every_command():
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
     loop = re.search(r"^\s*for cmd in (.*); do$", workflow.read_text(encoding="utf-8"), re.M)

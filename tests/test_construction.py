@@ -609,6 +609,44 @@ def quantised_matrix(rng: random.Random, n: int, step: float) -> ScoreMatrix:
                                           for a in ids for b in ids if a != b})
 
 
+class TestIntegerGainsAtPaperScale:
+    """tncf's integer gains and search at the paper's 20 to 44 key points per summary."""
+
+    def test_every_gain_is_its_moves_objective_change(self):
+        # Seeded random forests at n = 30 to 44: the objective in millionths
+        # after each move, re-summed by the oracle, is the current one plus
+        # the move's gain, exactly.
+        rng = random.Random(1009)
+        for n in (30, 33, 36, 39, 42, 44):
+            h = random_hierarchy(rng, n)
+            base = random_score_matrix(rng, n, quantize=True)
+            ids = tuple(sorted(base.kp_ids))
+            tau = rng.choice((0.3, 0.5, 0.7))
+            w = {pair: round(v * 1e6) - round(tau * 1e6) for pair, v in base.scores.items()}
+            wm = [[w[(a, b)] if a != b else 0 for b in ids] for a in ids]
+            row = {x: i for i, x in enumerate(ids)}
+            rows = [frozenset(row[x] for x in c) for c in h.clusters]
+            gains, move = _move_gains(rows, dict(h.parent), wm)
+            assert len(gains) > 40 * n
+            cur = tncf_state_objective(list(h.clusters), dict(h.parent), w)
+            for i, gain in enumerate(gains):
+                got, got_parent = _apply_move(rows, dict(h.parent), *move(i))
+                state = [frozenset(ids[x] for x in c) for c in got]
+                assert cur + gain == tncf_state_objective(state, got_parent, w), (n, i)
+
+    def test_builds_match_reference(self):
+        rng = random.Random(1010)
+        accepted = 0
+        for k, n in enumerate((20, 22, 24, 26, 28, 30)):
+            m = random_score_matrix(rng, n, quantize=True)
+            tau = (0.3, 0.5, 0.7)[k % 3]
+            TestTncfMatchesReference.check(m, tau)
+            stats = {}
+            build_tncf(m, tau, stats=stats)
+            accepted += stats["accepted"]
+        assert accepted > 6  # the searches move, not only confirm the reduced forest
+
+
 class TestTncfMatchesReference:
     """build_tncf against the full-recompute search it replaced."""
 

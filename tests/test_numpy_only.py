@@ -1,4 +1,7 @@
-"""kph runs on numpy alone, and `kph eval`, --help and --version without it.
+"""kph runs on numpy alone, and every command that reads no match matrix without it.
+
+`kph eval`, `combine`, `build`, `tune`, `weaklabel`, --help and --version
+load no numpy; `score`, `correlate`, `prcurve` and `validate` need it.
 
 A fake ``scipy`` (or ``numpy``) package that raises ImportError sits first
 on PYTHONPATH of each subprocess, so any import of it, however indirect,
@@ -6,14 +9,16 @@ fails.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kph import Hierarchy
+from kph import ALGORITHMS, Hierarchy, KeyPoint, KeyPointSet
 from kph import io as kio
+from helpers import random_hierarchy, random_score_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -57,6 +62,12 @@ def test_demo_runs_without_scipy(demo, scipy_blocked_env):
         assert ran == SUBCOMMANDS
 
 
+def unblocked(env) -> dict[str, str]:
+    """A blocked environment with the blocked package back in place."""
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)}
+
+
 def kph(env, *argv):
     return subprocess.run([sys.executable, "-m", "kph", *map(str, argv)], env=env, cwd=REPO,
                           capture_output=True, text=True, timeout=120)
@@ -80,12 +91,57 @@ def test_eval_runs_without_numpy_and_writes_the_same_bytes(tmp_path, numpy_block
         kio.write_hierarchy(data / sid / kio.GOLD_FILE, gold)
         kio.write_hierarchy(data / sid / "hierarchy_tncf.jsonl", pred)
     outputs = ("report_eval.json", "metrics.csv", "manifest_eval.json")
-    plain_env = {**numpy_blocked_env, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)}
     runs = {}
-    for label, env in (("blocked", numpy_blocked_env), ("plain", plain_env)):
+    for label, env in (("blocked", numpy_blocked_env), ("plain", unblocked(numpy_blocked_env))):
         done = kph(env, "eval", "--in-dir", data, "--out-dir", tmp_path / label,
                    "--pred", "hierarchy_tncf.jsonl")
         assert done.returncode == 0, done.stderr
         runs[label] = {name: (tmp_path / label / name).read_bytes() for name in outputs}
+    assert runs["blocked"] == runs["plain"]
+
+
+@pytest.fixture(scope="module")
+def score_corpus(tmp_path_factory):
+    """Two domains of three summaries: key points (some filtered), gold and two score files."""
+    root = tmp_path_factory.mktemp("scores")
+    rng = random.Random(33)
+    for k in range(6):
+        sid, domain, n = f"s{k}", ("hotels", "restaurants")[k % 2], rng.randrange(6, 11)
+        gold = random_hierarchy(rng, n, summary_id=sid, domain=domain)
+        ids = sorted(gold.kp_ids)
+        kps = KeyPointSet(summary_id=sid, domain=domain, key_points=tuple(
+            KeyPoint(id=x, text=f"{sid} point {x}", polarity="positive", match_count=n - i,
+                     filtered=i == n - 1) for i, x in enumerate(ids)))
+        kio.write_key_points(root / sid / kio.KEY_POINTS_FILE, kps)
+        kio.write_hierarchy(root / sid / kio.GOLD_FILE, gold)
+        for name in ("a", "b"):
+            kio.write_scores(root / sid / f"scores_{name}.jsonl",
+                             random_score_matrix(rng, n, summary_id=sid, quantize=True))
+    return root
+
+
+# Every command that reads scores but no match matrix, with each builder.
+SCORE_COMMANDS = {
+    "combine": ("combine", "--a", "scores_a.jsonl", "--b", "scores_b.jsonl", "--name", "mean"),
+    **{f"build {a}": ("build", "--scores", "scores_a.jsonl", "--algorithm", a, "--tau", "0.5")
+       for a in ALGORITHMS},
+    "tune reduced_forest": ("tune", "--scores", "scores_a.jsonl", "--algorithm",
+                            "reduced_forest"),
+    "tune tncf": ("tune", "--scores", "scores_a.jsonl", "--algorithm", "tncf",
+                  "--grid", "0:1:0.1"),
+    "weaklabel": ("weaklabel", "--scores", "scores_a.jsonl"),
+}
+
+
+@pytest.mark.parametrize("argv", SCORE_COMMANDS.values(), ids=SCORE_COMMANDS)
+def test_score_commands_run_without_numpy_and_write_the_same_bytes(tmp_path, numpy_blocked_env,
+                                                                   score_corpus, argv):
+    runs = {}
+    for label, env in (("blocked", numpy_blocked_env), ("plain", unblocked(numpy_blocked_env))):
+        out = tmp_path / f"out_{label}"
+        done = kph(env, argv[0], "--in-dir", score_corpus, "--out-dir", out, *argv[1:])
+        assert done.returncode == 0, done.stderr
+        runs[label] = {p.relative_to(out).as_posix(): p.read_bytes()
+                       for p in sorted(out.rglob("*")) if p.is_file()}
+    assert f"manifest_{argv[0]}.json" in runs["plain"]
     assert runs["blocked"] == runs["plain"]

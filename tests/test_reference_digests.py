@@ -7,7 +7,8 @@ module only reads. A change that moves output bytes on purpose refreshes
 that file (``python3 bench/run.py --write-reference``) and says which
 digests moved and why.
 
-``kph eval`` loads no numpy, so it also runs under every other local
+``kph eval``, ``combine``, ``build``, ``tune`` and ``weaklabel`` load no
+numpy, so each workload op of theirs also runs under every other local
 interpreter without numpy that pyenv lists, and must write the same bytes.
 """
 
@@ -98,18 +99,41 @@ def interpreters() -> list[Path]:
     return exes
 
 
-@pytest.mark.parametrize("algorithm", ["tncf", "greedy_gs"])
-def test_eval_bytes_match_under_numpy_free_interpreters(bench, replay, interpreters, tmp_path,
-                                                        algorithm):
-    _, workloads, _ = bench
-    pass_dir, _ = replay("build_paper")
-    argv = ["eval", "--in-dir", str(pass_dir / workloads.DATA),
-            "--pred", f"hierarchy_{algorithm}.jsonl"]
+def same_bytes_elsewhere(argv: list[str], interpreters: list[Path], tmp_path: Path) -> None:
+    """argv (without --out-dir) writes the same files under each interpreter as in process."""
     assert main([*argv, "--out-dir", str(tmp_path / "here")]) == 0
-    want = {p.name: p.read_bytes() for p in (tmp_path / "here").iterdir()}
+    want = tree_bytes(tmp_path / "here")
     env = {"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     for exe in interpreters:
         there = tmp_path / exe.parents[1].name
         subprocess.run([exe, "-m", "kph", *argv, "--out-dir", str(there)], check=True,
                        capture_output=True, env=env)
-        assert {p.name: p.read_bytes() for p in there.iterdir()} == want, exe
+        assert tree_bytes(there) == want, exe
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("algorithm", ["tncf", "greedy_gs"])
+def test_eval_bytes_match_under_numpy_free_interpreters(bench, replay, interpreters, tmp_path,
+                                                        algorithm):
+    _, workloads, _ = bench
+    pass_dir, _ = replay("build_paper")
+    same_bytes_elsewhere(["eval", "--in-dir", str(pass_dir / workloads.DATA),
+                          "--pred", f"hierarchy_{algorithm}.jsonl"], interpreters, tmp_path)
+
+
+@pytest.mark.parametrize("workload, label", [
+    ("build_paper", "combine"), ("build_paper", "build_tncf"), ("build_paper", "build_greedy_gs"),
+    ("tune_loo", "tune_reduced_forest"), ("tune_loo", "tune_tncf"),
+    ("score_stress", "weaklabel"),
+])
+def test_score_commands_match_under_numpy_free_interpreters(bench, replay, interpreters,
+                                                            tmp_path, workload, label):
+    _, workloads, _ = bench
+    pass_dir, _ = replay(workload)
+    op = next(op for op in workloads.WORKLOADS[workload].ops if op.label == label)
+    same_bytes_elsewhere([op.command, "--in-dir", str(pass_dir / workloads.DATA),
+                          *op.argv[1:]], interpreters, tmp_path)
