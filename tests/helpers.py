@@ -17,6 +17,12 @@ def pair_score(scorer: str, wi, wj, theta: float = 0.5) -> float:
     return compute_score_matrix(m, scorer, theta).score("i", "j")
 
 
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under root, by its relative posix path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def random_digraph(rng: random.Random, n: int = 8, p: float = 0.25) -> list[int]:
     """n successor bitsets (bit v of adj[u] for an edge u -> v), without self-loops."""
     adj = [0] * n

@@ -17,6 +17,7 @@ from kph import io as kio
 from kph.evaluation import DEFAULT_TAU_GRID
 import kph.cli
 from kph.cli import main
+from helpers import tree_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,11 +78,6 @@ def scored_copy(dataset, tmp_path):
         for name in (kio.KEY_POINTS_FILE, kio.GOLD_FILE):
             (out / sid / name).write_bytes((dataset / sid / name).read_bytes())
     return out
-
-
-def tree_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def threshold_graph(s, tau):

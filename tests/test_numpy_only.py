@@ -18,7 +18,7 @@ import pytest
 
 from kph import ALGORITHMS, Hierarchy, KeyPoint, KeyPointSet
 from kph import io as kio
-from helpers import random_hierarchy, random_score_matrix
+from helpers import random_hierarchy, random_score_matrix, tree_bytes
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -141,7 +141,6 @@ def test_score_commands_run_without_numpy_and_write_the_same_bytes(tmp_path, num
         out = tmp_path / f"out_{label}"
         done = kph(env, argv[0], "--in-dir", score_corpus, "--out-dir", out, *argv[1:])
         assert done.returncode == 0, done.stderr
-        runs[label] = {p.relative_to(out).as_posix(): p.read_bytes()
-                       for p in sorted(out.rglob("*")) if p.is_file()}
+        runs[label] = tree_bytes(out)
     assert f"manifest_{argv[0]}.json" in runs["plain"]
     assert runs["blocked"] == runs["plain"]

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from kph.cli import main
+from helpers import tree_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -109,11 +110,6 @@ def same_bytes_elsewhere(argv: list[str], interpreters: list[Path], tmp_path: Pa
         subprocess.run([exe, "-m", "kph", *argv, "--out-dir", str(there)], check=True,
                        capture_output=True, env=env)
         assert tree_bytes(there) == want, exe
-
-
-def tree_bytes(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("algorithm", ["tncf", "greedy_gs"])
