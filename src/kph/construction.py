@@ -454,8 +454,9 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     clusters = [frozenset(row[x] for x in c) for c in init.clusters]
     parent: dict[int, int] = dict(init.parent)
     t = round(tau * 1e6)
-    wm = [[round(v * 1e6) - t if j != i else 0 for j, v in enumerate(r)]
-          for i, r in enumerate(s.values)]
+    wm = [[round(v * 1e6) - t for v in r] for r in s.values]
+    for i, r in enumerate(wm):
+        r[i] = 0
     counts = {"passes": 0, "candidates": 0, "accepted": 0, "converged": False}
     for _ in range(max_passes):
         counts["passes"] += 1

@@ -256,8 +256,14 @@ class ScoreMatrix:
                     yield self.kp_ids[i], self.kp_ids[j], row[j]
 
     def restrict(self, kp_ids: Sequence[str]) -> "ScoreMatrix":
-        """Submatrix over the given key points (order preserved, deduped)."""
+        """Submatrix over the given key points (order preserved, deduped).
+
+        All of the key points in their own order give the matrix itself,
+        which nothing can change.
+        """
         keep = list(dict.fromkeys(kp_ids))
+        if tuple(keep) == self.kp_ids:
+            return self
         unknown = [x for x in keep if x not in self._index]
         if unknown:
             raise DataError(f"scores {self.summary_id!r}: unknown key points {unknown}")
