@@ -5,7 +5,6 @@ import functools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from kph import (
