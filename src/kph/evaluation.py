@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 from .core import DEFAULT_MIN_RECALL, Hierarchy, derive_relations
 from .errors import DataError
 
-# numpy, and scoring with it, load only where they run, so that relation F1
-# (kph eval) loads neither.
+# numpy loads only in the functions that need it (ranks, the AUC) and scoring
+# only for type checks, so relation F1 (kph eval) and leave-one-out tuning
+# (kph tune) load no numpy.
 if TYPE_CHECKING:
     import numpy as np
 
