@@ -33,9 +33,9 @@ from typing import Callable, Sequence, TypeVar
 
 from . import __version__
 from . import io as kio
-from .core import (ALGORITHMS, DEFAULT_MAX_PASSES, DEFAULT_MIN_RECALL, DEFAULT_NEG_RATIO,
-                   DEFAULT_THETA_MATCH, DEFAULT_WEAK_LABEL_SEED, DEFAULT_WEAK_LABEL_THRESHOLD,
-                   SCORER_NAMES, Hierarchy)
+from .core import (ALGORITHMS, DEFAULT_MIN_RECALL, DEFAULT_NEG_RATIO, DEFAULT_THETA_MATCH,
+                   DEFAULT_WEAK_LABEL_SEED, DEFAULT_WEAK_LABEL_THRESHOLD, SCORER_NAMES,
+                   Hierarchy)
 from .errors import DataError, KphError
 
 T = TypeVar("T")
@@ -48,7 +48,8 @@ _Outputs = dict[str, tuple[Callable, object]]
 # and numpy only where they need it (README, "Command line"). A name already
 # set when main runs, such as a wrapper around the original, stays in place.
 # Each name is bound once, on first use, as if it were imported at the top:
-# one deleted after that stays deleted.
+# one deleted after that stays deleted (the benchmark's tests delete one to
+# see its metrics reported absent).
 _DEFERRED = {
     "scoring": ("combine_average", "compute_score_matrix", "export_weak_labels"),
     "construction": ("ConstructionConfig", "build_hierarchy"),
@@ -62,6 +63,8 @@ _USES = {"score": ("scoring",), "combine": ("scoring",), "weaklabel": ("scoring"
          "eval": ("evaluation",), "prcurve": ("evaluation",), "correlate": ("evaluation",),
          "validate": ()}
 _bound: set[str] = set()  # the names __getattr__ has bound
+# The options that name a file inside each summary directory, or a score name.
+_FILE_NAMES = ("scores", "a", "b", "pred", "gold", "name")
 
 
 def __getattr__(name: str):
@@ -182,8 +185,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(cmd_name, parents=[common], help=help_text)
         p.add_argument("--scores", help="score file name inside each summary directory")
         p.add_argument("--algorithm", choices=ALGORITHMS)
-        p.add_argument("--max-passes", type=int, default=DEFAULT_MAX_PASSES,
-                       help="tncf local search passes at most (default %(default)s)")
         if cmd_name == "build":
             p.add_argument("--tau", type=float, help="score threshold for a relation")
         else:
@@ -265,16 +266,11 @@ def _read_config(path: str, parser: _Parser, command: str) -> dict[str, object]:
     return values
 
 
-def _finer_than_recorded(v: float) -> bool:
-    """True when finite v does not survive its 6-decimal record (io.fmt6)."""
-    return math.isfinite(v) and float(kio.fmt6(v)) != v
-
-
 def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
     """Each option from its flag, else the config, else its default.
 
-    An unset or empty option, a NUL byte or a float finer than its 6-decimal
-    record exits 1.
+    An unset or empty option, a NUL byte, a path where a file name belongs
+    or a float finer than its 6-decimal record exits 1.
     """
     args = parser.parse_args(argv)
     if args.command is None:
@@ -291,7 +287,9 @@ def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
             parser.error(f"{action.option_strings[0]} must not hold a NUL byte")
         if value is None and dest != "config":
             parser.error(f"{action.option_strings[0]} is required")
-        if isinstance(value, float) and _finer_than_recorded(value):
+        if dest in _FILE_NAMES and any(sep in value for sep in ("/", os.sep, os.altsep) if sep):
+            parser.error(f"{action.option_strings[0]} must be a file name, not a path: {value!r}")
+        if isinstance(value, float) and kio.finer_than_fmt6(value):
             parser.error(f"{action.option_strings[0]} must have at most 6 decimals, the 1e-06 "
                          f"resolution it is recorded at, got {value!r}")
     return args
@@ -320,7 +318,7 @@ def _parse_grid(text: str, parser: _Parser) -> tuple[float, ...]:
         parser.error(f"--grid holds no tau, got {text!r}")
     if any(not 0.0 <= v <= 1.0 for v in values):
         parser.error(f"--grid values must lie in [0, 1], got {text!r}")
-    finer = next((v for v in values if _finer_than_recorded(v)), None)
+    finer = next((v for v in values if kio.finer_than_fmt6(v)), None)
     if finer is not None:
         parser.error(f"--grid values must have at most 6 decimals, the 1e-06 resolution they "
                      f"are recorded at, got {finer!r} from {text!r}")
@@ -353,8 +351,6 @@ def cmd_score(args, parser: _Parser, run: _Manifest) -> _Outputs:
 
 
 def cmd_combine(args, parser: _Parser, run: _Manifest) -> _Outputs:
-    if any(sep in args.name for sep in ("/", os.sep, os.altsep) if sep):
-        parser.error(f"--name must be a file name, not a path: {args.name!r}")
     return {f"{d.name}/scores_{args.name}.jsonl":
             (kio.write_scores, combine_average(files[args.a], files[args.b]))
             for _, d, files in kio.load_summaries(
@@ -363,9 +359,7 @@ def cmd_combine(args, parser: _Parser, run: _Manifest) -> _Outputs:
 
 
 def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
-    scores_name, algorithm, max_passes = args.scores, args.algorithm, args.max_passes
-    if max_passes < 1:
-        parser.error(f"--max-passes must be >= 1, got {max_passes}")
+    scores_name, algorithm = args.scores, args.algorithm
     tuning = args.command == "tune"
     if tuning:
         grid = _parse_grid(args.grid, parser)
@@ -385,7 +379,6 @@ def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
             golds[sid] = files[args.gold]
             domain_by_sid[sid] = golds[sid].domain
 
-    unconverged: dict[str, set[float]] = {}  # summary -> taus whose tncf hit max_passes
     # reduced_forest sees tau only through the threshold graph (each score > tau),
     # which changes only where tau passes one of the summary's scores: one build
     # serves every tau with as many of those scores at or below it.
@@ -393,7 +386,7 @@ def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
     levels: dict[str, list[float]] = {}  # summary -> its distinct scores, ascending
 
     def builder(s, tau: float) -> Hierarchy:
-        config = ConstructionConfig(tau=tau, algorithm=algorithm, max_passes=max_passes)
+        config = ConstructionConfig(tau=tau, algorithm=algorithm)
         if algorithm == "reduced_forest":
             if s.summary_id not in levels:
                 levels[s.summary_id] = sorted(set(itertools.chain.from_iterable(s.values)))
@@ -401,11 +394,7 @@ def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
             if key not in forests:
                 forests[key] = build_hierarchy(s, config)
             return forests[key]
-        stats: dict = {}
-        h = build_hierarchy(s, config, stats=stats)
-        if stats.get("converged") is False:
-            unconverged.setdefault(s.summary_id, set()).add(tau)
-        return h
+        return build_hierarchy(s, config)
 
     if tuning:
         taus, report, built = loo_threshold_tuning(scores_by_sid, golds, builder, grid)
@@ -413,10 +402,6 @@ def cmd_build(args, parser: _Parser, run: _Manifest) -> _Outputs:
     else:
         built = {sid: builder(scores_by_sid[sid], args.tau) for sid in sorted(scores_by_sid)}
 
-    for sid, stopped in sorted(unconverged.items()):
-        print(f"kph: warning: summary {sid!r}: tncf stopped at max_passes={max_passes} "
-              f"before converging (tau {', '.join(f'{t:g}' for t in sorted(stopped))})",
-              file=sys.stderr)
     outputs = {f"{dir_by_sid[sid].name}/hierarchy_{algorithm}.jsonl":
                (kio.write_hierarchy, dataclasses.replace(h, domain=domain_by_sid[sid]))
                for sid, h in sorted(built.items())}

@@ -7,10 +7,11 @@ the sum of s(x, y) - tau over every relation the hierarchy induces:
   contract its strongly connected (mutually entailing) components, take
   the transitive reduction, then heuristically keep one parent per cluster.
 - tncf: local search that starts from the reduced forest and re-attaches
-  one node or one whole cluster at a time while the objective improves.
-  Its objective counts millionths, the resolution scores and tau are
-  written at, so every sum it forms is a Python int and each move's
-  gain, read off per-cluster sums, is that move's exact objective change.
+  one node or one whole cluster at a time until no move improves the
+  objective. Its objective counts millionths, the resolution scores and
+  tau are written at, so every sum it forms is a Python int and each
+  move's gain, read off per-cluster sums, is that move's exact objective
+  change; as each applied move adds at least 1, the search ends.
 - greedy and greedy_gs: one loop. Agglomerative clustering, then, while a
   cluster edge whose mean link exceeds tau still fits the forest, add the
   most valuable one. greedy values an edge by its own link, greedy_gs by
@@ -30,7 +31,8 @@ from itertools import compress, repeat
 from operator import add, gt
 from typing import Callable, Mapping, Sequence
 
-from .core import ALGORITHMS, DEFAULT_MAX_PASSES, Hierarchy, ancestor_chains, canonical_hierarchy
+from . import io as kio
+from .core import ALGORITHMS, Hierarchy, ancestor_chains, canonical_hierarchy
 from .scoring import ScoreMatrix
 
 
@@ -38,7 +40,7 @@ def _check_tau(tau: float) -> None:
     """Refuse a tau outside [0, 1] or finer than the 6 decimals it is written at."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if float(f"{tau:.6f}") != tau:
+    if kio.finer_than_fmt6(tau):
         raise ValueError(f"tau must have at most 6 decimals, the resolution it is written at, "
                          f"got {tau!r}")
 
@@ -49,14 +51,11 @@ class ConstructionConfig:
 
     tau: float
     algorithm: str = "tncf"
-    max_passes: int = DEFAULT_MAX_PASSES
 
     def __post_init__(self):
         _check_tau(self.tau)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
 def objective_value(h: Hierarchy, s: ScoreMatrix, tau: float) -> float:
@@ -424,16 +423,15 @@ def _move_gains(clusters: Sequence[frozenset[int]], parent: Mapping[int, int],
     return gains, move
 
 
-def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
-               stats: dict | None = None) -> Hierarchy:
+def build_tncf(s: ScoreMatrix, tau: float, stats: dict | None = None) -> Hierarchy:
     """Local search over node and cluster re-attachments.
 
     Starts from the reduced forest. Each pass considers every legal move
     (insert a node into a cluster, re-attach a node or a whole cluster
     under any cluster or as a root, merge a cluster into another; removing
     a singleton hands its children to their grandparent) and applies the
-    first move of highest gain if that gain is positive. Stops at a pass
-    with no improvement or after max_passes.
+    first move of highest gain if that gain is positive. Stops at the
+    first pass with no positive gain.
 
     The objective counts millionths: the sum of round(s * 1e6) - tau * 1e6
     over the induced relations. Scores and tau are written at 6 decimals,
@@ -442,10 +440,11 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     (round half to even). Every sum is then a Python int, so each gain
     from :func:`_move_gains` is its move's exact objective change, in any
     summation order, and a move that rebuilds the current forest gains 0.
+    So each applied move raises an integer objective by at least 1, no
+    state recurs, and over the finitely many forests the search ends.
 
     If ``stats`` is given, it receives ``passes``, ``candidates`` (moves
-    scored), ``accepted`` (moves applied) and ``converged`` (False when the
-    search stopped at max_passes with a move still improving).
+    scored) and ``accepted`` (moves applied).
     """
     _check_tau(tau)
     s = s.restrict(sorted(s.kp_ids))
@@ -457,14 +456,13 @@ def build_tncf(s: ScoreMatrix, tau: float, max_passes: int = DEFAULT_MAX_PASSES,
     wm = [[round(v * 1e6) - t for v in r] for r in s.values]
     for i, r in enumerate(wm):
         r[i] = 0
-    counts = {"passes": 0, "candidates": 0, "accepted": 0, "converged": False}
-    for _ in range(max_passes):
+    counts = {"passes": 0, "candidates": 0, "accepted": 0}
+    while True:
         counts["passes"] += 1
         gains, move = _move_gains(clusters, parent, wm)
         counts["candidates"] += len(gains)
         best = max(gains, default=0)
         if best <= 0:
-            counts["converged"] = True
             break
         clusters, parent = _apply_move(clusters, parent, *move(gains.index(best)))
         counts["accepted"] += 1
@@ -479,7 +477,7 @@ def build_hierarchy(s: ScoreMatrix, config: ConstructionConfig,
     if config.algorithm == "reduced_forest":
         return build_reduced_forest(s, config.tau)
     if config.algorithm == "tncf":
-        return build_tncf(s, config.tau, config.max_passes, stats)
+        return build_tncf(s, config.tau, stats)
     if config.algorithm == "greedy":
         return build_greedy(s, config.tau)
     if config.algorithm == "greedy_gs":

@@ -34,7 +34,6 @@ DEFAULT_THETA_MATCH = 0.5
 DEFAULT_WEAK_LABEL_THRESHOLD = 0.5
 DEFAULT_NEG_RATIO = 5.0
 DEFAULT_WEAK_LABEL_SEED = 0
-DEFAULT_MAX_PASSES = 100
 DEFAULT_MIN_RECALL = 0.1
 
 #: Ordered (specific, general) key point id pairs induced by a hierarchy.

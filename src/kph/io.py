@@ -13,6 +13,7 @@ import glob
 import hashlib
 import io as _io
 import json
+import math
 import os
 import re
 import sys
@@ -43,6 +44,11 @@ def fmt6(v: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return f"{v:.6f}"
+
+
+def finer_than_fmt6(v: float) -> bool:
+    """True when finite v does not survive its 6-decimal record (fmt6)."""
+    return math.isfinite(v) and float(fmt6(v)) != v
 
 
 def dumps6(obj, indent: int | None = None, sort_keys: bool = False) -> str:

@@ -544,14 +544,14 @@ def _candidate_states(clusters: Sequence[frozenset[str]],
         yield from _cluster_move_states(clusters, parent, c)
 
 
-def tncf_reference(s: ScoreMatrix, tau: float, max_passes: int = 100) -> Hierarchy:
-    """TNCF that scores every candidate by a full objective recompute."""
+def tncf_reference(s: ScoreMatrix, tau: float) -> Hierarchy:
+    """TNCF that scores every candidate by a full objective recompute, until none improves."""
     init = build_reduced_forest(s, tau)
     clusters: list[frozenset[str]] = list(init.clusters)
     parent: dict[int, int] = dict(init.parent)
     w = {pair: v - tau for pair, v in s.scores.items()}
     cur = _state_objective(clusters, parent, w)
-    for _ in range(max_passes):
+    while True:
         best_obj = cur
         best_state = None
         for cand_clusters, cand_parent in _candidate_states(clusters, parent):

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, outputs, determinism."""
 
 import csv
+import itertools
 import json
 import os
 import re
@@ -509,50 +510,6 @@ class TestGrid:
         assert "bad --grid '0:1:nan'" in capsys.readouterr().err
 
 
-class TestTncfConvergenceWarning:
-    # The scores of test_construction's test_escapes_bad_parent_choice at
-    # tau 0.5 and 0.6: the first pass moves d from under b to under cc, and
-    # only a second pass shows that nothing improves further.
-    IDS = ("a", "b", "cc", "d", "e")
-    PAIRS = {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78, ("d", "a"): 0.1}
-
-    @pytest.fixture
-    def scored(self, tmp_path):
-        root = tmp_path / "data"
-        for sid in ("s1", "s2"):
-            (root / sid).mkdir(parents=True)
-            scores = {(a, b): self.PAIRS.get((a, b), 0.05)
-                      for a in self.IDS for b in self.IDS if a != b}
-            kio.write_scores(root / sid / "scores_x.jsonl",
-                             ScoreMatrix.from_pairs(summary_id=sid, kp_ids=self.IDS, scores=scores))
-            kio.write_hierarchy(root / sid / kio.GOLD_FILE, Hierarchy(
-                summary_id=sid, domain="hotels",
-                clusters=tuple(frozenset({k}) for k in self.IDS), parent={3: 2, 1: 0}))
-        return root
-
-    @staticmethod
-    def warnings(capsys) -> list[str]:
-        return [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-
-    @pytest.mark.parametrize("command,flags", [
-        ("build", ("--tau", "0.5")),
-        ("tune", ("--grid", "0.5,0.6")),
-    ])
-    def test_one_line_per_unconverged_summary(self, scored, tmp_path, capsys, command, flags):
-        base = (command, "--in-dir", scored, "--scores", "scores_x.jsonl",
-                "--algorithm", "tncf", *flags)
-        assert run(*base, "--out-dir", tmp_path / "one", "--max-passes", "1") == 0
-        lines = self.warnings(capsys)
-        assert len(lines) == 2
-        for sid, line in zip(("s1", "s2"), lines):
-            assert f"'{sid}'" in line and "max_passes=1" in line
-        assert (tmp_path / "one" / "s1" / "hierarchy_tncf.jsonl").exists()
-        assert run(*base, "--out-dir", tmp_path / "two", "--max-passes", "2") == 0
-        assert self.warnings(capsys) == []
-        assert run(*base, "--out-dir", tmp_path / "all") == 0
-        assert self.warnings(capsys) == []
-
-
 class TestPrCurveCommand:
     def test_prcurve_outputs(self, dataset, tmp_path):
         out = tmp_path / "scored"
@@ -776,13 +733,15 @@ class TestConfigFile:
         ("score", {"scorer": "nope"}, ()),
         ("build", {"algorithm": "nope", "tau": 0.5}, ("--scores", "scores_bininc.jsonl")),
         ("build", {"tau": "0.5"}, BUILD),
-        ("build", {"max_passes": "2"}, BUILD + ("--tau", "0.5")),
-        ("build", {"max_passes": 2.5}, BUILD + ("--tau", "0.5")),
+        ("build", {"tau": True}, BUILD),
+        ("build", {"tau": None}, BUILD),
         ("tune", {"grid": 5}, BUILD),
         ("score", {"in_dir": 3}, ("--scorer", "bininc")),
         ("score", {"theta_match": "x"}, ("--scorer", "bininc")),
         ("weaklabel", {"seed": "7"}, ("--scores", "scores_bininc.jsonl")),
-        ("build", {"max_passes": True}, BUILD + ("--tau", "0.5")),
+        ("build", {"algorithm": ["tncf"]}, ("--scores", "scores_bininc.jsonl", "--tau", "0.5")),
+        ("weaklabel", {"seed": 2.5}, ("--scores", "scores_bininc.jsonl")),
+        ("weaklabel", {"seed": True}, ("--scores", "scores_bininc.jsonl")),
     ])
     def test_ill_typed_value_is_usage_error(self, dataset, tmp_path, capsys,
                                             command, cfg, flags):
@@ -799,12 +758,11 @@ class TestConfigFile:
     def test_typed_values_apply(self, dataset, tmp_path):
         out = scored_copy(dataset, tmp_path)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scores": "scores_bininc.jsonl", "algorithm": "tncf",
-                                    "tau": 1, "max_passes": 2}))
-        assert run("build", "--in-dir", out, "--out-dir", tmp_path / "b",
+        path.write_text(json.dumps({"scores": "scores_bininc.jsonl", "seed": 2}))
+        assert run("weaklabel", "--in-dir", out, "--out-dir", tmp_path / "w",
                    "--config", path) == 0
-        manifest = json.loads((tmp_path / "b" / "manifest_build.json").read_text())
-        assert manifest["config"]["max_passes"] == 2
+        manifest = json.loads((tmp_path / "w" / "manifest_weaklabel.json").read_text())
+        assert manifest["config"]["seed"] == 2
 
     @pytest.mark.parametrize("command,flags,cfg,flag", [
         ("weaklabel", ("--scores", "scores_bininc.jsonl"), {"ratio": 5}, ("--ratio", "5")),
@@ -868,6 +826,42 @@ def test_empty_string_is_usage_error(tmp_path, monkeypatch, capsys, command, opt
                 else f"config key {option.dest!r}: invalid value 'a\\x00b'") in err
         assert not (tmp_path / "o").exists()
         assert not any(cwd.iterdir())
+
+
+# Each command's other options, set so that only the option under test is wrong.
+VALID = {
+    "combine": {"--a": "scores_bininc.jsonl", "--b": "scores_bininc.jsonl"},
+    "build": {"--scores": "scores_bininc.jsonl", "--algorithm": "tncf", "--tau": "0.5"},
+    "tune": {"--scores": "scores_bininc.jsonl", "--algorithm": "tncf"},
+    "eval": {"--pred": "hierarchy_tncf.jsonl"},
+    "prcurve": {"--scores": "scores_bininc.jsonl"},
+    "weaklabel": {"--scores": "scores_bininc.jsonl"},
+    "correlate": {"--a": "scores_bininc.jsonl", "--b": "scores_bininc.jsonl"},
+}
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command,option", [
+    ("combine", "--a"), ("combine", "--b"), ("combine", "--name"), ("build", "--scores"),
+    ("tune", "--scores"), ("tune", "--gold"), ("eval", "--pred"), ("eval", "--gold"),
+    ("prcurve", "--scores"), ("prcurve", "--gold"), ("weaklabel", "--scores"),
+    ("correlate", "--a"), ("correlate", "--b"),
+])
+def test_path_in_a_file_name_option_is_usage_error(dataset, tmp_path, capsys, command, option,
+                                                    how):
+    # Read inside each summary directory, this would be another summary's file.
+    value = "../h2/gold.jsonl"
+    flags = {"--in-dir": dataset, "--out-dir": tmp_path / "o", **VALID[command]}
+    flags.pop(option, None)
+    if how == "flag":
+        flags[option] = value
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({option[2:]: value}))
+        flags["--config"] = tmp_path / "cfg.json"
+    capsys.readouterr()
+    assert run(command, *itertools.chain.from_iterable(flags.items())) == 1
+    assert f"{option} must be a file name, not a path: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", list(kph.cli._build_parser().commands))

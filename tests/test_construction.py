@@ -569,24 +569,14 @@ class TestTncf:
             got = objective_value(build_tncf(m, tau), m, tau)
             assert got >= init - 1e-9
 
-    def test_respects_max_passes(self):
-        rng = random.Random(38)
-        m = random_score_matrix(rng, 7)
-        h1 = build_tncf(m, 0.3, max_passes=1)
-        full = build_tncf(m, 0.3)
-        assert objective_value(full, m, 0.3) >= objective_value(h1, m, 0.3) - 1e-12
-
     def test_stats_report_convergence(self):
         # The fixture of test_escapes_bad_parent_choice: one improving
         # move, so the second pass is the one that proves convergence.
         m = sm(["a", "b", "cc", "d", "e"],
                {("d", "b"): 0.8, ("b", "a"): 0.8, ("d", "cc"): 0.78, ("d", "a"): 0.1})
         stats = {}
-        build_tncf(m, 0.5, max_passes=1, stats=stats)
-        assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 1, False)
-        stats = {}
         build_hierarchy(m, ConstructionConfig(tau=0.5, algorithm="tncf"), stats=stats)
-        assert (stats["passes"], stats["accepted"], stats["converged"]) == (2, 1, True)
+        assert (stats["passes"], stats["accepted"]) == (2, 1)
         assert stats["candidates"] > stats["accepted"]
 
     def test_planted_optimum_converges_in_one_pass(self):
@@ -598,7 +588,7 @@ class TestTncf:
         m = forest_matrix(rng, planted)
         stats = {}
         assert same_structure(build_tncf(m, 0.5, stats=stats), planted)
-        assert (stats["passes"], stats["accepted"], stats["converged"]) == (1, 0, True)
+        assert (stats["passes"], stats["accepted"]) == (1, 0)
 
 
 def quantised_matrix(rng: random.Random, n: int, step: float) -> ScoreMatrix:
@@ -651,9 +641,9 @@ class TestTncfMatchesReference:
     """build_tncf against the full-recompute search it replaced."""
 
     @staticmethod
-    def check(m: ScoreMatrix, tau: float, max_passes: int = 100):
-        got = build_tncf(m, tau, max_passes)
-        want = tncf_reference(m, tau, max_passes)
+    def check(m: ScoreMatrix, tau: float):
+        got = build_tncf(m, tau)
+        want = tncf_reference(m, tau)
         assert (got.clusters, got.parent) == (want.clusters, want.parent)
 
     def test_every_move_matches_reference_candidate(self):
@@ -709,12 +699,6 @@ class TestTncfMatchesReference:
         for k in range(100):
             m = quantised_matrix(rng, rng.randrange(8, 21), (0.1, 0.05)[k % 2])
             self.check(m, (0.3, 0.5, 0.7)[k % 3])
-
-    def test_max_passes(self):
-        rng = random.Random(1006)
-        for k in range(60):
-            m = random_score_matrix(rng, rng.randrange(6, 13))
-            self.check(m, (0.3, 0.5)[k % 2], max_passes=1 + k % 3)
 
     def test_one_millionth_gain_decides(self):
         # The fixture of test_escapes_bad_parent_choice with s(d, a) =

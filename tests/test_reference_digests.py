@@ -5,7 +5,9 @@ sequence replayed in process through ``kph.cli.main``. Every output's
 digest must equal the one in ``bench/reference_digests.json``, which this
 module only reads. A change that moves output bytes on purpose refreshes
 that file (``python3 bench/run.py --write-reference``) and says which
-digests moved and why.
+digests moved and why. Replayed twice in one process on seed 1, each
+workload writes the same files, manifests included: no run leaves state
+behind that changes the next one's bytes.
 
 ``kph eval``, ``combine``, ``build``, ``tune`` and ``weaklabel`` load no
 numpy, so each workload op of theirs also runs under every other local
@@ -40,31 +42,38 @@ def bench():
         yield generator, workloads, harness
 
 
+def run_workload(bench, name: str, seed: int, root: Path) -> tuple[Path, dict[str, str]]:
+    """Set up a workload's corpus under root and replay its sequence in process.
+
+    Returns the pass directory and {output label: sha256}.
+    """
+    generator, workloads, harness = bench
+    w = workloads.WORKLOADS[name]
+    corpus = root / "corpus"
+    sids = [p.summary_id for p in generator.write_corpus(corpus, w.spec, seed)]
+    for argv in w.prescore:
+        assert main([argv[0], "--in-dir", str(corpus), "--out-dir", str(corpus),
+                     *argv[1:]]) == 0, argv
+    pass_dir = root / "pass"
+    harness.fresh_pass_dir(corpus, pass_dir)
+    digests = {}
+    for op in w.ops:
+        (pass_dir / op.out).mkdir(parents=True, exist_ok=True)
+        assert main(harness.op_argv(op, pass_dir)) == 0, op.label
+        r = harness.OpResult(op)
+        harness.collect_outputs(r, pass_dir, sids)
+        assert not r.errors, r.errors
+        digests.update(r.digests)
+    return pass_dir, digests
+
+
 @pytest.fixture(scope="module")
 def replay(bench, tmp_path_factory):
     """replay(workload) -> (pass directory, {output label: sha256}) of its seed-0 run, run once."""
-    generator, workloads, harness = bench
 
     @functools.cache
     def replay(name: str) -> tuple[Path, dict[str, str]]:
-        w = workloads.WORKLOADS[name]
-        root = tmp_path_factory.mktemp(name)
-        corpus = root / "corpus"
-        sids = [p.summary_id for p in generator.write_corpus(corpus, w.spec, 0)]
-        for argv in w.prescore:
-            assert main([argv[0], "--in-dir", str(corpus), "--out-dir", str(corpus),
-                         *argv[1:]]) == 0, argv
-        pass_dir = root / "pass"
-        harness.fresh_pass_dir(corpus, pass_dir)
-        digests = {}
-        for op in w.ops:
-            (pass_dir / op.out).mkdir(parents=True, exist_ok=True)
-            assert main(harness.op_argv(op, pass_dir)) == 0, op.label
-            r = harness.OpResult(op)
-            harness.collect_outputs(r, pass_dir, sids)
-            assert not r.errors, r.errors
-            digests.update(r.digests)
-        return pass_dir, digests
+        return run_workload(bench, name, 0, tmp_path_factory.mktemp(name))
 
     return replay
 
@@ -81,6 +90,15 @@ def test_outputs_match_reference_digests(replay, workload):
     want = REFERENCE[workload]
     moved = sorted(k for k in want.keys() | got.keys() if got.get(k) != want.get(k))
     assert not moved, f"{len(moved)} of {len(want)} outputs moved: {moved[:10]}"
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE))
+def test_seed_1_replayed_twice_in_one_process_writes_the_same_trees(bench, tmp_path, workload):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for root in (first, second):
+        run_workload(bench, workload, 1, root)
+    assert any(first.rglob("manifest_*.json"))
+    assert tree_bytes(second) == tree_bytes(first)
 
 
 @pytest.fixture(scope="module")
