@@ -842,11 +842,10 @@ VALID = {
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 @pytest.mark.parametrize("command,option", [
-    ("combine", "--a"), ("combine", "--b"), ("combine", "--name"), ("build", "--scores"),
-    ("tune", "--scores"), ("tune", "--gold"), ("eval", "--pred"), ("eval", "--gold"),
-    ("prcurve", "--scores"), ("prcurve", "--gold"), ("weaklabel", "--scores"),
-    ("correlate", "--a"), ("correlate", "--b"),
-])
+    ("combine", "--a"), ("combine", "--b"), ("build", "--scores"), ("tune", "--scores"),
+    ("tune", "--gold"), ("eval", "--pred"), ("eval", "--gold"), ("prcurve", "--scores"),
+    ("prcurve", "--gold"), ("weaklabel", "--scores"), ("correlate", "--a"), ("correlate", "--b"),
+])  # combine --name: TestCombine.test_name_holding_a_path_is_usage_error
 def test_path_in_a_file_name_option_is_usage_error(dataset, tmp_path, capsys, command, option,
                                                     how):
     # Read inside each summary directory, this would be another summary's file.
