@@ -287,7 +287,8 @@ def _parse(parser: _Parser, argv: Sequence[str] | None) -> argparse.Namespace:
             parser.error(f"{action.option_strings[0]} must not hold a NUL byte")
         if value is None and dest != "config":
             parser.error(f"{action.option_strings[0]} is required")
-        if dest in _FILE_NAMES and any(sep in value for sep in ("/", os.sep, os.altsep) if sep):
+        if dest in _FILE_NAMES and (value in (".", "..") or any(
+                sep in value for sep in ("/", os.sep, os.altsep) if sep)):
             parser.error(f"{action.option_strings[0]} must be a file name, not a path: {value!r}")
         if isinstance(value, float) and kio.finer_than_fmt6(value):
             parser.error(f"{action.option_strings[0]} must have at most 6 decimals, the 1e-06 "

@@ -115,6 +115,24 @@ def _condense(adj: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return comps, reduced
 
 
+def _forest_rows(s: ScoreMatrix, tau: float) -> tuple[list[list[int]], dict[int, int]]:
+    """:func:`build_reduced_forest` over the rows of s: clusters as row lists,
+    members in id order, ordered by smallest row, and their parent map."""
+    ids = s.kp_ids
+    rows = s.values
+    masks = [1 << j for j in range(len(ids))]
+    comps, reduced = _condense([sum(compress(masks, map(gt, row, repeat(tau)))) for row in rows])
+    members = [sorted(comp, key=ids.__getitem__) for comp in comps]
+    parent: dict[int, int] = {}
+    for c, mem in enumerate(members):
+        cands = _bits(reduced[c])
+        if cands:
+            parent[c] = min(cands, key=lambda p: (-len(members[p]),
+                                                 -_mean_link(rows, mem, members[p]),
+                                                 [ids[x] for x in members[p]]))
+    return members, parent
+
+
 def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     """Threshold graph -> condensation -> transitive reduction -> one parent.
 
@@ -124,21 +142,8 @@ def build_reduced_forest(s: ScoreMatrix, tau: float) -> Hierarchy:
     cluster wins; ties fall to the higher mean child-to-parent score, then
     to the parent that comes first in canonical cluster order.
     """
-    ids = s.kp_ids
-    rows = s.values
-    masks = [1 << j for j in range(len(ids))]
-    comps, reduced = _condense([sum(compress(masks, map(gt, row, repeat(tau)))) for row in rows])
-    clusters = [frozenset(ids[i] for i in comp) for comp in comps]
-    members = [sorted(comp, key=ids.__getitem__) for comp in comps]
-
-    parent: dict[int, int] = {}
-    for c, mem in enumerate(members):
-        cands = _bits(reduced[c])
-        if cands:
-            parent[c] = min(cands, key=lambda p: (-len(clusters[p]),
-                                                 -_mean_link(rows, mem, members[p]),
-                                                 sorted(clusters[p])))
-    return canonical_hierarchy(s.summary_id, clusters, parent)
+    members, parent = _forest_rows(s, tau)
+    return canonical_hierarchy(s.summary_id, [[s.kp_ids[x] for x in c] for c in members], parent)
 
 
 def _mean_link(rows: Sequence[Sequence[float]], xs: Sequence[int], ys: Sequence[int]) -> float:
@@ -448,10 +453,8 @@ def build_tncf(s: ScoreMatrix, tau: float, stats: dict | None = None) -> Hierarc
     """
     _check_tau(tau)
     s = s.restrict(sorted(s.kp_ids))
-    row = {x: i for i, x in enumerate(s.kp_ids)}
-    init = build_reduced_forest(s, tau)
-    clusters = [frozenset(row[x] for x in c) for c in init.clusters]
-    parent: dict[int, int] = dict(init.parent)
+    members, parent = _forest_rows(s, tau)
+    clusters = [frozenset(c) for c in members]
     t = round(tau * 1e6)
     wm = [[round(v * 1e6) - t for v in r] for r in s.values]
     for i, r in enumerate(wm):

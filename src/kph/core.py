@@ -23,9 +23,9 @@ from .errors import HierarchyError
 POLARITIES = ("positive", "negative")
 
 # The scorer and algorithm names and the defaults that the command line's
-# parser shows. They live here, beside no numpy, so that building the parser
-# loads none of the numeric modules; scoring, construction and evaluation
-# import them from here.
+# parser shows. They live here so that building the parser loads none of
+# scoring, construction and evaluation, which would add start-up time to
+# every command (see kph/__init__); those modules import them from here.
 SCORER_NAMES = ("apinc", "bininc", "clarkede", "weedsprec")
 ALGORITHMS = ("reduced_forest", "tncf", "greedy", "greedy_gs")
 DEFAULT_THETA_MATCH = 0.5
@@ -38,6 +38,15 @@ DEFAULT_MIN_RECALL = 0.1
 
 #: Ordered (specific, general) key point id pairs induced by a hierarchy.
 RelationSet = frozenset[tuple[str, str]]
+
+
+def left_to_right_mean(values: Iterable[float]) -> float:
+    """Mean of values added left to right, 0.0 for none. Builtin sum() compensates
+    float sums from Python 3.12 on, so bytes written from it would vary by interpreter."""
+    total, count = 0.0, 0
+    for count, v in enumerate(values, 1):
+        total += v
+    return total / count if count else 0.0
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import DEFAULT_MIN_RECALL, Hierarchy, derive_relations
+from .core import DEFAULT_MIN_RECALL, Hierarchy, derive_relations, left_to_right_mean
 from .errors import DataError
 
 # numpy loads only in the functions that need it (ranks, the AUC) and scoring
@@ -80,31 +80,21 @@ class EvalReport:
         object.__setattr__(self, "chosen_tau", dict(sorted(dict(self.chosen_tau).items())))
         object.__setattr__(self, "provenance", dict(self.provenance))
 
-    def _macro(self, values: Iterable[float]) -> float:
-        # Added left to right: builtin sum() compensates float sums from
-        # Python 3.12 on, so its result, and the bytes written from it,
-        # would depend on the interpreter.
-        values = list(values)
-        total = 0.0
-        for v in values:
-            total += v
-        return total / len(values) if values else 0.0
-
     @property
     def macro_precision(self) -> float:
-        return self._macro(m.precision for m in self.per_domain.values())
+        return left_to_right_mean(m.precision for m in self.per_domain.values())
 
     @property
     def macro_recall(self) -> float:
-        return self._macro(m.recall for m in self.per_domain.values())
+        return left_to_right_mean(m.recall for m in self.per_domain.values())
 
     @property
     def macro_f1(self) -> float:
-        return self._macro(m.f1 for m in self.per_domain.values())
+        return left_to_right_mean(m.f1 for m in self.per_domain.values())
 
     @property
     def macro_auc(self) -> float:
-        return self._macro(self.per_domain_auc.values())
+        return left_to_right_mean(self.per_domain_auc.values())
 
 
 def _prf_counts(inter: int, npred: int, ngold: int) -> DomainMetrics:

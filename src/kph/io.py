@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .core import Hierarchy, KeyPoint, KeyPointSet, derive_relations, validate_hierarchy
+from .core import (Hierarchy, KeyPoint, KeyPointSet, derive_relations, left_to_right_mean,
+                   validate_hierarchy)
 from .errors import DataError, FormatError, HierarchyError
 
 # scoring loads only in the readers of numeric files, so that reading and
@@ -617,10 +618,7 @@ def write_correlations(path: str | Path, rows: Mapping[str, float]) -> None:
     for sid in sorted(rows):
         w.writerow([sid, fmt6(rows[sid])])
     if rows:
-        total = 0.0
-        for v in rows.values():  # left to right, unlike sum() on Python >= 3.12
-            total += v
-        w.writerow(["MEAN", fmt6(total / len(rows))])
+        w.writerow(["MEAN", fmt6(left_to_right_mean(rows.values()))])
     _write_text(path, buf.getvalue())
 
 

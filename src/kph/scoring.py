@@ -84,17 +84,6 @@ def _per_row(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bininc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Fraction of i's support sentences that are also in j's support."""
-    # Integer counts: a float product would go through BLAS, whose worker
-    # threads spin after each call and cost more CPU time than they save.
-    import numpy as np
-
-    c = s.astype(np.int64)
-    shared = c.T @ c
-    return _per_row(shared, np.diagonal(shared))
-
-
 def _inclusion(w: np.ndarray, s: np.ndarray, shared) -> np.ndarray:
     """Row i: shared(w_i, w_j) summed over S_i & S_j, divided by i's support mass.
 
@@ -114,6 +103,12 @@ def _inclusion(w: np.ndarray, s: np.ndarray, shared) -> np.ndarray:
 def _weedsprec(w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Weight-mass fraction of i's support that falls inside j's support."""
     return _inclusion(w, s, lambda wi, wj: wi)
+
+
+def _bininc(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Fraction of i's support sentences that are also in j's support: weedsprec
+    with the support as 0/1 weights, whose float sums count sentences exactly."""
+    return _weedsprec(s, s)
 
 
 def _clarkede(w: np.ndarray, s: np.ndarray) -> np.ndarray:

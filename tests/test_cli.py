@@ -162,6 +162,27 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("meta,message", [
+        ("summary_id=h1 domain=hotels",
+         "record 1: expected a '# summary_id=... domain=...' meta line"),
+        ("# summary_id=h1 hotels", "record 1: malformed meta token 'hotels'"),
+        ("# summary_id=h1", "record 1, field 'domain': missing meta entry"),
+    ], ids=["no hash", "token without =", "no domain"])
+    def test_broken_meta_line_is_data_error(self, dataset, tmp_path, capsys, meta, message):
+        p = dataset / "h1" / kio.MATCH_MATRIX_FILE
+        _, rest = p.read_text().split("\n", 1)
+        p.write_text(f"{meta}\n{rest}")
+        assert run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--scorer", "bininc") == 2
+        assert f"h1/match_matrix.csv, {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_theta_match_out_of_range_is_usage_error(self, dataset, tmp_path, capsys):
+        assert run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--scorer", "bininc", "--theta-match", "1.5") == 1
+        assert "--theta-match must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda row: "x" * (csv.field_size_limit() + 1) + row[row.index(","):],
          "record 3: malformed CSV: field larger than field limit"),
@@ -270,7 +291,7 @@ class TestCombine:
         assert lines[1:] == [f"{sid},1.000000" for sid in ("h1", "h2", "r1", "r2", "MEAN")]
 
     @pytest.mark.parametrize("how", ["flag", "config"])
-    @pytest.mark.parametrize("name", ["../../../../outside", "sub/x", "/abs"])
+    @pytest.mark.parametrize("name", ["../../../../outside", "sub/x", "/abs", ".", ".."])
     def test_name_holding_a_path_is_usage_error(self, dataset, tmp_path, monkeypatch, capsys,
                                                 name, how):
         out = tmp_path / "o"
@@ -683,8 +704,40 @@ class TestValidate:
         assert run("validate", "--in-dir", dataset,
                    "--out-dir", tmp_path / "v") == 2
 
+    def test_score_file_naming_an_unknown_key_point_is_data_error(self, dataset, tmp_path,
+                                                                  capsys):
+        ids = ("k00", "k01", "k02", "kx")
+        kio.write_scores(dataset / "h1" / "scores_x.jsonl", ScoreMatrix.from_pairs(
+            "h1", ids, {(a, b): 0.5 for a in ids for b in ids if a != b}))
+        capsys.readouterr()
+        assert run("validate", "--in-dir", dataset, "--out-dir", tmp_path / "v") == 2
+        assert f"{dataset / 'h1' / 'scores_x.jsonl'}: unknown key points ['kx']" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
 
 class TestConfigFile:
+    def test_keys_of_other_commands_are_skipped(self, dataset, tmp_path):
+        # One file drives score and build; each manifest lists its command's options only.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scorer": "bininc", "scores": "scores_bininc.jsonl",
+                                   "algorithm": "reduced_forest", "tau": 0.5}))
+        commands = kph.cli._build_parser().commands
+        for command, out in (("score", dataset), ("build", tmp_path / "b")):
+            assert run(command, "--in-dir", dataset, "--out-dir", out, "--config", cfg) == 0
+            config = json.loads((out / f"manifest_{command}.json").read_text())["config"]
+            assert set(config) == set(kph.cli._options(commands[command])) - {
+                "config", "in_dir", "out_dir"}, command
+        assert (tmp_path / "b" / "h1" / "hierarchy_reduced_forest.jsonl").exists()
+
+    def test_json_list_is_usage_error(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"scorer": "bininc"}]))
+        assert run("score", "--in-dir", dataset, "--out-dir", tmp_path / "o",
+                   "--config", cfg) == 1
+        assert f"config file {cfg} must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_supplies_defaults(self, dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scorer": "bininc"}))
@@ -848,19 +901,20 @@ VALID = {
 ])  # combine --name: TestCombine.test_name_holding_a_path_is_usage_error
 def test_path_in_a_file_name_option_is_usage_error(dataset, tmp_path, capsys, command, option,
                                                     how):
-    # Read inside each summary directory, this would be another summary's file.
-    value = "../h2/gold.jsonl"
-    flags = {"--in-dir": dataset, "--out-dir": tmp_path / "o", **VALID[command]}
-    flags.pop(option, None)
-    if how == "flag":
-        flags[option] = value
-    else:
-        (tmp_path / "cfg.json").write_text(json.dumps({option[2:]: value}))
-        flags["--config"] = tmp_path / "cfg.json"
-    capsys.readouterr()
-    assert run(command, *itertools.chain.from_iterable(flags.items())) == 1
-    assert f"{option} must be a file name, not a path: {value!r}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # Read inside each summary directory, these would be another summary's
+    # file, the directory itself and its parent.
+    for value in ("../h2/gold.jsonl", ".", ".."):
+        flags = {"--in-dir": dataset, "--out-dir": tmp_path / "o", **VALID[command]}
+        flags.pop(option, None)
+        if how == "flag":
+            flags[option] = value
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({option[2:]: value}))
+            flags["--config"] = tmp_path / "cfg.json"
+        capsys.readouterr()
+        assert run(command, *itertools.chain.from_iterable(flags.items())) == 1
+        assert f"{option} must be a file name, not a path: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", list(kph.cli._build_parser().commands))

@@ -218,6 +218,28 @@ class TestReducedForest:
                 assert b in closure[a]
 
 
+@pytest.mark.parametrize("build", [build_reduced_forest, build_tncf])
+def test_key_order_does_not_change_the_forest(build):
+    # Scores that list key points out of id order give the Hierarchy of their
+    # id-sorted restriction. Planted groups of mutually entailing key points,
+    # linked group to group by one grid score, leave clusters with several
+    # reduced parents whose size and mean link tie, so the parent choice
+    # falls to cluster order.
+    rng = random.Random(1010)
+    for k in range(200):
+        n = rng.randrange(1, 13)
+        ids = [f"k{i:02d}" for i in range(n)]
+        rng.shuffle(ids)
+        group = {x: rng.randrange(n // 2 + 1) for x in ids}
+        link = {(g, h): rng.choice((0.8, 0.9)) if rng.random() < 0.3 else 0.1
+                for g in group.values() for h in group.values()}
+        scores = {(a, b): 0.95 if group[a] == group[b] else link[group[a], group[b]]
+                  for a in ids for b in ids if a != b}
+        m = ScoreMatrix.from_pairs(summary_id="s", kp_ids=ids, scores=scores)
+        tau = (0.5, 0.85)[k % 2]
+        assert build(m, tau) == build(m.restrict(sorted(ids)), tau)
+
+
 class TestCondense:
     """_condense checked against the Floyd-Warshall oracles."""
 
