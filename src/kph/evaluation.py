@@ -9,15 +9,16 @@ within a domain so a summary's own gold never influences its tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import DEFAULT_MIN_RECALL, Hierarchy, derive_relations, left_to_right_mean
 from .errors import DataError
 
-# numpy loads only in the functions that need it (ranks, the AUC) and scoring
-# only for type checks, so relation F1 (kph eval) and leave-one-out tuning
-# (kph tune) load no numpy.
+# numpy loads only in spearman_correlation's ranks and scoring only for type
+# checks, so relation F1 (kph eval), leave-one-out tuning (kph tune) and PR
+# curves (kph prcurve) load no numpy.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -233,10 +234,9 @@ def auc_at_min_recall(curve: PRCurve, min_recall: float = DEFAULT_MIN_RECALL) ->
     """Trapezoidal area under the PR polyline for recall >= min_recall.
 
     The polyline is linearly interpolated at min_recall when a segment
-    crosses it; a curve that never reaches min_recall has area 0.
+    crosses it; a curve that never reaches min_recall has area 0. The
+    trapezoids are summed exactly and rounded once (math.fsum).
     """
-    import numpy as np
-
     pts = [(p.recall, p.precision) for p in curve.points]
     if not pts or pts[-1][0] <= min_recall:
         return 0.0
@@ -249,9 +249,8 @@ def auc_at_min_recall(curve: PRCurve, min_recall: float = DEFAULT_MIN_RECALL) ->
                 clipped.append((min_recall, prev[1] + t * (p - prev[1])))
             clipped.append((r, p))
         prev = (r, p)
-    xs = [r for r, _ in clipped]
-    ys = [p for _, p in clipped]
-    return float(np.trapezoid(ys, xs))
+    return math.fsum((x1 - x0) * (y1 + y0) / 2.0
+                     for (x0, y0), (x1, y1) in zip(clipped, clipped[1:]))
 
 
 def local_relations_baseline(s: ScoreMatrix, tau: float) -> frozenset[tuple[str, str]]:
@@ -351,7 +350,7 @@ def loo_threshold_tuning(
                     f1 = _pooled([count(p, tau) for p in peers]).f1
                 else:  # pair and check by summary id, as relation_f1 does
                     f1 = relation_f1(hs, [gold[p] for p in peers]).f1
-                if f1 > best_f1:
+                if f1 > best_f1 or f1 == best_f1 and tau < best_tau:
                     best_f1 = f1
                     best_tau = tau
             chosen[sid] = best_tau

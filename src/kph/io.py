@@ -371,11 +371,17 @@ def write_scores(path: str | Path, s: ScoreMatrix) -> None:
     lines = [dumps6(
         {"kind": "scores", "summary_id": s.summary_id, "scorer": s.scorer,
          "params": s.params, "kp_ids": list(s.kp_ids)})]
-    # dumps6({"src": src, "dst": dst, "score": v}) per pair, each id quoted once
-    q = {x: json.dumps(x, ensure_ascii=False) for x in s.kp_ids}
-    lines += [f'{{"src": {q[a]}, "dst": {q[b]}, "score": {fmt6(v)}}}'
-              for a, b, v in s.pairs()]
+    lines += _pair_lines(s.kp_ids, [fmt6(v) for _, _, v in s.pairs()])
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _pair_lines(kp_ids: Iterable[str], score_texts: list[str]) -> list[str]:
+    """dumps6({"src": src, "dst": dst, "score": v}) of each ordered pair of
+    distinct ids, sorted by (src, dst), with score_texts as the scores' text."""
+    q = [json.dumps(x, ensure_ascii=False) for x in sorted(kp_ids)]
+    texts = iter(score_texts)
+    return [f'{{"src": {a}, "dst": {b}, "score": {next(texts)}}}'
+            for a in q for b in q if a != b]
 
 
 def load_external_scores(path: str | Path) -> ScoreMatrix:
@@ -415,48 +421,34 @@ def load_external_scores(path: str | Path) -> ScoreMatrix:
         raise FormatError(str(e), path=path) from e
 
 
-# A pair line exactly as write_scores emits it. A JSON string with no
-# backslash or control character decodes to its own text, and json reads
-# the score with float(), so the groups give the values json.loads would.
-_CANONICAL_PAIR = re.compile(
-    r'\{"src": "([^"\\\x00-\x1f]*)", "dst": "([^"\\\x00-\x1f]*)", '
-    r'"score": ([0-9]\.[0-9]{6})\}')
+# The score that ends a pair line, in fmt6's form. '"score": ' only speeds
+# the search up; equality with _pair_lines' text is the check. The form keeps
+# out texts that float() reads but JSON rejects, such as "0_000001".
+_SCORE_TEXT = re.compile(r'"score": ([0-9]\.[0-9]{6})\}$', re.M)
 
 
 def _canonical_score_values(kp_ids: list[str], lines: list[str]) -> list[list[float]] | None:
-    """The score rows of pair lines that are all canonical and complete, else None.
+    """The score rows of pair lines exactly as write_scores emits them, else None.
 
-    None sends the caller to the line-by-line loop, which accepts any valid
-    JSON object per line and names the first bad record. Lines are matched
-    one by one: decoding them together (json.loads over "[" + ",".join(lines)
-    + "]") would lose line boundaries and accept a line holding two objects
-    beside an object split over two lines, which that loop rejects.
+    Equality with the writer's text proves every ordered pair of distinct
+    key points is scored once and decodes as json.loads would read it. None
+    sends the caller to the line-by-line loop, which accepts any valid JSON
+    object per line and names the first bad record.
     """
     n = len(kp_ids)
-    pos = {x: i for i, x in enumerate(kp_ids)}
-    if len(pos) != n or len(lines) != n * (n - 1):
+    texts = _SCORE_TEXT.findall("\n".join(lines))
+    if (len(set(kp_ids)) != n or len(texts) != n * (n - 1)
+            or max(texts, default="0") > "1.000000" or _pair_lines(kp_ids, texts) != lines):
         return None
-    matches = []
-    for line in lines:
-        m = _CANONICAL_PAIR.fullmatch(line)
-        if m is None:  # so a file in any other form pays for one match attempt
-            return None
-        matches.append(m)
-    try:
-        cells = [pos[m[1]] * n + pos[m[2]] for m in matches]  # row-major positions
-    except KeyError:  # an id outside kp_ids
-        return None
-    scores = [float(m[3]) for m in matches]
-    # every ordered pair of distinct key points exactly once: n * (n - 1) distinct
-    # cells, none on the diagonal
-    distinct = set(cells)
-    if (max(scores, default=0.0) > 1.0 or len(distinct) != len(cells)
-            or not distinct.isdisjoint(range(0, n * n, n + 1))):
-        return None
-    flat = [0.0] * (n * n)
-    for k, v in zip(cells, scores):
-        flat[k] = v
-    return [flat[i * n:i * n + n] for i in range(n)]
+    scores = map(float, texts)
+    order = sorted(range(n), key=kp_ids.__getitem__)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in order:  # the writer's pair order, sorted by (src, dst)
+        row = rows[i]
+        for j in order:
+            if i != j:
+                row[j] = next(scores)
+    return rows
 
 
 # -- hierarchies --------------------------------------------------------

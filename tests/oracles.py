@@ -735,7 +735,7 @@ def loo_threshold_tuning_reference(
             for tau in tau_grid:
                 f1 = relation_f1_reference([build(p, tau) for p in peers],
                                            [gold[p] for p in peers]).f1
-                if f1 > best_f1:
+                if f1 > best_f1 or f1 == best_f1 and tau < best_tau:
                     best_f1 = f1
                     best_tau = tau
             chosen[sid] = best_tau

@@ -29,6 +29,7 @@ from kph import (
     relation_f1,
     spearman_correlation,
 )
+from kph.evaluation import DEFAULT_TAU_GRID
 from helpers import random_hierarchy, random_score_matrix
 from oracles import (brute_force_optimal_kph, loo_threshold_tuning_reference, pr_points_ref,
                      relation_f1_reference)
@@ -443,10 +444,13 @@ def _plateau_domain(num=4, domain="hotels"):
 class TestLooThresholdTuning:
     def test_plateau_resolves_to_smallest_tau(self):
         scores, golds = _plateau_domain()
-        chosen, report, _ = loo_threshold_tuning(scores, golds, build_reduced_forest)
-        assert chosen == {sid: 0.1 for sid in golds}
-        assert report.per_domain["hotels"].f1 == pytest.approx(1.0, abs=1e-12)
-        assert report.chosen_tau == chosen
+        for grid, smallest in ((DEFAULT_TAU_GRID, 0.1), (DEFAULT_TAU_GRID[::-1], 0.1),
+                               ((0.5, 0.25), 0.25)):
+            for tune in (loo_threshold_tuning, loo_threshold_tuning_reference):
+                chosen, report, _ = tune(scores, golds, build_reduced_forest, grid)
+                assert chosen == {sid: smallest for sid in golds}, (tune.__name__, grid)
+                assert report.per_domain["hotels"].f1 == pytest.approx(1.0, abs=1e-12)
+                assert report.chosen_tau == chosen
 
     def test_two_summary_domain_uses_the_peer(self):
         scores, golds = _plateau_domain(num=2)

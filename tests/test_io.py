@@ -368,6 +368,10 @@ LOADER_VARIANTS = {
     "huge integer score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], "9" * 400)),
     "string score": _edit_one(lambda o, rng: pair_line(o["src"], o["dst"], '"0.500000"')),
     "extra key": _edit_one(lambda o, rng: json.dumps({**o, "note": 1})),
+    "trailing space": lambda header, pairs, rng: [header, *pairs[:-1], pairs[-1] + " "],
+    "keys reordered": lambda header, pairs, rng: [header, *(
+        json.dumps({"dst": o["dst"], "src": o["src"], "score": o["score"]}, ensure_ascii=False)
+        for o in map(json.loads, pairs))],
 }
 
 
@@ -412,12 +416,14 @@ class TestScoreFileFastPaths:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_canonical_files_take_the_array_path(self, tmp_path, n):
+        """Whatever its ids hold, a file as write_scores emits it takes the array path."""
         p = tmp_path / "scores.jsonl"
-        kio.write_scores(p, odd_score_matrix(random.Random(n), PLAIN_IDS[:n]))
-        lines = p.read_text().splitlines()
-        values = kio._canonical_score_values(list(PLAIN_IDS[:n]), lines[1:])
-        assert values is not None
-        assert value_bits(values) == value_bits(load_scores_reference(p).values)
+        for ids in (PLAIN_IDS[:n], ODD_IDS[:n], ODD_IDS[::-1][:n]):
+            kio.write_scores(p, odd_score_matrix(random.Random(n), ids))
+            lines = p.read_text(encoding="utf-8").splitlines()
+            values = kio._canonical_score_values(list(ids), lines[1:])
+            assert values is not None, ids
+            assert value_bits(values) == value_bits(load_scores_reference(p).values)
 
     def test_lines_are_not_decoded_together(self, tmp_path):
         """Two objects on one line plus one object split over two keep the

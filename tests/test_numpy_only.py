@@ -1,7 +1,8 @@
-"""kph runs on numpy alone, and every command that reads no match matrix without it.
+"""kph runs on numpy alone, and every command but score, validate and correlate without it.
 
-`kph eval`, `combine`, `build`, `tune`, `weaklabel`, --help and --version
-load no numpy; `score`, `correlate`, `prcurve` and `validate` need it.
+`kph eval`, `combine`, `build`, `tune`, `weaklabel`, `prcurve`, --help and
+--version load no numpy; `score` and `validate` (match matrices) and
+`correlate` (Spearman ranks) need it.
 
 A fake ``scipy`` (or ``numpy``) package that raises ImportError sits first
 on PYTHONPATH of each subprocess, so any import of it, however indirect,
@@ -10,6 +11,7 @@ fails.
 
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,19 @@ def test_version_and_help_run_without_numpy(argv, numpy_blocked_env):
     assert done.stdout
 
 
+def same_bytes_without_numpy(env, tmp_path, command, in_dir, *flags) -> dict[str, bytes]:
+    """The files one command writes with numpy blocked, once checked equal to its
+    files with numpy importable."""
+    runs = {}
+    for label, run_env in (("blocked", env), ("plain", unblocked(env))):
+        out = tmp_path / f"out_{label}"
+        done = kph(run_env, command, "--in-dir", in_dir, "--out-dir", out, *flags)
+        assert done.returncode == 0, done.stderr
+        runs[label] = tree_bytes(out)
+    assert runs["blocked"] == runs["plain"]
+    return runs["plain"]
+
+
 def test_eval_runs_without_numpy_and_writes_the_same_bytes(tmp_path, numpy_blocked_env):
     data = tmp_path / "data"
     for sid, domain in [("h1", "hotels"), ("h2", "hotels"), ("r1", "restaurants")]:
@@ -90,14 +105,9 @@ def test_eval_runs_without_numpy_and_writes_the_same_bytes(tmp_path, numpy_block
         pred = Hierarchy(sid, clusters, {1: 0, 3: 0}, domain=domain)
         kio.write_hierarchy(data / sid / kio.GOLD_FILE, gold)
         kio.write_hierarchy(data / sid / "hierarchy_tncf.jsonl", pred)
-    outputs = ("report_eval.json", "metrics.csv", "manifest_eval.json")
-    runs = {}
-    for label, env in (("blocked", numpy_blocked_env), ("plain", unblocked(numpy_blocked_env))):
-        done = kph(env, "eval", "--in-dir", data, "--out-dir", tmp_path / label,
-                   "--pred", "hierarchy_tncf.jsonl")
-        assert done.returncode == 0, done.stderr
-        runs[label] = {name: (tmp_path / label / name).read_bytes() for name in outputs}
-    assert runs["blocked"] == runs["plain"]
+    written = same_bytes_without_numpy(numpy_blocked_env, tmp_path, "eval", data,
+                                       "--pred", "hierarchy_tncf.jsonl")
+    assert set(written) == {"report_eval.json", "metrics.csv", "manifest_eval.json"}
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +146,24 @@ SCORE_COMMANDS = {
 @pytest.mark.parametrize("argv", SCORE_COMMANDS.values(), ids=SCORE_COMMANDS)
 def test_score_commands_run_without_numpy_and_write_the_same_bytes(tmp_path, numpy_blocked_env,
                                                                    score_corpus, argv):
-    runs = {}
-    for label, env in (("blocked", numpy_blocked_env), ("plain", unblocked(numpy_blocked_env))):
-        out = tmp_path / f"out_{label}"
-        done = kph(env, argv[0], "--in-dir", score_corpus, "--out-dir", out, *argv[1:])
-        assert done.returncode == 0, done.stderr
-        runs[label] = tree_bytes(out)
-    assert f"manifest_{argv[0]}.json" in runs["plain"]
-    assert runs["blocked"] == runs["plain"]
+    written = same_bytes_without_numpy(numpy_blocked_env, tmp_path, argv[0], score_corpus,
+                                       *argv[1:])
+    assert f"manifest_{argv[0]}.json" in written
+
+
+def test_prcurve_runs_without_numpy_and_writes_the_same_bytes(tmp_path, numpy_blocked_env,
+                                                              score_corpus):
+    """prcurve drops filtered key points from the scores, so its gold leaves them out."""
+    data = tmp_path / "data"
+    shutil.copytree(score_corpus, data)
+    rng = random.Random(37)
+    for kp_file in sorted(data.glob(f"*/{kio.KEY_POINTS_FILE}")):
+        kps = kio.load_key_points(kp_file)
+        gold = random_hierarchy(rng, len(kps.unfiltered_ids), summary_id=kps.summary_id,
+                                domain=kps.domain)
+        assert gold.kp_ids == frozenset(kps.unfiltered_ids)
+        kio.write_hierarchy(kp_file.parent / "gold_unfiltered.jsonl", gold)
+    written = same_bytes_without_numpy(numpy_blocked_env, tmp_path, "prcurve", data,
+                                       "--scores", "scores_a.jsonl",
+                                       "--gold", "gold_unfiltered.jsonl")
+    assert set(written) == {"report_prcurve.json", "pr_curves.csv", "manifest_prcurve.json"}

@@ -9,9 +9,10 @@ digests moved and why. Replayed twice in one process on seed 1, each
 workload writes the same files, manifests included: no run leaves state
 behind that changes the next one's bytes.
 
-``kph eval``, ``combine``, ``build``, ``tune`` and ``weaklabel`` load no
-numpy, so each workload op of theirs also runs under every other local
-interpreter without numpy that pyenv lists, and must write the same bytes.
+``kph eval``, ``combine``, ``build``, ``tune``, ``weaklabel`` and ``prcurve``
+load no numpy, so each workload op of theirs also runs under every other
+local interpreter without numpy that pyenv lists, and must write the same
+bytes.
 """
 
 import functools
@@ -142,7 +143,7 @@ def test_eval_bytes_match_under_numpy_free_interpreters(bench, replay, interpret
 @pytest.mark.parametrize("workload, label", [
     ("build_paper", "combine"), ("build_paper", "build_tncf"), ("build_paper", "build_greedy_gs"),
     ("tune_loo", "tune_reduced_forest"), ("tune_loo", "tune_tncf"),
-    ("score_stress", "weaklabel"),
+    ("score_stress", "weaklabel"), ("score_stress", "prcurve"),
 ])
 def test_score_commands_match_under_numpy_free_interpreters(bench, replay, interpreters,
                                                             tmp_path, workload, label):
